@@ -35,9 +35,9 @@ print("  energy drift max |L - L0| =",
 N = raise_connection(G, engine)
 
 
-def curvature_like_density(conn, x, y):
-    n = conn.coefficients(x, y)
-    return float(np.sum(n * n))
+def curvature_like_density(conn, xs, ys):
+    n = conn.coefficients(xs, ys)
+    return np.sum(n * n, axis=(1, 2))
 
 
 A = ActionFunctional("nonlinear", curvature_like_density, conf.domain,

@@ -15,10 +15,12 @@ engine = DiffEngine("analytic")
 domain = ConicDomain(2, name="plane")
 
 ddell = TensorField(domain, 0, 2, 0.0,
-                    lambda x, y: np.array([[1.0, -1.0], [1.0, 1.0]]),
+                    lambda xs, ys: np.tile([[1.0, -1.0], [1.0, 1.0]],
+                                           (len(xs), 1, 1)),
                     dy=lambda: zero_field(domain, 0, 3, -1.0))
 ell = TensorField(domain, 0, 1, 1.0,
-                  lambda x, y: np.array([y[0] - y[1], y[0] + y[1]]),
+                  lambda xs, ys: np.stack([ys[:, 0] - ys[:, 1],
+                                           ys[:, 0] + ys[:, 1]], axis=-1),
                   dy=ddell, name="skew_ell")
 
 x = np.zeros(2)

@@ -12,8 +12,8 @@ import numpy as np
 from .connections import (AnisotropicConnection, NonlinearConnection, Spray,
                           lower_connection, raise_connection)
 from .errors import ShapeError
-from .fields import (ConicDomain, TensorField, liouville_contract,
-                     pivot_inverse, vertical_derivative)
+from .fields import (ConicDomain, TensorField, _row_max_abs,
+                     liouville_contract, pivot_inverse, vertical_derivative)
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -85,6 +85,25 @@ def compose(second, first, name=""):
                            name=name or f"{second.name}*{first.name}")
 
 
+def _rows(fn, xs):
+    """Stack a pointwise chart closure over the rows of a batch."""
+    return np.array([np.asarray(fn(x), dtype=float) for x in xs])
+
+
+def _pull_rows(t, xts, yts):
+    """Pull a (B, dim) batch of target-chart samples back, row by row."""
+    pulled = [t.pull_point(xt, yt) for xt, yt in zip(xts, yts)]
+    return (np.array([x for x, _ in pulled]),
+            np.array([y for _, y in pulled]))
+
+
+def _push_rows(t, xs, ys):
+    """Push a (B, dim) batch of source-chart samples forward, row by row."""
+    pushed = [t.push_point(x, y) for x, y in zip(xs, ys)]
+    return (np.array([x for x, _ in pushed]),
+            np.array([y for _, y in pushed]))
+
+
 def _pushed_domain(domain, t):
     def membership(xt, yt):
         x, y = t.pull_point(xt, yt)
@@ -117,15 +136,16 @@ def transform_tensor(field, t):
         factors.append(f"{new[k]}{old[k]}")      # J[new, old]
     for k in range(r, total):
         factors.append(f"{old[k]}{new[k]}")      # Jinv[old, new]
-    subscript = ",".join([old] + factors) + "->" + new
+    subscript = (",".join("..." + f for f in [old] + factors)
+                 + "->..." + new)
 
-    def fn(xt, yt):
-        x, y = t.pull_point(xt, yt)
-        comp = field(x, y)
+    def fn(xts, yts):
+        xs, ys = _pull_rows(t, xts, yts)
+        comp = field(xs, ys)
         if total == 0:
             return comp
-        J = np.asarray(t.jacobian(x), dtype=float)
-        Ji = t.inverse_jacobian(x)
+        J = _rows(t.jacobian, xs)
+        Ji = _rows(t.inverse_jacobian, xs)
         mats = [J] * r + [Ji] * s
         return np.einsum(subscript, comp, *mats)
 
@@ -139,11 +159,12 @@ def transform_connection(obj, t):
         field = obj.coefficients
         domain = _pushed_domain(field.domain, t)
 
-        def fn_spray(xt, yt):
-            x, y = t.pull_point(xt, yt)
-            H = np.asarray(t.hessian(x), dtype=float)
-            J = np.asarray(t.jacobian(x), dtype=float)
-            return -0.5 * np.einsum("ibc,b,c->i", H, y, y) + J @ field(x, y)
+        def fn_spray(xts, yts):
+            xs, ys = _pull_rows(t, xts, yts)
+            H = _rows(t.hessian, xs)
+            J = _rows(t.jacobian, xs)
+            return (-0.5 * np.einsum("...ibc,...b,...c->...i", H, ys, ys)
+                    + (J @ field(xs, ys)[:, :, None])[:, :, 0])
 
         return Spray(TensorField(domain, 1, 0, 2.0, fn_spray,
                                  name=f"{t.name}.{obj.name}"))
@@ -152,13 +173,13 @@ def transform_connection(obj, t):
         field = obj.coefficients
         domain = _pushed_domain(field.domain, t)
 
-        def fn_nonlin(xt, yt):
-            x, y = t.pull_point(xt, yt)
-            H = np.asarray(t.hessian(x), dtype=float)
-            J = np.asarray(t.jacobian(x), dtype=float)
-            Ji = t.inverse_jacobian(x)
-            return -np.einsum("ibc,bj,c->ij", H, Ji, y) + \
-                np.einsum("ia,bj,ab->ij", J, Ji, field(x, y))
+        def fn_nonlin(xts, yts):
+            xs, ys = _pull_rows(t, xts, yts)
+            H = _rows(t.hessian, xs)
+            J = _rows(t.jacobian, xs)
+            Ji = _rows(t.inverse_jacobian, xs)
+            return -np.einsum("...ibc,...bj,...c->...ij", H, Ji, ys) + \
+                np.einsum("...ia,...bj,...ab->...ij", J, Ji, field(xs, ys))
 
         return NonlinearConnection(TensorField(domain, 1, 1, 1.0, fn_nonlin,
                                                name=f"{t.name}.{obj.name}"))
@@ -167,13 +188,14 @@ def transform_connection(obj, t):
         field = obj.coefficients
         domain = _pushed_domain(field.domain, t)
 
-        def fn_aniso(xt, yt):
-            x, y = t.pull_point(xt, yt)
-            H = np.asarray(t.hessian(x), dtype=float)
-            J = np.asarray(t.jacobian(x), dtype=float)
-            Ji = t.inverse_jacobian(x)
-            return -np.einsum("ibc,bj,ck->ijk", H, Ji, Ji) + \
-                np.einsum("ia,bj,ck,abc->ijk", J, Ji, Ji, field(x, y))
+        def fn_aniso(xts, yts):
+            xs, ys = _pull_rows(t, xts, yts)
+            H = _rows(t.hessian, xs)
+            J = _rows(t.jacobian, xs)
+            Ji = _rows(t.inverse_jacobian, xs)
+            return -np.einsum("...ibc,...bj,...ck->...ijk", H, Ji, Ji) + \
+                np.einsum("...ia,...bj,...ck,...abc->...ijk", J, Ji, Ji,
+                          field(xs, ys))
 
         return AnisotropicConnection(TensorField(domain, 1, 2, 0.0, fn_aniso,
                                                  name=f"{t.name}.{obj.name}"))
@@ -188,17 +210,16 @@ def coherence_defect(obj, t, xs, ys, engine=None):
     comparison.  Pushed-forward fields carry no attached derivatives, so
     the transformed side is differentiated by stencil regardless of the
     engine method; the returned dict maps check names to worst absolute
-    defects over the samples.
+    defects over the samples, NaN when any sample gives NaN.
     """
     out = {}
+    xts, yts = _push_rows(t, np.asarray(xs, dtype=float),
+                          np.asarray(ys, dtype=float))
 
     def gap(left_field, right_field):
-        worst = 0.0
-        for x, y in zip(xs, ys):
-            xt, yt = t.push_point(x, y)
-            worst = max(worst, float(np.max(np.abs(
-                left_field(xt, yt) - right_field(xt, yt)))))
-        return worst
+        return float(np.max(
+            _row_max_abs(left_field(xts, yts) - right_field(xts, yts)),
+            initial=0.0))
 
     if isinstance(obj, TensorField):
         moved = transform_tensor(obj, t)

@@ -15,7 +15,8 @@ import numpy as np
 from .atlas import ChartTransition
 from .connections import NonlinearConnection
 from .errors import DomainError
-from .fields import ConicDomain, TensorField, constant_field, liouville_field, zero_field
+from .fields import (ConicDomain, TensorField, _row_dot, constant_field,
+                     liouville_field, zero_field)
 from .metrics import Lagrangian, wick_metric
 
 
@@ -44,10 +45,11 @@ def _quadratic_bundle(name, diag, membership=None, excluded=()):
     D = np.asarray(diag, dtype=float)
 
     ddell = constant_field(domain, 2.0 * np.diag(D), 0, 2, name="dv_ell")
-    ell = TensorField(domain, 0, 1, 1.0, lambda x, y: 2.0 * D * y,
+    ell = TensorField(domain, 0, 1, 1.0, lambda xs, ys: 2.0 * D * ys,
                       dy=ddell, dx=lambda: zero_field(domain, 0, 2, 1.0),
                       name="ell")
-    L = TensorField(domain, 0, 0, 2.0, lambda x, y: float(D @ (y * y)),
+    L = TensorField(domain, 0, 0, 2.0,
+                    lambda xs, ys: (ys * ys) @ D,
                     dy=ell, dx=lambda: zero_field(domain, 0, 1, 2.0),
                     name=name)
     lagr = Lagrangian(L, name=name)
@@ -73,25 +75,28 @@ def _conformal():
     stencil."""
     domain = ConicDomain(2, None, name="conformal2")
 
-    def factor(x):
-        return float(np.exp(2.0 * x[0]))
+    def factor(xs):
+        return np.exp(2.0 * xs[:, 0])
 
     ddell = TensorField(domain, 0, 2, 0.0,
-                        lambda x, y: 2.0 * factor(x) * np.eye(2),
+                        lambda xs, ys: (2.0 * factor(xs))[:, None, None]
+                        * np.eye(2),
                         dy=lambda: zero_field(domain, 0, 3, -1.0),
                         name="dv_ell")
-    ell = TensorField(domain, 0, 1, 1.0, lambda x, y: 2.0 * factor(x) * y,
+    ell = TensorField(domain, 0, 1, 1.0,
+                      lambda xs, ys: (2.0 * factor(xs))[:, None] * ys,
                       dy=ddell, name="ell")
     L = TensorField(domain, 0, 0, 2.0,
-                    lambda x, y: factor(x) * float(y @ y),
+                    lambda xs, ys: factor(xs) * _row_dot(ys, ys),
                     dy=ell, name="conformal2")
     lagr = Lagrangian(L, name="conformal2")
     fields = {"energy": L, "gradient": ell, "fundamental": lagr.phi_field(),
               "liouville": liouville_field(domain)}
 
-    def spray_oracle(x, y):
+    def spray_oracle(xs, ys):
         # The conformal factor cancels: G does not depend on x at all.
-        return np.array([0.5 * (y[0] ** 2 - y[1] ** 2), y[0] * y[1]])
+        y1, y2 = ys[..., 0], ys[..., 1]
+        return np.stack([0.5 * (y1 ** 2 - y2 ** 2), y1 * y2], axis=-1)
 
     return ExampleBundle("conformal2", domain, lagrangian=lagr, fields=fields,
                          spray_oracle=spray_oracle, riemannian=True)
@@ -104,15 +109,16 @@ def _quartic():
         excluded=(lambda x, y: min(abs(y[0]), abs(y[1])) < 0.2 * max(abs(y[0]), abs(y[1])),),
         name="quartic2")
 
-    def d3fn(x, y):
+    def d3fn(xs, ys):
+        y = ys.T
         Q = y[0] ** 4 + y[1] ** 4
         s1, s3, s5 = Q ** -0.5, Q ** -1.5, Q ** -2.5
-        out = np.empty((2, 2, 2))
+        out = np.empty((len(ys), 2, 2, 2))
         for a in range(2):
             for b in range(2):
                 for c in range(2):
                     dab, dac, dbc = a == b, a == c, b == c
-                    out[a, b, c] = (
+                    out[:, a, b, c] = (
                         12.0 * y[a] * dab * dac * s1
                         - 12.0 * (y[a] ** 2 * dab * y[c] ** 3
                                   + y[a] ** 2 * y[b] ** 3 * dac
@@ -123,22 +129,22 @@ def _quartic():
     d3 = TensorField(domain, 0, 3, -1.0, d3fn,
                      dx=lambda: zero_field(domain, 0, 4, -1.0), name="d3L")
 
-    def ddellfn(x, y):
-        Q = y[0] ** 4 + y[1] ** 4
-        yy = np.asarray(y)
-        return (6.0 * np.diag(yy ** 2) * Q ** -0.5
-                - 4.0 * np.outer(yy ** 3, yy ** 3) * Q ** -1.5)
+    def ddellfn(xs, ys):
+        Q = (ys[:, 0] ** 4 + ys[:, 1] ** 4)[:, None, None]
+        diag = np.eye(2) * (ys ** 2)[:, None, :]
+        outer = (ys ** 3)[:, :, None] * (ys ** 3)[:, None, :]
+        return 6.0 * diag * Q ** -0.5 - 4.0 * outer * Q ** -1.5
 
     ddell = TensorField(domain, 0, 2, 0.0, ddellfn, dy=d3,
                         dx=lambda: zero_field(domain, 0, 3, 0.0),
                         name="dv_ell")
     ell = TensorField(domain, 0, 1, 1.0,
-                      lambda x, y: 2.0 * np.asarray(y) ** 3
-                      / np.sqrt(y[0] ** 4 + y[1] ** 4),
+                      lambda xs, ys: 2.0 * ys ** 3
+                      / np.sqrt(ys[:, :1] ** 4 + ys[:, 1:] ** 4),
                       dy=ddell, dx=lambda: zero_field(domain, 0, 2, 1.0),
                       name="ell")
     L = TensorField(domain, 0, 0, 2.0,
-                    lambda x, y: float(np.sqrt(y[0] ** 4 + y[1] ** 4)),
+                    lambda xs, ys: np.sqrt(ys[:, 0] ** 4 + ys[:, 1] ** 4),
                     dy=ell, dx=lambda: zero_field(domain, 0, 1, 2.0),
                     name="quartic2")
     lagr = Lagrangian(L, name="quartic2")
@@ -164,9 +170,9 @@ def _handmade_nonlinear():
     N^1_1 = y^2, every other coefficient zero."""
     domain = ConicDomain(2, None, name="handmadeN")
 
-    def fn(x, y):
-        out = np.zeros((2, 2))
-        out[0, 0] = y[1]
+    def fn(xs, ys):
+        out = np.zeros((len(ys), 2, 2))
+        out[:, 0, 0] = ys[:, 1]
         return out
 
     grad = np.zeros((2, 2, 2))

@@ -11,16 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import coherence_defect, transform_connection
+from .atlas import _push_rows, coherence_defect, transform_connection
 from .connections import (AnisotropicConnection, NonlinearConnection, Spray,
                           berwald_connection, canonical_spray,
                           chern_connection, geodesic_integrate,
                           landsberg_tensor, nonlinear_residue,
                           raise_connection, torsion)
 from .errors import LevelError
-from .fields import (DiffEngine, TensorField, add, constant_field,
-                     homogeneity_defect, liouville_contract, scalar_power,
-                     scale, tensor_product, zero_field)
+from .fields import (DiffEngine, TensorField, _first, _row_dot, _row_max_abs,
+                     add, constant_field, homogeneity_defect,
+                     liouville_contract, scalar_power, scale, tensor_product,
+                     zero_field)
 from .functionals import (ActionFunctional, evaluate_action,
                           extend_functional, gauge_symmetrize,
                           restrict_functional)
@@ -52,16 +53,38 @@ class CheckReport:
 
 
 class _Worst:
+    """Worst defect over everything fed, in the order it was fed.
+
+    A feed gives defects for one sample (x, y) or for a (B, dim) batch; a
+    batch's defects have one row per sample, with one column per quantity
+    compared there.  The first largest defect wins, reading each feed row
+    by row, and a NaN defect counts as the worst of all, so that a NaN can
+    never pass.
+    """
+
     def __init__(self):
         self.value = 0.0
         self.sample = None
 
-    def feed(self, defect, x, y):
-        defect = float(defect)
-        if self.sample is None or defect > self.value:
-            self.value = defect
-            self.sample = {"x": np.asarray(x).tolist(),
-                           "y": np.asarray(y).tolist()}
+    def feed(self, defects, xs, ys):
+        if np.isnan(self.value):
+            return
+        xs = np.reshape(np.asarray(xs, dtype=float), (-1, np.shape(xs)[-1]))
+        ys = np.reshape(np.asarray(ys, dtype=float), xs.shape)
+        rows = np.asarray(defects, dtype=float).reshape(len(xs), -1)
+        flat = rows.ravel()
+        nan = np.isnan(flat)
+        i = _first(nan) if nan.any() else int(np.argmax(flat))
+        if self.sample is None or nan[i] or flat[i] > self.value:
+            row = i // rows.shape[1]
+            self.value = float(flat[i])
+            self.sample = {"x": xs[row].tolist(), "y": ys[row].tolist()}
+
+
+def _columns(*values):
+    """Per-sample defects of several compared quantities, one column each:
+    the largest |entry| of each sample's components."""
+    return np.stack([_row_max_abs(v) for v in values], axis=1)
 
 
 def _report(name, worst, count, tol):
@@ -76,10 +99,12 @@ def _engine(config):
 def euclidean_energy_field(domain):
     """<y, y> with its full chain, on any domain; handy shift ingredient."""
     ddell = constant_field(domain, 2.0 * np.eye(domain.dim), 0, 2)
-    ell = TensorField(domain, 0, 1, 1.0, lambda x, y: 2.0 * y, dy=ddell,
+    ell = TensorField(domain, 0, 1, 1.0, lambda xs, ys: 2.0 * ys, dy=ddell,
                       dx=lambda: zero_field(domain, 0, 2, 1.0), name="2y")
-    return TensorField(domain, 0, 0, 2.0, lambda x, y: float(y @ y), dy=ell,
-                       dx=lambda: zero_field(domain, 0, 1, 2.0), name="<y,y>")
+    return TensorField(domain, 0, 0, 2.0,
+                       lambda xs, ys: _row_dot(ys, ys),
+                       dy=ell, dx=lambda: zero_field(domain, 0, 1, 2.0),
+                       name="<y,y>")
 
 
 def kernel_shift(domain, coeffs, rank=2):
@@ -108,10 +133,9 @@ def check_euler(bundle, config):
     xs, ys = bundle.domain.sample(config.samples, config.seed)
     worst = _Worst()
     for field in bundle.fields.values():
-        for x, y in zip(xs, ys):
-            defect = homogeneity_defect(field, x, y, engine)
-            ref = 1.0 + float(np.max(np.abs(field(x, y))))
-            worst.feed(np.max(np.abs(defect)) / ref, x, y)
+        defect = homogeneity_defect(field, xs, ys, engine)
+        ref = 1.0 + _row_max_abs(field(xs, ys))
+        worst.feed(_row_max_abs(defect) / ref, xs, ys)
     return _report("euler", worst, len(xs), config.tolerance)
 
 
@@ -130,10 +154,8 @@ def check_ladder_roundtrip(bundle, config):
         split = decompose(field, round(field.alpha) + field.s, engine)
         rebuilt = reconstruct(split, engine)
         kernels = [liouville_contract(res) for res in split.residues]
-        for x, y in zip(xs, ys):
-            worst.feed(np.max(np.abs(rebuilt(x, y) - field(x, y))), x, y)
-            for hooked in kernels:
-                worst.feed(np.max(np.abs(hooked(x, y))), x, y)
+        worst.feed(_columns(rebuilt(xs, ys) - field(xs, ys),
+                            *(hooked(xs, ys) for hooked in kernels)), xs, ys)
     return _report("ladder_roundtrip", worst, len(xs), config.tolerance)
 
 
@@ -143,8 +165,7 @@ def check_legendre_residue(bundle, config):
     xs, ys = bundle.domain.sample(config.samples, config.seed)
     res = legendre_residue(legendre_of(bundle.lagrangian), engine)
     worst = _Worst()
-    for x, y in zip(xs, ys):
-        worst.feed(np.max(np.abs(res(x, y))), x, y)
+    worst.feed(_row_max_abs(res(xs, ys)), xs, ys)
     return _report("legendre_residue", worst, len(xs), config.tolerance)
 
 
@@ -160,13 +181,12 @@ def check_wick_identity(bundle, config):
     hooked = liouville_contract(g)
     destroyed = destroy_residues(g, engine=engine)
     energy = lagrangian_of_metric(bundle.metric).field
+    target = (1.0 + kappa) * phi(xs, ys)
     worst = _Worst()
-    for x, y in zip(xs, ys):
-        target = (1.0 + kappa) * phi(x, y)
-        worst.feed(np.max(np.abs(hooked(x, y) - target @ y)), x, y)
-        worst.feed(np.max(np.abs(destroyed(x, y) - target)), x, y)
-        worst.feed(abs(float(energy(x, y))
-                       - (1.0 + kappa) * float(L(x, y)) / 2.0), x, y)
+    worst.feed(_columns(hooked(xs, ys) - (target @ ys[:, :, None])[:, :, 0],
+                        destroyed(xs, ys) - target,
+                        energy(xs, ys) - (1.0 + kappa) * L(xs, ys) / 2.0),
+               xs, ys)
     return _report("wick_identity", worst, len(xs), config.tolerance)
 
 
@@ -187,11 +207,11 @@ def check_signature_table(bundle, config):
         expected = (p - 1, m + 1, z)
     worst = _Worst()
     worst.feed(0.0, xs[0], ys[0])
-    mismatches = 0
-    for x, y in zip(xs, ys):
-        if signature_at(bundle.metric, x, y) != expected:
-            mismatches += 1
-            worst.feed(float(mismatches), x, y)
+    counts = signature_at(bundle.metric, xs, ys)
+    wrong = np.any([c != e for c, e in zip(counts, expected)], axis=0)
+    if wrong.any():
+        last = len(wrong) - 1 - _first(wrong[::-1])
+        worst.feed(float(np.sum(wrong)), xs[last], ys[last])
     return _report("signature_table", worst, len(xs), 1.0)
 
 
@@ -203,10 +223,9 @@ def check_canonical_spray_oracle(bundle, config):
     spray = canonical_spray(bundle.lagrangian, engine)
     oracle = bundle.spray_oracle
     if oracle is None:
-        oracle = lambda x, y: np.zeros(bundle.domain.dim)
+        oracle = lambda xs, ys: np.zeros_like(ys)
     worst = _Worst()
-    for x, y in zip(xs, ys):
-        worst.feed(np.max(np.abs(spray(x, y) - oracle(x, y))), x, y)
+    worst.feed(_row_max_abs(spray(xs, ys) - oracle(xs, ys)), xs, ys)
     return _report("canonical_spray_oracle", worst, len(xs), config.tolerance)
 
 
@@ -216,11 +235,11 @@ def check_landsberg_kernel(bundle, config):
     xs, ys = bundle.domain.sample(config.samples, config.seed)
     lan = landsberg_tensor(bundle.lagrangian, engine)
     hooked = liouville_contract(lan)
+    compared = [hooked(xs, ys)]
+    if bundle.riemannian:
+        compared.append(lan(xs, ys))
     worst = _Worst()
-    for x, y in zip(xs, ys):
-        worst.feed(np.max(np.abs(hooked(x, y))), x, y)
-        if bundle.riemannian:
-            worst.feed(np.max(np.abs(lan(x, y))), x, y)
+    worst.feed(_columns(*compared), xs, ys)
     return _report("landsberg_kernel", worst, len(xs), config.tolerance)
 
 
@@ -233,9 +252,8 @@ def check_torsion_residue(bundle, config):
     half_tor = scale(liouville_contract(torsion(N, engine)), 0.5)
     hooked = liouville_contract(res)
     worst = _Worst()
-    for x, y in zip(xs, ys):
-        worst.feed(np.max(np.abs(res(x, y) - half_tor(x, y))), x, y)
-        worst.feed(np.max(np.abs(hooked(x, y))), x, y)
+    worst.feed(_columns(res(xs, ys) - half_tor(xs, ys), hooked(xs, ys)),
+               xs, ys)
     return _report("torsion_residue", worst, len(xs), config.tolerance)
 
 
@@ -253,17 +271,15 @@ def check_cocycle_coherence(bundle, config):
     moved_spray = transform_connection(flat_spray, t)
     moved_N = transform_connection(flat_N, t)
     moved_gamma = transform_connection(flat_gamma, t)
+    xts, yts = _push_rows(t, xs, ys)
+    G = moved_spray(xts, yts)
+    N_expect = np.zeros((len(xs), 2, 2))
+    N_expect[:, 0, 1] = -2.0 * yts[:, 1]
     gamma_expect = np.zeros((2, 2, 2))
     gamma_expect[0, 1, 1] = -2.0
-    for x, y in zip(xs, ys):
-        xt, yt = t.push_point(x, y)
-        G = moved_spray(xt, yt)
-        worst.feed(abs(G[0] + yt[1] ** 2), x, y)
-        worst.feed(abs(G[1]), x, y)
-        Nv = moved_N(xt, yt)
-        worst.feed(np.max(np.abs(Nv - np.array([[0.0, -2.0 * yt[1]],
-                                                [0.0, 0.0]]))), x, y)
-        worst.feed(np.max(np.abs(moved_gamma(xt, yt) - gamma_expect)), x, y)
+    worst.feed(_columns(G[:, 0] + yts[:, 1] ** 2, G[:, 1],
+                        moved_N(xts, yts) - N_expect,
+                        moved_gamma(xts, yts) - gamma_expect), xs, ys)
 
     for obj in (flat_spray, flat_N, flat_gamma,
                 bundle.lagrangian.ell_field()):
@@ -288,11 +304,13 @@ def check_linear_roundtrip(bundle, config):
         back = project_intrinsic(conn).coefficients
         source = sources["berwald" if kind in ("berwald", "hashiguchi")
                          else "chern"]
-        for x, y in zip(xs, ys):
-            if not is_strongly_regular(conn, x, y, tol=1e-9):
-                worst.feed(1.0, x, y)
-            worst.feed(np.max(np.abs(induced(x, y) - Nhat(x, y))), x, y)
-            worst.feed(np.max(np.abs(back(x, y) - source(x, y))), x, y)
+        # An irregular sample scores 1; a regular one scores 0 there,
+        # which never beats the (non-negative) defects fed beside it.
+        irregular = ~is_strongly_regular(conn, xs, ys, tol=1e-9)
+        worst.feed(np.column_stack([
+            irregular.astype(float),
+            _columns(induced(xs, ys) - Nhat(xs, ys),
+                     back(xs, ys) - source(xs, ys))]), xs, ys)
     return _report("linear_roundtrip", worst, len(xs), config.tolerance)
 
 
@@ -304,9 +322,12 @@ def check_functional_laws(bundle, config):
     domain = bundle.domain
     count = min(config.samples, 32)
 
-    spray_action = ActionFunctional(
-        "spray", lambda G, x, y: float(G(x, y) @ G(x, y)) + float(y @ y),
-        domain, count=count, seed=config.seed)
+    def spray_density(G, xs, ys):
+        g = G(xs, ys)
+        return _row_dot(g, g) + _row_dot(ys, ys)
+
+    spray_action = ActionFunctional("spray", spray_density, domain,
+                                    count=count, seed=config.seed)
     spray = canonical_spray(L, engine)
     direct = evaluate_action(spray_action, spray)
     roundtrip = evaluate_action(
@@ -318,7 +339,8 @@ def check_functional_laws(bundle, config):
 
     gamma_action = ActionFunctional(
         "anisotropic",
-        lambda g, x, y: float(np.sum(g(x, y) ** 2)),
+        lambda g, xs, ys: np.sum((g(xs, ys) ** 2).reshape(len(xs), -1),
+                                 axis=1),
         domain, count=count, seed=config.seed + 7)
     sym = gauge_symmetrize(gamma_action, engine)
     berwald = berwald_connection(L, engine)
@@ -345,10 +367,12 @@ def check_geodesic_conservation(bundle, config):
     spray = canonical_spray(L, engine)
     xs, ys = bundle.domain.sample(1, config.seed)
     path = geodesic_integrate(spray, xs[0], ys[0], 1e-3, 200)
-    e0 = float(L.field(*path.points[0]))
+    px = np.array([x for x, _ in path.points])
+    py = np.array([y for _, y in path.points])
+    energy = L.field(px, py)
+    e0 = float(energy[0])
     worst = _Worst()
-    for x, y in path.points:
-        worst.feed(abs(float(L.field(x, y)) - e0) / max(1e-12, abs(e0)), x, y)
+    worst.feed(np.abs(energy - e0) / max(1e-12, abs(e0)), px, py)
     if not path.completed:
         worst.feed(1.0, xs[0], ys[0])
     return _report("geodesic_conservation", worst, len(path.points),

@@ -126,7 +126,8 @@ def suite_report(config):
 
 def canonical_json(obj):
     """Deterministic rendering: sorted keys, floats at 17 significant
-    digits, no whitespace variation."""
+    digits, no whitespace variation.  NaN and +-inf, which JSON cannot
+    represent, render as null."""
     if isinstance(obj, dict):
         parts = (json.dumps(str(k)) + ":" + canonical_json(obj[k])
                  for k in sorted(obj))
@@ -140,6 +141,8 @@ def canonical_json(obj):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            return "null"
         return format(float(obj), ".17g")
     return json.dumps(obj)
 

@@ -8,6 +8,12 @@ its index as the final covariant slot and lowers alpha by one; the
 Liouville contraction closes the final covariant slot against y and
 raises alpha by one.
 
+Every field is evaluated on a batch of samples: a node's closure
+`fn(xs, ys)` takes two (B, dim) arrays and returns the components of all
+B samples stacked along a leading axis, shape (B, *components).  Calling
+a field with one-dimensional x and y evaluates a batch of one and drops
+the sample axis again.
+
 Differentiation is controlled by a DiffEngine.  Fields may carry attached
 derivative fields (built analytically, or assembled by the combinators in
 this module through sum/product rules); the "analytic" method uses them
@@ -17,6 +23,9 @@ uses the stencil.
 
 from __future__ import annotations
 
+import functools
+import weakref
+
 import numpy as np
 
 from .errors import DegeneracyError, DivisionError, DomainError, RankError, ShapeError
@@ -25,7 +34,6 @@ _EPS = float(np.finfo(float).eps)
 _CBRT_EPS = _EPS ** (1.0 / 3.0)
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _MEMO_LIMIT = 4096
-_UNSET = object()
 
 
 class ConicDomain:
@@ -65,7 +73,7 @@ class ConicDomain:
         y = np.asarray(y, dtype=float)
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             return False
-        if not np.any(y != 0.0):
+        if not np.count_nonzero(y):
             return False
         if self.membership is None:
             return True
@@ -115,7 +123,9 @@ class DiffEngine:
         self.step_scale = float(step_scale)
 
     def step(self, v):
-        return self.step_scale * _CBRT_EPS * max(1.0, float(np.max(np.abs(v))))
+        """Stencil step for each sample (row) of `v`."""
+        return self.step_scale * _CBRT_EPS * np.maximum(
+            1.0, np.max(np.abs(v), axis=-1))
 
     def __repr__(self):
         return f"DiffEngine(method={self.method!r}, step_scale={self.step_scale})"
@@ -127,13 +137,20 @@ DEFAULT_ENGINE = DiffEngine()
 class TensorField:
     """A type-(r, s) field T(x, y) on a conic domain, alpha-homogeneous in y.
 
-    `fn(x, y)` must return components of shape (dim,) * (r + s) with
+    `fn(xs, ys)` takes (B, dim) arrays of samples and must return the
+    components of every sample, shape (B,) + (dim,) * (r + s), with
     contravariant slots first.  `dy` and `dx` optionally attach the exact
     vertical / horizontal derivative as another TensorField (or a thunk
     producing one, resolved once); both append their index last.
+
+    Calling the field with (B, dim) arrays returns (B, *components); with
+    one-dimensional x and y it evaluates a batch of one and returns the
+    components alone.  Results are memoized per batch, keyed by the bytes
+    of the samples, and every returned array is read-only.
     """
 
-    __slots__ = ("domain", "r", "s", "alpha", "name", "_fn", "_dy", "_dx", "_memo")
+    __slots__ = ("domain", "r", "s", "alpha", "name", "_fn", "_dy", "_dx",
+                 "_memo", "__weakref__")
 
     def __init__(self, domain, r, s, alpha, fn, dy=None, dx=None, name=""):
         self.domain = domain
@@ -155,25 +172,40 @@ class TensorField:
         return (self.r, self.s)
 
     def component_shape(self):
-        return (self.dim,) * (self.r + self.s)
+        return (self.domain.dim,) * (self.r + self.s)
 
     def __call__(self, x, y):
-        x = np.ascontiguousarray(x, dtype=float)
-        y = np.ascontiguousarray(y, dtype=float)
-        key = (x.tobytes(), y.tobytes())
-        hit = self._memo.get(key, _UNSET)
-        if hit is not _UNSET:
-            return hit
-        val = np.asarray(self._fn(x, y), dtype=float)
-        want = self.component_shape()
-        if val.shape != want:
+        xs = np.ascontiguousarray(x, dtype=float)
+        ys = np.ascontiguousarray(y, dtype=float)
+        single = xs.ndim == 1
+        if single:
+            xs, ys = xs[None], ys[None]
+        dim = self.domain.dim
+        if xs.shape != ys.shape or xs.ndim != 2 or xs.shape[1] != dim:
             raise ShapeError(
-                f"field {self.name!r} returned shape {val.shape}, "
-                f"declared type ({self.r}, {self.s}) needs {want}")
-        if len(self._memo) >= _MEMO_LIMIT:
-            self._memo.clear()
-        self._memo[key] = val
-        return val
+                f"field {self.name!r} takes x and y of shape (dim,) or "
+                f"(B, dim) with dim={dim}, got {np.shape(x)} and "
+                f"{np.shape(y)}")
+        key = (xs.tobytes(), ys.tobytes())
+        val = self._memo.get(key)
+        if val is None:
+            val = np.asarray(self._fn(xs, ys), dtype=float)
+            want = (len(xs),) + (dim,) * (self.r + self.s)
+            if val.shape != want:
+                raise ShapeError(
+                    f"field {self.name!r} returned shape {val.shape}, "
+                    f"declared type ({self.r}, {self.s}) on {len(xs)} "
+                    f"samples needs {want}")
+            # A closure may hand back (a view of) its input, which the
+            # caller still owns; the memo keeps its own copy of those.
+            if val.base is not None and (np.may_share_memory(val, xs)
+                                         or np.may_share_memory(val, ys)):
+                val = val.copy()
+            val.setflags(write=False)
+            if len(self._memo) >= _MEMO_LIMIT:
+                self._memo.clear()
+            self._memo[key] = val
+        return val[0, ...] if single else val
 
     def vertical_chain(self):
         """Attached exact vertical derivative, or None."""
@@ -192,14 +224,42 @@ class TensorField:
         return f"<{tag}: type ({self.r},{self.s}), alpha={self.alpha:g}>"
 
 
+def _require_inside(domain, x, y):
+    """Raise DomainError naming the first sample of (x, y) outside `domain`."""
+    for xi, yi in zip(np.reshape(x, (-1, domain.dim)),
+                      np.reshape(y, (-1, domain.dim))):
+        if not domain.contains(xi, yi):
+            raise DomainError(
+                f"point x={xi.tolist()}, y={yi.tolist()} is outside domain "
+                f"{domain.name!r}")
+
+
+def _first(mask):
+    """Index of the first true entry of a boolean sample mask."""
+    return int(np.argmax(mask))
+
+
+def _sample_at(xs, ys, i):
+    return (xs[i].tolist(), ys[i].tolist())
+
+
+def _row_dot(a, b):
+    """Dot product of matching rows of two (B, n) arrays, each row taken
+    with the same BLAS dot product as `a[i] @ b[i]`."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _row_max_abs(values):
+    """Largest |entry| of each sample's components, NaN if any is NaN."""
+    values = np.asarray(values, dtype=float)
+    return np.max(np.abs(values).reshape(len(values), -1), axis=1)
+
+
 def evaluate(field, x, y):
     """Components of `field` at (x, y), after checking domain membership."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not field.domain.contains(x, y):
-        raise DomainError(
-            f"point x={x.tolist()}, y={y.tolist()} is outside domain "
-            f"{field.domain.name!r}")
+    _require_inside(field.domain, x, y)
     return field(x, y)
 
 
@@ -207,11 +267,22 @@ def evaluate(field, x, y):
 # constructors
 
 
+def _constant_fn(values):
+    """Closure returning the same components at every sample."""
+    values = np.array(values, dtype=float)
+    values.flags.writeable = False
+
+    def fn(xs, ys):
+        out = np.empty((len(xs),) + values.shape)
+        out[...] = values
+        return out
+    return fn
+
+
 def zero_field(domain, r, s, alpha, name="0"):
     shape = (domain.dim,) * (r + s)
-    zeros = np.zeros(shape)
     return TensorField(
-        domain, r, s, alpha, lambda x, y: zeros,
+        domain, r, s, alpha, _constant_fn(np.zeros(shape)),
         dy=lambda: zero_field(domain, r, s + 1, alpha - 1),
         dx=lambda: zero_field(domain, r, s + 1, alpha),
         name=name)
@@ -223,7 +294,7 @@ def constant_field(domain, values, r, s, name="const"):
     if values.shape != (domain.dim,) * (r + s):
         raise ShapeError(f"constant components have shape {values.shape}")
     return TensorField(
-        domain, r, s, 0.0, lambda x, y: values,
+        domain, r, s, 0.0, _constant_fn(values),
         dy=lambda: zero_field(domain, r, s + 1, -1.0),
         dx=lambda: zero_field(domain, r, s + 1, 0.0),
         name=name)
@@ -231,14 +302,13 @@ def constant_field(domain, values, r, s, name="const"):
 
 def liouville_field(domain):
     """The canonical vertical vector field with components y^i."""
-    eye = np.eye(domain.dim)
     identity = TensorField(
-        domain, 1, 1, 0.0, lambda x, y: eye,
+        domain, 1, 1, 0.0, _constant_fn(np.eye(domain.dim)),
         dy=lambda: zero_field(domain, 1, 2, -1.0),
         dx=lambda: zero_field(domain, 1, 2, 0.0),
         name="id")
     return TensorField(
-        domain, 1, 0, 1.0, lambda x, y: y.copy(),
+        domain, 1, 0, 1.0, lambda xs, ys: ys.copy(),
         dy=identity,
         dx=lambda: zero_field(domain, 1, 1, 1.0),
         name="liouville")
@@ -275,7 +345,7 @@ def add(a, b, name=""):
         return add(da, db)
 
     return TensorField(a.domain, a.r, a.s, a.alpha,
-                       lambda x, y: a(x, y) + b(x, y),
+                       lambda xs, ys: a(xs, ys) + b(xs, ys),
                        dy=_dy, dx=_dx, name=name or f"({a.name}+{b.name})")
 
 
@@ -291,7 +361,7 @@ def scale(a, c, name=""):
         return None if da is None else scale(da, c)
 
     return TensorField(a.domain, a.r, a.s, a.alpha,
-                       lambda x, y: c * a(x, y),
+                       lambda xs, ys: c * a(xs, ys),
                        dy=_dy, dx=_dx, name=name or f"{c:g}*{a.name}")
 
 
@@ -309,6 +379,7 @@ def tensor_product(a, b, subscripts, r, s, name=""):
     """
     lhs, out = subscripts.split("->")
     sa, sb = lhs.split(",")
+    batched = f"...{sa},...{sb}->...{out}"
 
     def _rule(chain_of):
         def build():
@@ -322,7 +393,7 @@ def tensor_product(a, b, subscripts, r, s, name=""):
         return build
 
     return TensorField(a.domain, r, s, a.alpha + b.alpha,
-                       lambda x, y: np.einsum(subscripts, a(x, y), b(x, y)),
+                       lambda xs, ys: np.einsum(batched, a(xs, ys), b(xs, ys)),
                        dy=_rule(lambda f: f.vertical_chain()),
                        dx=_rule(lambda f: f.x_chain()),
                        name=name or f"({a.name}*{b.name})")
@@ -331,6 +402,7 @@ def tensor_product(a, b, subscripts, r, s, name=""):
 def reindex(field, subscripts, name=""):
     """Single-operand einsum; pure slot permutation, homogeneity unchanged."""
     lhs, out = subscripts.split("->")
+    batched = f"...{lhs}->...{out}"
 
     def _dy():
         da = field.vertical_chain()
@@ -347,37 +419,83 @@ def reindex(field, subscripts, name=""):
         return reindex(da, f"{lhs}{z}->{out}{z}")
 
     return TensorField(field.domain, field.r, field.s, field.alpha,
-                       lambda x, y: np.einsum(subscripts, field(x, y)),
+                       lambda xs, ys: np.einsum(batched, field(xs, ys)),
                        dy=_dy, dx=_dx, name=name or f"perm({field.name})")
 
 
 def pivot_inverse(mat, sample=None, threshold=1e-12):
-    """Invert a small matrix by partial-pivot elimination.
+    """Invert a small matrix, or a stack of them, by partial-pivot elimination.
 
-    Raises DegeneracyError when a scaled pivot falls below `threshold`, so
-    near-singular inputs fail loudly instead of returning garbage.
+    `mat` has shape (n, n) or (B, n, n); each matrix of a stack goes
+    through the same row operations it would get on its own.  Raises
+    DegeneracyError when a row is zero or a scaled pivot falls below
+    `threshold`, so near-singular inputs fail loudly instead of returning
+    garbage.  The error carries `sample`; for a stack, `sample` may be the
+    pair (xs, ys) of (B, dim) sample arrays, and the error then names the
+    sample of the first degenerate matrix.
     """
     mat = np.asarray(mat, dtype=float)
-    n = mat.shape[0]
-    aug = np.hstack([mat.copy(), np.eye(n)])
-    row_scale = np.max(np.abs(mat), axis=1)
-    if np.any(row_scale == 0.0):
-        raise DegeneracyError("matrix has a zero row", sample=sample)
+    single = mat.ndim == 2
+    stack = mat[None] if single else mat
+    count, n = stack.shape[0], stack.shape[-1]
+    rows = np.arange(count)
+    aug = np.empty((count, n, 2 * n))
+    aug[:, :, :n] = stack
+    aug[:, :, n:] = _identity(n)
+    row_scale = np.abs(stack).max(axis=-1)
+    failures = {}  # matrix index -> why it is degenerate, first reason only
+    if np.count_nonzero(row_scale == 0.0):
+        zero = (row_scale == 0.0).any(axis=-1)
+        for i in np.flatnonzero(zero):
+            failures[i] = "matrix has a zero row"
+        _retire(aug, row_scale, zero)
     for col in range(n):
-        pivots = np.abs(aug[col:, col]) / row_scale[col:]
-        k = col + int(np.argmax(pivots))
-        if pivots[k - col] < threshold:
-            raise DegeneracyError(
-                f"scaled pivot {pivots[k - col]:.3e} below {threshold:.0e} "
-                f"in column {col}", sample=sample)
-        if k != col:
-            aug[[col, k]] = aug[[k, col]]
-            row_scale[[col, k]] = row_scale[[k, col]]
-        aug[col] = aug[col] / aug[col, col]
+        pivots = np.abs(aug[:, col:, col]) / row_scale[:, col:]
+        k = pivots.argmax(axis=-1)
+        best = pivots[rows, k]
+        low = best < threshold
+        if np.count_nonzero(low):
+            for i in np.flatnonzero(low):
+                failures.setdefault(
+                    i, f"scaled pivot {best[i]:.3e} below {threshold:.0e} "
+                       f"in column {col}")
+            _retire(aug, row_scale, low)
+            k[low] = 0
+        if np.count_nonzero(k):
+            k += col
+            aug[rows, col], aug[rows, k] = aug[rows, k], aug[rows, col]
+            row_scale[rows, col], row_scale[rows, k] = (row_scale[rows, k],
+                                                        row_scale[rows, col])
+        aug[:, col] /= aug[:, col, col, None]
         for rr in range(n):
-            if rr != col and aug[rr, col] != 0.0:
-                aug[rr] -= aug[rr, col] * aug[col]
-    return aug[:, n:]
+            if rr != col:
+                f = aug[:, rr, col, None]
+                np.subtract(aug[:, rr], f * aug[:, col], out=aug[:, rr],
+                            where=f != 0.0)
+    if failures:
+        i = min(failures)
+        where = sample
+        if not single and sample is not None:
+            where = _sample_at(sample[0], sample[1], i)
+        raise DegeneracyError(failures[i], sample=where)
+    inverse = aug[:, :, n:]
+    return inverse[0] if single else inverse
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(n):
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _retire(aug, row_scale, mask):
+    """Replace the degenerate matrices of a stack by the identity, so that
+    eliminating the rest of the stack divides by no zero pivot; their
+    results are never returned."""
+    eye = _identity(aug.shape[1])
+    aug[mask] = np.hstack([eye, eye])
+    row_scale[mask] = 1.0
 
 
 def matrix_inverse(a, name=""):
@@ -391,15 +509,15 @@ def matrix_inverse(a, name=""):
     r_out, s_out = a.s, a.r
     holder = []
 
-    def fn(x, y):
-        return pivot_inverse(a(x, y), sample=(x.tolist(), y.tolist()))
+    def fn(xs, ys):
+        return pivot_inverse(a(xs, ys), sample=(xs, ys))
 
     def _rule(chain_of):
         def build():
             da = chain_of(a)
             if da is None:
                 return None
-            inv = holder[0]
+            inv = holder[0]()
             half = tensor_product(inv, da, "ip,pqz->iqz", r_out, s_out + 1)
             full = tensor_product(half, inv, "iqz,qj->ijz", r_out, s_out + 1)
             return scale(full, -1.0)
@@ -409,7 +527,7 @@ def matrix_inverse(a, name=""):
                             dy=_rule(lambda f: f.vertical_chain()),
                             dx=_rule(lambda f: f.x_chain()),
                             name=name or f"inv({a.name})")
-    holder.append(inv_field)
+    holder.append(weakref.ref(inv_field))
     return inv_field
 
 
@@ -424,15 +542,16 @@ def scalar_power(a, exponent, name=""):
         raise ShapeError("scalar_power needs a type-(0, 0) field")
     p = float(exponent)
 
-    def fn(x, y):
-        v = float(a(x, y))
-        if v == 0.0 and p < 0.0:
-            raise DivisionError(f"scalar field {a.name!r} vanishes",
-                                sample=(x.tolist(), y.tolist()))
-        if v < 0.0 and not p.is_integer():
-            raise DivisionError(
-                f"scalar field {a.name!r} is negative under exponent {p:g}",
-                sample=(x.tolist(), y.tolist()))
+    def fn(xs, ys):
+        v = a(xs, ys)
+        vanishing = (v == 0.0) & (p < 0.0)
+        bad = vanishing | ((v < 0.0) & (not p.is_integer()))
+        if bad.any():
+            i = _first(bad)
+            what = ("vanishes" if vanishing[i]
+                    else f"is negative under exponent {p:g}")
+            raise DivisionError(f"scalar field {a.name!r} {what}",
+                                sample=_sample_at(xs, ys, i))
         return v ** p
 
     def _rule(chain_of):
@@ -456,12 +575,12 @@ def scalar_reciprocal(a, name=""):
         raise ShapeError("scalar_reciprocal needs a type-(0, 0) field")
     holder = []
 
-    def fn(x, y):
-        v = float(a(x, y))
-        if v == 0.0:
+    def fn(xs, ys):
+        v = a(xs, ys)
+        if np.any(v == 0.0):
             raise DivisionError(
                 f"scalar field {a.name!r} vanishes",
-                sample=(x.tolist(), y.tolist()))
+                sample=_sample_at(xs, ys, _first(v == 0.0)))
         return 1.0 / v
 
     def _rule(chain_of):
@@ -469,7 +588,7 @@ def scalar_reciprocal(a, name=""):
             da = chain_of(a)
             if da is None:
                 return None
-            rec = holder[0]
+            rec = holder[0]()
             sq = tensor_product(rec, rec, ",->", 0, 0)
             return scale(tensor_product(sq, da, ",z->z", 0, 1), -1.0)
         return build
@@ -478,7 +597,7 @@ def scalar_reciprocal(a, name=""):
                             dy=_rule(lambda f: f.vertical_chain()),
                             dx=_rule(lambda f: f.x_chain()),
                             name=name or f"1/({a.name})")
-    holder.append(rec_field)
+    holder.append(weakref.ref(rec_field))
     return rec_field
 
 
@@ -486,26 +605,30 @@ def scalar_reciprocal(a, name=""):
 # differentiation
 
 
+_OFFSETS = np.array([2.0, 1.0, -1.0, -2.0])
+
+
 def _stencil(field, x, y, wiggle_y, engine):
-    base = y if wiggle_y else x
+    """Five-point derivative of `field` in y (or x) at the (B, dim) samples,
+    index appended last.  The child is evaluated once, on all 4 * dim
+    perturbed copies of the batch; each sample gets its own step."""
+    base, other = (y, x) if wiggle_y else (x, y)
+    count, n = base.shape
     h = engine.step(base)
-    n = field.dim
-    cols = []
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        if wiggle_y:
-            f_pp = field(x, y + 2 * e)
-            f_p = field(x, y + e)
-            f_m = field(x, y - e)
-            f_mm = field(x, y - 2 * e)
-        else:
-            f_pp = field(x + 2 * e, y)
-            f_p = field(x + e, y)
-            f_m = field(x - e, y)
-            f_mm = field(x - 2 * e, y)
-        cols.append((-f_pp + 8.0 * f_p - 8.0 * f_m + f_mm) / (12.0 * h))
-    return np.stack(cols, axis=-1)
+    moved = np.empty((n, 4, count, n))
+    moved[...] = base
+    axis = np.arange(n)
+    moved[axis, :, :, axis] += _OFFSETS[:, None] * h
+    fixed = np.empty((4 * n, count, n))
+    fixed[...] = other
+    moved, fixed = moved.reshape(-1, n), fixed.reshape(-1, n)
+    vals = field(fixed, moved) if wiggle_y else field(moved, fixed)
+    comp = vals.shape[1:]
+    vals = vals.reshape((n, 4, count) + comp)
+    f_pp, f_p, f_m, f_mm = vals[:, 0], vals[:, 1], vals[:, 2], vals[:, 3]
+    step = h.reshape((count,) + (1,) * len(comp))
+    cols = (-f_pp + 8.0 * f_p - 8.0 * f_m + f_mm) / (12.0 * step)
+    return cols.transpose(tuple(range(1, cols.ndim)) + (0,))
 
 
 def _swap_last_two(field):
@@ -525,7 +648,7 @@ def _fd_vertical(field, engine):
         return _swap_last_two(vertical_derivative(ch, engine))
 
     return TensorField(field.domain, field.r, field.s + 1, field.alpha - 1.0,
-                       lambda x, y: _stencil(field, x, y, True, engine),
+                       lambda xs, ys: _stencil(field, xs, ys, True, engine),
                        dy=None, dx=_dx, name=f"fd_dv({field.name})")
 
 
@@ -537,7 +660,7 @@ def _fd_x(field, engine):
         return _swap_last_two(x_derivative(ch, engine))
 
     return TensorField(field.domain, field.r, field.s + 1, field.alpha,
-                       lambda x, y: _stencil(field, x, y, False, engine),
+                       lambda xs, ys: _stencil(field, xs, ys, False, engine),
                        dy=_dy, dx=None, name=f"fd_dx({field.name})")
 
 
@@ -579,10 +702,12 @@ def liouville_contract(field):
 
 
 def homogeneity_defect(field, x, y, engine=None):
-    """Euler defect (dT . y) - alpha T at one admissible sample."""
+    """Euler defect (dT . y) - alpha T at one admissible sample, or at each
+    sample of a (B, dim) batch."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not field.domain.contains(x, y):
-        raise DomainError(f"sample outside domain {field.domain.name!r}")
+    _require_inside(field.domain, x, y)
     dT = vertical_derivative(field, engine)
-    return np.einsum("...a,a->...", dT(x, y), y) - field.alpha * field(x, y)
+    hook = y.reshape(y.shape[:-1] + (1,) * (field.r + field.s) + y.shape[-1:])
+    return (np.einsum("...a,...a->...", dT(x, y), hook)
+            - field.alpha * field(x, y))

@@ -6,13 +6,17 @@ density consumes: "spray", "nonlinear", "anisotropic", "linear" on the
 connection side, "lagrangian" and "metric" on the metric side.  Moving a
 functional between neighbouring levels precomposes its density with the
 canonical map between the levels; the metric side only moves downward.
+
+A density `density(obj, xs, ys)` takes the object and the (B, dim) arrays
+of all quadrature samples and returns the B density values, shape (B,);
+each evaluation calls it once.
 """
 
 import numpy as np
 
 from .connections import (AnisotropicConnection, NonlinearConnection, Spray,
                           lower_connection, raise_connection)
-from .errors import LevelError, TransitionError
+from .errors import LevelError, ShapeError, TransitionError
 from .linear import LinearConnection, embed_trivial, project_intrinsic
 from .metrics import AnisotropicMetric, Lagrangian, fundamental_tensor
 
@@ -43,7 +47,7 @@ _EXTEND = {
 
 
 class ActionFunctional:
-    """Weighted sample sum of a pointwise density on a conic domain.
+    """Weighted sample sum of a density on a conic domain.
 
     The quadrature (points and weights) is drawn once from the seed and
     then frozen, so two functionals built with the same arguments agree
@@ -80,9 +84,17 @@ def evaluate_action(functional, obj):
         raise LevelError(
             f"functional at level {functional.level!r} expects "
             f"{expected.__name__}, got {type(obj).__name__}")
+    xs = np.asarray(functional.xs, dtype=float)
+    values = np.asarray(
+        functional.density(obj, xs, np.asarray(functional.ys, dtype=float)),
+        dtype=float)
+    if values.shape != (len(xs),):
+        raise ShapeError(
+            f"density of {functional.name!r} returned shape {values.shape} "
+            f"on {len(xs)} samples, needs ({len(xs)},)")
     total = 0.0
-    for w, x, y in zip(functional.weights, functional.xs, functional.ys):
-        total += w * float(functional.density(obj, x, y))
+    for w, v in zip(functional.weights, values):
+        total += w * float(v)
     return total
 
 
@@ -101,11 +113,12 @@ def restrict_functional(functional, engine=None):
     dst = _RESTRICT[src]
     density = functional.density
     if src == "linear":
-        new = lambda gamma, x, y: density(embed_trivial(gamma), x, y)
+        new = lambda gamma, xs, ys: density(embed_trivial(gamma), xs, ys)
     elif src == "metric":
-        new = lambda lagr, x, y: density(fundamental_tensor(lagr), x, y)
+        new = lambda lagr, xs, ys: density(fundamental_tensor(lagr), xs, ys)
     else:
-        new = lambda obj, x, y: density(raise_connection(obj, engine), x, y)
+        new = lambda obj, xs, ys: density(raise_connection(obj, engine),
+                                          xs, ys)
     return functional._with_density(dst, new, f"{functional.name}|{dst}")
 
 
@@ -124,9 +137,9 @@ def extend_functional(functional, engine=None):
     dst = _EXTEND[src]
     density = functional.density
     if src == "anisotropic":
-        new = lambda conn, x, y: density(project_intrinsic(conn), x, y)
+        new = lambda conn, xs, ys: density(project_intrinsic(conn), xs, ys)
     else:
-        new = lambda obj, x, y: density(lower_connection(obj), x, y)
+        new = lambda obj, xs, ys: density(lower_connection(obj), xs, ys)
     return functional._with_density(dst, new, f"{functional.name}|{dst}")
 
 
@@ -140,14 +153,14 @@ def gauge_symmetrize(functional, engine=None):
     level = functional.level
     density = functional.density
     if level == "linear":
-        new = lambda conn, x, y: density(
-            embed_trivial(project_intrinsic(conn)), x, y)
+        new = lambda conn, xs, ys: density(
+            embed_trivial(project_intrinsic(conn)), xs, ys)
     elif level == "anisotropic":
-        new = lambda gamma, x, y: density(
-            raise_connection(lower_connection(gamma), engine), x, y)
+        new = lambda gamma, xs, ys: density(
+            raise_connection(lower_connection(gamma), engine), xs, ys)
     elif level == "nonlinear":
-        new = lambda N, x, y: density(
-            raise_connection(lower_connection(N), engine), x, y)
+        new = lambda N, xs, ys: density(
+            raise_connection(lower_connection(N), engine), xs, ys)
     else:
         raise TransitionError(
             f"gauge symmetrization is defined at linear, anisotropic, and "

@@ -72,9 +72,15 @@ def b_matrix_field(conn):
 
 
 def is_strongly_regular(conn, x, y, tol=1e-12):
-    """True when Gamma2 . y vanishes at the sample, which forces B = id."""
+    """True when Gamma2 . y vanishes at the sample, which forces B = id.
+
+    At a (B, dim) batch of samples the answer is a boolean array, one
+    entry per sample.
+    """
     hooked = liouville_contract(conn.gamma2)(x, y)
-    return float(np.max(np.abs(hooked))) <= tol
+    lead = np.shape(x)[:-1]
+    regular = np.max(np.abs(hooked).reshape(lead + (-1,)), axis=-1) <= tol
+    return regular if lead else bool(regular)
 
 
 def induced_nonlinear(conn):

@@ -9,9 +9,10 @@ phi . y = (1/2) ell.
 import numpy as np
 
 from .errors import DegeneracyError, ShapeError
-from .fields import (DEFAULT_ENGINE, add, liouville_contract, liouville_field,
-                     matrix_inverse, scalar_reciprocal, scale, subtract,
-                     tensor_product, vertical_derivative)
+from .fields import (DEFAULT_ENGINE, _first, _sample_at, add,
+                     liouville_contract, liouville_field, matrix_inverse,
+                     scalar_reciprocal, scale, subtract, tensor_product,
+                     vertical_derivative)
 from .ladder import project_kernel
 
 
@@ -47,7 +48,7 @@ class Lagrangian:
         return self._phi
 
     def __call__(self, x, y):
-        return float(self.field(x, y))
+        return self.field(x, y)
 
 
 class LegendreField:
@@ -88,15 +89,22 @@ class AnisotropicMetric:
         return self.field(x, y)
 
     def check_at(self, x, y, sym_tol=1e-8):
-        """Raise DegeneracyError / ShapeError if the metric misbehaves at (x, y)."""
-        g = self.field(x, y)
-        if not np.allclose(g, g.T, atol=sym_tol * (1.0 + np.max(np.abs(g)))):
-            raise ShapeError(f"metric {self.name!r} is not symmetric at the sample")
-        scaled = g / np.maximum(np.max(np.abs(g), axis=1), 1e-300)[:, None]
-        if abs(np.linalg.det(scaled)) <= 1e-10:
+        """Raise DegeneracyError / ShapeError if the metric misbehaves at
+        (x, y), or at any sample of a (B, dim) batch; the error names the
+        first such sample."""
+        xs = np.reshape(np.asarray(x, dtype=float), (-1, self.domain.dim))
+        ys = np.reshape(np.asarray(y, dtype=float), (-1, self.domain.dim))
+        g = self.field(xs, ys)
+        lopsided = ~_symmetric(g, sym_tol)
+        if lopsided.any():
+            raise ShapeError(f"metric {self.name!r} is not symmetric at the "
+                             f"sample {_sample_at(xs, ys, _first(lopsided))}")
+        scaled = g / np.maximum(np.max(np.abs(g), axis=-1), 1e-300)[..., None]
+        flat = np.abs(np.linalg.det(scaled)) <= 1e-10
+        if flat.any():
             raise DegeneracyError(
                 f"metric {self.name!r} is numerically degenerate",
-                sample=(np.asarray(x).tolist(), np.asarray(y).tolist()))
+                sample=_sample_at(xs, ys, _first(flat)))
 
 
 def legendre_of(L):
@@ -112,9 +120,7 @@ def fundamental_tensor(L, validate_at=None):
     """
     metric = AnisotropicMetric(L.phi_field(), name=f"phi({L.name})")
     if validate_at is not None:
-        xs, ys = validate_at
-        for x, y in zip(xs, ys):
-            metric.check_at(x, y)
+        metric.check_at(*validate_at)
     return metric
 
 
@@ -165,17 +171,30 @@ def lagrangian_of_metric(metric, engine=None):
                       engine=engine)
 
 
+def _symmetric(g, tol):
+    """Per matrix of a stack (..., n, n): np.allclose(g, g.T) with absolute
+    tolerance tol * (1 + max |g|), matrix by matrix."""
+    gt = np.swapaxes(g, -1, -2)
+    atol = tol * (1.0 + np.max(np.abs(g), axis=(-2, -1)))
+    close = np.abs(g - gt) <= atol[..., None, None] + 1e-5 * np.abs(gt)
+    return np.all(close, axis=(-2, -1))
+
+
 def signature_at(metric, x, y, zero_tol=1e-8):
     """Counts (n_plus, n_minus, n_zero) of eigenvalues of the metric at (x, y).
 
     Eigenvalues with |lambda| < zero_tol count as zero.  The components are
-    symmetrized-checked first; a lopsided matrix raises ShapeError.
+    symmetrized-checked first; a lopsided matrix raises ShapeError.  At a
+    (B, dim) batch of samples the three counts are integer arrays of
+    length B.
     """
     g = metric.field(x, y) if isinstance(metric, AnisotropicMetric) else metric(x, y)
-    if not np.allclose(g, g.T, atol=1e-8 * (1.0 + np.max(np.abs(g)))):
+    if not np.all(_symmetric(g, 1e-8)):
         raise ShapeError("signature of a non-symmetric matrix is undefined")
-    eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
-    n_zero = int(np.sum(np.abs(eigs) < zero_tol))
-    n_plus = int(np.sum(eigs >= zero_tol))
-    n_minus = int(np.sum(eigs <= -zero_tol))
+    eigs = np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, -1, -2)))
+    n_zero = np.sum(np.abs(eigs) < zero_tol, axis=-1)
+    n_plus = np.sum(eigs >= zero_tol, axis=-1)
+    n_minus = np.sum(eigs <= -zero_tol, axis=-1)
+    if n_zero.ndim == 0:
+        return (int(n_plus), int(n_minus), int(n_zero))
     return (n_plus, n_minus, n_zero)

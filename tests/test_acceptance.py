@@ -47,10 +47,12 @@ def _verdict(num, name, passed, detail):
 def _skew_ell(domain):
     """ell = (y1 - y2, y1 + y2) with its exact chain."""
     ddell = TensorField(domain, 0, 2, 0.0,
-                        lambda x, y: np.array([[1.0, -1.0], [1.0, 1.0]]),
+                        lambda xs, ys: np.tile([[1.0, -1.0], [1.0, 1.0]],
+                                               (len(xs), 1, 1)),
                         dy=lambda: zero_field(domain, 0, 3, -1.0))
     return TensorField(domain, 0, 1, 1.0,
-                       lambda x, y: np.array([y[0] - y[1], y[0] + y[1]]),
+                       lambda xs, ys: np.stack([ys[:, 0] - ys[:, 1],
+                                                ys[:, 0] + ys[:, 1]], axis=-1),
                        dy=ddell, name="skew_ell")
 
 
@@ -224,8 +226,9 @@ def test_06_torsion_residue_identity():
 def _polynomial_gamma(domain, rng):
     c = rng.normal(size=(4, 2, 2, 2))
 
-    def fn(x, y, c=c):
-        return c[0] + c[1] * x[0] + c[2] * x[1] + c[3] * x[0] * x[1]
+    def fn(xs, ys, c=c):
+        x1, x2 = xs[:, 0, None, None, None], xs[:, 1, None, None, None]
+        return c[0] + c[1] * x1 + c[2] * x2 + c[3] * x1 * x2
 
     return AnisotropicConnection(TensorField(domain, 1, 2, 0.0, fn,
                                              name="poly_gamma"))
@@ -338,17 +341,17 @@ def test_08_cocycle_coherence():
 def test_09_functional_laws():
     conformal = get_example("conformal2")
 
-    def spray_density(G, x, y):
-        g = G.coefficients(x, y)
-        return float(g @ g + y @ y)
+    def spray_density(G, xs, ys):
+        g = G.coefficients(xs, ys)
+        return np.sum(g * g, axis=-1) + np.sum(ys * ys, axis=-1)
 
-    def nonlinear_density(N, x, y):
-        n = N.coefficients(x, y)
-        return float(np.sum(n * n) + n[0, 0])
+    def nonlinear_density(N, xs, ys):
+        n = N.coefficients(xs, ys)
+        return np.sum(n * n, axis=(1, 2)) + n[:, 0, 0]
 
-    def gamma_density(gamma, x, y):
-        g = gamma.coefficients(x, y)
-        return float(np.sum(g * g) + np.sum(g))
+    def gamma_density(gamma, xs, ys):
+        g = gamma.coefficients(xs, ys)
+        return np.sum(g * g, axis=(1, 2, 3)) + np.sum(g, axis=(1, 2, 3))
 
     worst_roundtrip = 0.0
     S_spray = ActionFunctional("spray", spray_density, conformal.domain,

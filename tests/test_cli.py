@@ -1,6 +1,10 @@
 """Config parsing, canonical serialization, and the command entry points."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,3 +178,28 @@ def test_report_command_small_run(capsys):
         for report in suite["reports"]:
             assert report["pass"], (suite["config"]["example"],
                                     report["check"])
+
+
+def test_canonical_json_renders_non_finite_as_null():
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    text = canonical_json({"a": float("nan"), "b": [float("inf"),
+                                                    -np.inf, 1.5]})
+    assert json.loads(text, parse_constant=reject) == {"a": None,
+                                                       "b": [None, None, 1.5]}
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "anifield",
+         "eval", "euclidean2", "L"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    data = json.loads(done.stdout)
+    assert data["example"] == "euclidean2"
+    assert data["object"] == "L"

@@ -143,7 +143,9 @@ def test_geodesic_truncates_on_exit():
     """A downward push drives y out of the half plane and stops the flow."""
     dom_half = ConicDomain(2, membership=lambda x, y: y[1] > 0.0, name="upper")
     push = TensorField(dom_half, 1, 0, 2.0,
-                       lambda x, y: np.array([0.0, float(y @ y)]))
+                       lambda xs, ys: np.stack(
+                           [np.zeros(len(ys)), np.sum(ys * ys, axis=-1)],
+                           axis=-1))
     tr = geodesic_integrate(Spray(push), np.zeros(2),
                             np.array([1.0, 1.0]), 0.05, 400)
     assert not tr.completed

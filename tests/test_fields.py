@@ -65,9 +65,9 @@ def test_field_rejects_wrong_component_shape():
 def test_field_memoizes_per_point():
     calls = []
 
-    def fn(x, y):
+    def fn(xs, ys):
         calls.append(1)
-        return float(y @ y)
+        return np.sum(ys * ys, axis=-1)
 
     f = TensorField(EUC.domain, 0, 0, 2.0, fn)
     f(X0, Y0)
@@ -82,7 +82,8 @@ def test_add_requires_matching_rank_and_weight():
     ell = EUC.lagrangian.ell_field()
     with pytest.raises(ShapeError):
         add(L, ell)
-    shifted = TensorField(EUC.domain, 0, 1, 0.0, lambda x, y: np.zeros(2))
+    shifted = TensorField(EUC.domain, 0, 1, 0.0,
+                          lambda xs, ys: np.zeros((len(xs), 2)))
     with pytest.raises(ShapeError):
         add(ell, shifted)
 
@@ -239,7 +240,8 @@ def test_vertical_derivative_gradient_of_energy():
 
 
 def test_fd_fallback_without_chain():
-    bare = TensorField(EUC.domain, 0, 0, 2.0, lambda x, y: float(y @ y))
+    bare = TensorField(EUC.domain, 0, 0, 2.0,
+                       lambda xs, ys: np.sum(ys * ys, axis=-1))
     assert bare.vertical_chain() is None
     dL = vertical_derivative(bare, DiffEngine("analytic"))
     assert_allclose(dL(X0, Y0), 2.0 * Y0, rtol=1e-9)

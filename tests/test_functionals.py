@@ -19,19 +19,19 @@ CONFORMAL = get_example("conformal2")
 HANDMADE = get_example("handmadeN")
 
 
-def _spray_density(G, x, y):
-    g = G.coefficients(x, y)
-    return float(g @ g + y @ y)
+def _spray_density(G, xs, ys):
+    g = G.coefficients(xs, ys)
+    return np.sum(g * g, axis=-1) + np.sum(ys * ys, axis=-1)
 
 
-def _nonlinear_density(N, x, y):
-    n = N.coefficients(x, y)
-    return float(np.sum(n * n) + n[0, 0])
+def _nonlinear_density(N, xs, ys):
+    n = N.coefficients(xs, ys)
+    return np.sum(n * n, axis=(1, 2)) + n[:, 0, 0]
 
 
-def _gamma_density(gamma, x, y):
-    g = gamma.coefficients(x, y)
-    return float(np.sum(g * g) + np.sum(g))
+def _gamma_density(gamma, xs, ys):
+    g = gamma.coefficients(xs, ys)
+    return np.sum(g * g, axis=(1, 2, 3)) + np.sum(g, axis=(1, 2, 3))
 
 
 def test_quadrature_is_frozen_by_seed():
@@ -77,8 +77,8 @@ def test_restrict_precomposes_the_raise():
 
 
 def test_restrict_metric_functional_to_lagrangians():
-    def trace_density(g, x, y):
-        return float(np.trace(g.field(x, y)))
+    def trace_density(g, xs, ys):
+        return np.trace(g.field(xs, ys), axis1=1, axis2=2)
 
     S = ActionFunctional("metric", trace_density, EUC.domain, count=8, seed=3)
     down = restrict_functional(S)
@@ -92,8 +92,8 @@ def test_transition_errors_at_the_ends():
     with pytest.raises(TransitionError):
         restrict_functional(S)
 
-    def energy_density(L, x, y):
-        return L(x, y)
+    def energy_density(L, xs, ys):
+        return L(xs, ys)
 
     A = ActionFunctional("lagrangian", energy_density, EUC.domain, count=4)
     with pytest.raises(TransitionError):
@@ -154,8 +154,9 @@ def test_gauge_blindness_at_the_anisotropic_level():
 
 
 def test_linear_gauge_ignores_the_vertical_block():
-    def linear_density(conn, x, y):
-        return float(np.sum(conn.gamma1(x, y)) + np.sum(conn.gamma2(x, y) ** 2))
+    def linear_density(conn, xs, ys):
+        return (np.sum(conn.gamma1(xs, ys), axis=(1, 2, 3))
+                + np.sum(conn.gamma2(xs, ys) ** 2, axis=(1, 2, 3)))
 
     S = ActionFunctional("linear", linear_density, CONFORMAL.domain,
                          count=8, seed=9)

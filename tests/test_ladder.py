@@ -20,11 +20,14 @@ def _custom_ell():
     """A one form that is deliberately not a gradient: (y1 - y2, y1 + y2)."""
     dom = EUC.domain
     ddell = TensorField(dom, 0, 2, 0.0,
-                        lambda x, y: np.array([[1.0, -1.0], [1.0, 1.0]]),
+                        lambda xs, ys: np.tile([[1.0, -1.0], [1.0, 1.0]],
+                                               (len(xs), 1, 1)),
                         dy=lambda: TensorField(
-                            dom, 0, 3, -1.0, lambda x, y: np.zeros((2, 2, 2))))
+                            dom, 0, 3, -1.0,
+                            lambda xs, ys: np.zeros((len(xs), 2, 2, 2))))
     return TensorField(dom, 0, 1, 1.0,
-                       lambda x, y: np.array([y[0] - y[1], y[0] + y[1]]),
+                       lambda xs, ys: np.stack([ys[:, 0] - ys[:, 1],
+                                                ys[:, 0] + ys[:, 1]], axis=-1),
                        dy=ddell, name="skew_ell")
 
 
@@ -105,7 +108,8 @@ def test_decompose_validates_levels():
         decompose(skew, 3)               # beta beyond omega
     with pytest.raises(LevelError):
         decompose(skew, 1)               # beta at the field's own level
-    half = TensorField(EUC.domain, 0, 1, 0.5, lambda x, y: np.zeros(2))
+    half = TensorField(EUC.domain, 0, 1, 0.5,
+                       lambda xs, ys: np.zeros((len(xs), 2)))
     with pytest.raises(LevelError):
         decompose(half, 1)
     third = get_example("quartic2").fields["third"]

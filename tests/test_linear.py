@@ -86,8 +86,9 @@ def test_degenerate_regularity_matrix():
     """delta^i_jc = -d^i_j y_c / |y|^2 collapses M to the zero matrix."""
     dom = EUC.domain
 
-    def fn(x, y):
-        return -np.einsum("ij,c->ijc", np.eye(2), y) / float(y @ y)
+    def fn(xs, ys):
+        return (-np.einsum("ij,bc->bijc", np.eye(2), ys)
+                / np.sum(ys * ys, axis=-1)[:, None, None, None])
 
     delta = TensorField(dom, 1, 2, -1.0, fn)
     conn = LinearConnection(zero_field(dom, 1, 2, 0.0), delta)

@@ -22,7 +22,7 @@ S17 = np.sqrt(17.0)
 def test_lagrangian_rejects_wrong_type():
     with pytest.raises(ShapeError):
         Lagrangian(EUC.lagrangian.ell_field())
-    linear = TensorField(EUC.domain, 0, 0, 1.0, lambda x, y: float(y[0]))
+    linear = TensorField(EUC.domain, 0, 0, 1.0, lambda xs, ys: ys[:, 0])
     with pytest.raises(ShapeError):
         Lagrangian(linear)
 
@@ -100,7 +100,7 @@ def test_legendre_residue_rejects_wrong_rank():
 
 def _linear_one_form(A):
     A = np.asarray(A, dtype=float)
-    return TensorField(EUC.domain, 0, 1, 1.0, lambda x, y: A @ y,
+    return TensorField(EUC.domain, 0, 1, 1.0, lambda xs, ys: ys @ A.T,
                        dy=constant_field(EUC.domain, A, 0, 2))
 
 
