@@ -25,7 +25,7 @@ class ExampleBundle:
 
     def __init__(self, name, domain, lagrangian=None, metric=None,
                  nonlinear=None, transition=None, kappa=None, fields=None,
-                 flat_spray=False, spray_oracle=None, riemannian=False):
+                 spray_oracle=None, riemannian=False):
         self.name = name
         self.domain = domain
         self.lagrangian = lagrangian
@@ -34,7 +34,6 @@ class ExampleBundle:
         self.transition = transition
         self.kappa = kappa
         self.fields = fields or {}
-        self.flat_spray = flat_spray  # canonical spray vanishes identically
         self.spray_oracle = spray_oracle  # closed form, None means zero
         self.riemannian = riemannian  # quadratic in y, so Landsberg-free
 
@@ -56,7 +55,7 @@ def _quadratic_bundle(name, diag, membership=None, excluded=()):
     fields = {"energy": L, "gradient": ell, "fundamental": lagr.phi_field(),
               "liouville": liouville_field(domain)}
     return ExampleBundle(name, domain, lagrangian=lagr, fields=fields,
-                         flat_spray=True, riemannian=True)
+                         riemannian=True)
 
 
 def _euclidean():
@@ -150,8 +149,7 @@ def _quartic():
     lagr = Lagrangian(L, name="quartic2")
     fields = {"energy": L, "gradient": ell, "fundamental": lagr.phi_field(),
               "third": d3, "liouville": liouville_field(domain)}
-    return ExampleBundle("quartic2", domain, lagrangian=lagr, fields=fields,
-                         flat_spray=True)
+    return ExampleBundle("quartic2", domain, lagrangian=lagr, fields=fields)
 
 
 def _wick(kappa, name=None):
@@ -161,8 +159,7 @@ def _wick(kappa, name=None):
     fields["wick"] = metric.field
     return ExampleBundle(name or f"wick({kappa:g})", base.domain,
                          lagrangian=base.lagrangian, metric=metric,
-                         kappa=float(kappa), fields=fields, flat_spray=True,
-                         riemannian=True)
+                         kappa=float(kappa), fields=fields, riemannian=True)
 
 
 def _handmade_nonlinear():
@@ -203,7 +200,7 @@ def _quadchart():
     return ExampleBundle("quadchart", base.domain,
                          lagrangian=base.lagrangian,
                          transition=transition, fields=base.fields,
-                         flat_spray=True, riemannian=True)
+                         riemannian=True)
 
 
 _BUILDERS = {

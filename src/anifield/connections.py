@@ -14,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, LevelError, ShapeError
-from .fields import (add, liouville_contract, reindex, scale, subtract,
-                     tensor_product, vertical_derivative, x_derivative)
+from .fields import (add, liouville_contract, liouville_field, reindex, scale,
+                     subtract, tensor_product, vertical_derivative,
+                     x_derivative)
+from .metrics import fundamental_tensor
 
 
 def _check(field, r, s, alpha, what):
@@ -108,33 +110,18 @@ def canonical_spray(L, engine=None):
     symmetry of phi; reduces to the Christoffel quadratic form in the
     Riemannian case.  Degenerate phi raises at evaluation, naming the sample.
     """
-    from .metrics import fundamental_tensor
-
     metric = fundamental_tensor(L)
     H = x_derivative(metric.field, engine)          # H[c, b, a] = dphi_cb/dx^a
-    hooked = _hook_twice(H, L.domain)               # both metric slots closed with y
-    t1 = hooked                                     # dphi_cb/dx^a y^a y^b -> index c
-    t3 = reindex_hook(H, L.domain)                  # dphi_ab/dx^c y^a y^b -> index c
+    C = liouville_field(L.domain)
+    # t1_c = dphi_cb/dx^a y^a y^b and t3_c = dphi_ab/dx^c y^a y^b
+    t1 = tensor_product(tensor_product(H, C, "cba,a->cb", 0, 2), C,
+                        "cb,b->c", 0, 1)
+    t3 = tensor_product(tensor_product(H, C, "abc,a->bc", 0, 2), C,
+                        "bc,b->c", 0, 1)
     rhs = subtract(scale(t1, 2.0), t3)
     G = scale(tensor_product(metric.inverse_field(), rhs, "ic,c->i", 1, 0),
               0.25, name=f"spray({L.name})")
     return Spray(G)
-
-
-def _hook_twice(H, domain):
-    from .fields import liouville_field
-
-    C = liouville_field(domain)
-    once = tensor_product(H, C, "cba,a->cb", 0, 2)
-    return tensor_product(once, C, "cb,b->c", 0, 1)
-
-
-def reindex_hook(H, domain):
-    from .fields import liouville_field
-
-    C = liouville_field(domain)
-    once = tensor_product(H, C, "abc,a->bc", 0, 2)
-    return tensor_product(once, C, "bc,b->c", 0, 1)
 
 
 def berwald_connection(L, engine=None):
@@ -152,8 +139,6 @@ def chern_connection(L, engine=None):
     - delta_l phi_jk) with delta_j = d/dx^j - N^a_j d/dy^a taken along the
     canonical nonlinear connection.
     """
-    from .metrics import fundamental_tensor
-
     metric = fundamental_tensor(L)
     N = raise_connection(canonical_spray(L, engine), engine)
     Hx = x_derivative(metric.field, engine)

@@ -35,6 +35,11 @@ _CBRT_EPS = _EPS ** (1.0 / 3.0)
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _MEMO_LIMIT = 4096
 
+# The two axes a field is differentiated along: vertically in y, which
+# lowers alpha by one, and in the chart coordinates x, which keeps it.
+# Either way the derivative index is appended as the last covariant slot.
+Y, X = 0, 1
+
 
 class ConicDomain:
     """Open conic set of admissible (x, y) pairs over a coordinate box.
@@ -140,8 +145,9 @@ class TensorField:
     `fn(xs, ys)` takes (B, dim) arrays of samples and must return the
     components of every sample, shape (B,) + (dim,) * (r + s), with
     contravariant slots first.  `dy` and `dx` optionally attach the exact
-    vertical / horizontal derivative as another TensorField (or a thunk
-    producing one, resolved once); both append their index last.
+    derivative along y / along x as another TensorField (or a thunk
+    producing one, resolved once); both append their index last and are
+    read back through `chain(Y)` / `chain(X)`.
 
     Calling the field with (B, dim) arrays returns (B, *components); with
     one-dimensional x and y it evaluates a batch of one and returns the
@@ -149,7 +155,7 @@ class TensorField:
     of the samples, and every returned array is read-only.
     """
 
-    __slots__ = ("domain", "r", "s", "alpha", "name", "_fn", "_dy", "_dx",
+    __slots__ = ("domain", "r", "s", "alpha", "name", "_fn", "_chains",
                  "_memo", "__weakref__")
 
     def __init__(self, domain, r, s, alpha, fn, dy=None, dx=None, name=""):
@@ -159,8 +165,7 @@ class TensorField:
         self.alpha = float(alpha)
         self.name = name
         self._fn = fn
-        self._dy = dy
-        self._dx = dx
+        self._chains = [dy, dx]
         self._memo = {}
 
     @property
@@ -207,17 +212,12 @@ class TensorField:
             self._memo[key] = val
         return val[0, ...] if single else val
 
-    def vertical_chain(self):
-        """Attached exact vertical derivative, or None."""
-        if callable(self._dy) and not isinstance(self._dy, TensorField):
-            self._dy = self._dy()
-        return self._dy
-
-    def x_chain(self):
-        """Attached exact derivative in x, or None."""
-        if callable(self._dx) and not isinstance(self._dx, TensorField):
-            self._dx = self._dx()
-        return self._dx
+    def chain(self, axis):
+        """Attached exact derivative along `axis` (Y or X), or None."""
+        chain = self._chains[axis]
+        if callable(chain) and not isinstance(chain, TensorField):
+            chain = self._chains[axis] = chain()
+        return chain
 
     def __repr__(self):
         tag = self.name or "field"
@@ -302,20 +302,33 @@ def constant_field(domain, values, r, s, name="const"):
 
 def liouville_field(domain):
     """The canonical vertical vector field with components y^i."""
-    identity = TensorField(
-        domain, 1, 1, 0.0, _constant_fn(np.eye(domain.dim)),
-        dy=lambda: zero_field(domain, 1, 2, -1.0),
-        dx=lambda: zero_field(domain, 1, 2, 0.0),
-        name="id")
     return TensorField(
         domain, 1, 0, 1.0, lambda xs, ys: ys.copy(),
-        dy=identity,
+        dy=constant_field(domain, np.eye(domain.dim), 1, 1, name="id"),
         dx=lambda: zero_field(domain, 1, 1, 1.0),
         name="liouville")
 
 
 # ---------------------------------------------------------------------------
 # algebra; every combinator propagates attached derivatives when it can
+
+
+def _along(axis, rule, operands):
+    """`rule` applied to the operands' chains along `axis`; None when an
+    operand has no chain there."""
+    # A plain loop: building a graph resolves thousands of chains, and a
+    # comprehension would add a frame to each.
+    chains = []
+    for f in operands:
+        chains.append(f.chain(axis))
+    return None if None in chains else rule(*chains)
+
+
+def _chains(rule, *operands):
+    """The (dy, dx) thunks of a combinator's result, whose derivative along
+    either axis follows from `rule` and the operands' chains along it."""
+    return (functools.partial(_along, Y, rule, operands),
+            functools.partial(_along, X, rule, operands))
 
 
 def _fresh_letter(used):
@@ -331,38 +344,17 @@ def add(a, b, name=""):
     if a.alpha != b.alpha:
         raise ShapeError(
             f"cannot add homogeneities {a.alpha:g} and {b.alpha:g}")
-
-    def _dy():
-        da, db = a.vertical_chain(), b.vertical_chain()
-        if da is None or db is None:
-            return None
-        return add(da, db)
-
-    def _dx():
-        da, db = a.x_chain(), b.x_chain()
-        if da is None or db is None:
-            return None
-        return add(da, db)
-
     return TensorField(a.domain, a.r, a.s, a.alpha,
                        lambda xs, ys: a(xs, ys) + b(xs, ys),
-                       dy=_dy, dx=_dx, name=name or f"({a.name}+{b.name})")
+                       *_chains(add, a, b), name=name or f"({a.name}+{b.name})")
 
 
 def scale(a, c, name=""):
     c = float(c)
-
-    def _dy():
-        da = a.vertical_chain()
-        return None if da is None else scale(da, c)
-
-    def _dx():
-        da = a.x_chain()
-        return None if da is None else scale(da, c)
-
     return TensorField(a.domain, a.r, a.s, a.alpha,
                        lambda xs, ys: c * a(xs, ys),
-                       dy=_dy, dx=_dx, name=name or f"{c:g}*{a.name}")
+                       *_chains(lambda da: scale(da, c), a),
+                       name=name or f"{c:g}*{a.name}")
 
 
 def subtract(a, b, name=""):
@@ -374,28 +366,22 @@ def tensor_product(a, b, subscripts, r, s, name=""):
 
     `subscripts` follows numpy.einsum ("ilc,cjk->ijk" etc.).  The result is
     declared type (r, s); its homogeneity is the sum of the factors'.  The
-    attached vertical and horizontal derivatives follow the product rule,
-    with the derivative index appended after `subscripts`' output indices.
+    attached derivatives follow the product rule, with the derivative index
+    appended after `subscripts`' output indices.
     """
     lhs, out = subscripts.split("->")
     sa, sb = lhs.split(",")
     batched = f"...{sa},...{sb}->...{out}"
 
-    def _rule(chain_of):
-        def build():
-            da, db = chain_of(a), chain_of(b)
-            if da is None or db is None:
-                return None
-            z = _fresh_letter(subscripts)
-            t1 = tensor_product(da, b, f"{sa}{z},{sb}->{out}{z}", r, s + 1)
-            t2 = tensor_product(a, db, f"{sa},{sb}{z}->{out}{z}", r, s + 1)
-            return add(t1, t2)
-        return build
+    def rule(da, db):
+        z = _fresh_letter(subscripts)
+        t1 = tensor_product(da, b, f"{sa}{z},{sb}->{out}{z}", r, s + 1)
+        t2 = tensor_product(a, db, f"{sa},{sb}{z}->{out}{z}", r, s + 1)
+        return add(t1, t2)
 
     return TensorField(a.domain, r, s, a.alpha + b.alpha,
                        lambda xs, ys: np.einsum(batched, a(xs, ys), b(xs, ys)),
-                       dy=_rule(lambda f: f.vertical_chain()),
-                       dx=_rule(lambda f: f.x_chain()),
+                       *_chains(rule, a, b),
                        name=name or f"({a.name}*{b.name})")
 
 
@@ -404,23 +390,14 @@ def reindex(field, subscripts, name=""):
     lhs, out = subscripts.split("->")
     batched = f"...{lhs}->...{out}"
 
-    def _dy():
-        da = field.vertical_chain()
-        if da is None:
-            return None
-        z = _fresh_letter(subscripts)
-        return reindex(da, f"{lhs}{z}->{out}{z}")
-
-    def _dx():
-        da = field.x_chain()
-        if da is None:
-            return None
+    def rule(da):
         z = _fresh_letter(subscripts)
         return reindex(da, f"{lhs}{z}->{out}{z}")
 
     return TensorField(field.domain, field.r, field.s, field.alpha,
                        lambda xs, ys: np.einsum(batched, field(xs, ys)),
-                       dy=_dy, dx=_dx, name=name or f"perm({field.name})")
+                       *_chains(rule, field),
+                       name=name or f"perm({field.name})")
 
 
 def pivot_inverse(mat, sample=None, threshold=1e-12):
@@ -429,10 +406,10 @@ def pivot_inverse(mat, sample=None, threshold=1e-12):
     `mat` has shape (n, n) or (B, n, n); each matrix of a stack goes
     through the same row operations it would get on its own.  Raises
     DegeneracyError when a row is zero or a scaled pivot falls below
-    `threshold`, so near-singular inputs fail loudly instead of returning
-    garbage.  The error carries `sample`; for a stack, `sample` may be the
-    pair (xs, ys) of (B, dim) sample arrays, and the error then names the
-    sample of the first degenerate matrix.
+    `threshold` or is NaN, so near-singular inputs fail loudly instead of
+    returning garbage.  The error carries `sample`; for a stack, `sample`
+    may be the pair (xs, ys) of (B, dim) sample arrays, and the error then
+    names the sample of the first degenerate matrix.
     """
     mat = np.asarray(mat, dtype=float)
     single = mat.ndim == 2
@@ -453,7 +430,7 @@ def pivot_inverse(mat, sample=None, threshold=1e-12):
         pivots = np.abs(aug[:, col:, col]) / row_scale[:, col:]
         k = pivots.argmax(axis=-1)
         best = pivots[rows, k]
-        low = best < threshold
+        low = ~(best >= threshold)  # a NaN pivot is degenerate too
         if np.count_nonzero(low):
             for i in np.flatnonzero(low):
                 failures.setdefault(
@@ -502,32 +479,25 @@ def matrix_inverse(a, name=""):
     """Pointwise inverse of a field whose components form a square matrix.
 
     The result swaps the variance of the two slots and negates alpha.  Its
-    attached vertical derivative is -A^{-1} (dA) A^{-1} when A carries one.
+    attached derivative along either axis is -A^{-1} (dA) A^{-1} when A
+    carries one there.
     """
     if a.r + a.s != 2:
         raise ShapeError("matrix_inverse needs a two-slot field")
     r_out, s_out = a.s, a.r
-    holder = []
 
     def fn(xs, ys):
         return pivot_inverse(a(xs, ys), sample=(xs, ys))
 
-    def _rule(chain_of):
-        def build():
-            da = chain_of(a)
-            if da is None:
-                return None
-            inv = holder[0]()
-            half = tensor_product(inv, da, "ip,pqz->iqz", r_out, s_out + 1)
-            full = tensor_product(half, inv, "iqz,qj->ijz", r_out, s_out + 1)
-            return scale(full, -1.0)
-        return build
+    def rule(da):
+        inv = this()
+        half = tensor_product(inv, da, "ip,pqz->iqz", r_out, s_out + 1)
+        full = tensor_product(half, inv, "iqz,qj->ijz", r_out, s_out + 1)
+        return scale(full, -1.0)
 
     inv_field = TensorField(a.domain, r_out, s_out, -a.alpha, fn,
-                            dy=_rule(lambda f: f.vertical_chain()),
-                            dx=_rule(lambda f: f.x_chain()),
-                            name=name or f"inv({a.name})")
-    holder.append(weakref.ref(inv_field))
+                            *_chains(rule, a), name=name or f"inv({a.name})")
+    this = weakref.ref(inv_field)
     return inv_field
 
 
@@ -554,18 +524,11 @@ def scalar_power(a, exponent, name=""):
                                 sample=_sample_at(xs, ys, i))
         return v ** p
 
-    def _rule(chain_of):
-        def build():
-            da = chain_of(a)
-            if da is None:
-                return None
-            return scale(tensor_product(scalar_power(a, p - 1.0), da,
-                                        ",z->z", 0, 1), p)
-        return build
+    def rule(da):
+        return scale(tensor_product(scalar_power(a, p - 1.0), da,
+                                    ",z->z", 0, 1), p)
 
-    return TensorField(a.domain, 0, 0, p * a.alpha, fn,
-                       dy=_rule(lambda f: f.vertical_chain()),
-                       dx=_rule(lambda f: f.x_chain()),
+    return TensorField(a.domain, 0, 0, p * a.alpha, fn, *_chains(rule, a),
                        name=name or f"({a.name})^{p:g}")
 
 
@@ -573,7 +536,6 @@ def scalar_reciprocal(a, name=""):
     """1 / a for a scalar field; vanishing denominators raise DivisionError."""
     if a.r or a.s:
         raise ShapeError("scalar_reciprocal needs a type-(0, 0) field")
-    holder = []
 
     def fn(xs, ys):
         v = a(xs, ys)
@@ -583,21 +545,14 @@ def scalar_reciprocal(a, name=""):
                 sample=_sample_at(xs, ys, _first(v == 0.0)))
         return 1.0 / v
 
-    def _rule(chain_of):
-        def build():
-            da = chain_of(a)
-            if da is None:
-                return None
-            rec = holder[0]()
-            sq = tensor_product(rec, rec, ",->", 0, 0)
-            return scale(tensor_product(sq, da, ",z->z", 0, 1), -1.0)
-        return build
+    def rule(da):
+        rec = this()
+        sq = tensor_product(rec, rec, ",->", 0, 0)
+        return scale(tensor_product(sq, da, ",z->z", 0, 1), -1.0)
 
-    rec_field = TensorField(a.domain, 0, 0, -a.alpha, fn,
-                            dy=_rule(lambda f: f.vertical_chain()),
-                            dx=_rule(lambda f: f.x_chain()),
+    rec_field = TensorField(a.domain, 0, 0, -a.alpha, fn, *_chains(rule, a),
                             name=name or f"1/({a.name})")
-    holder.append(weakref.ref(rec_field))
+    this = weakref.ref(rec_field)
     return rec_field
 
 
@@ -638,40 +593,35 @@ def _swap_last_two(field):
     return reindex(field, f"{letters}->{flipped}")
 
 
-def _fd_vertical(field, engine):
-    def _dx():
-        # d/dx of a stencil derivative: commute, differentiate the exact
-        # x-chain vertically, and swap the two appended indices back.
-        ch = field.x_chain()
-        if ch is None:
-            return None
-        return _swap_last_two(vertical_derivative(ch, engine))
+def _fd(field, axis, engine):
+    """Stencil derivative of `field` along `axis`.  It has no exact chain
+    along `axis`; along the other axis it has one when `field` does there:
+    commute, differentiate that chain along `axis`, and swap the two
+    appended indices back."""
+    chains = list(_chains(
+        lambda ch: _swap_last_two(_derivative(ch, axis, engine)), field))
+    chains[axis] = None
+    alpha, tag = ((field.alpha - 1.0, "fd_dv") if axis == Y
+                  else (field.alpha, "fd_dx"))
+    return TensorField(field.domain, field.r, field.s + 1, alpha,
+                       lambda xs, ys: _stencil(field, xs, ys, axis == Y, engine),
+                       *chains, name=f"{tag}({field.name})")
 
-    return TensorField(field.domain, field.r, field.s + 1, field.alpha - 1.0,
-                       lambda xs, ys: _stencil(field, xs, ys, True, engine),
-                       dy=None, dx=_dx, name=f"fd_dv({field.name})")
 
-
-def _fd_x(field, engine):
-    def _dy():
-        ch = field.vertical_chain()
-        if ch is None:
-            return None
-        return _swap_last_two(x_derivative(ch, engine))
-
-    return TensorField(field.domain, field.r, field.s + 1, field.alpha,
-                       lambda xs, ys: _stencil(field, xs, ys, False, engine),
-                       dy=_dy, dx=None, name=f"fd_dx({field.name})")
+def _derivative(field, axis, engine):
+    """The attached chain along `axis` under the "analytic" method when
+    there is one, else the stencil."""
+    engine = engine or DEFAULT_ENGINE
+    if engine.method == "analytic":
+        chain = field.chain(axis)
+        if chain is not None:
+            return chain
+    return _fd(field, axis, engine)
 
 
 def vertical_derivative(field, engine=None):
     """The field with components dT/dy^k, index appended last, alpha - 1."""
-    engine = engine or DEFAULT_ENGINE
-    if engine.method == "analytic":
-        chain = field.vertical_chain()
-        if chain is not None:
-            return chain
-    return _fd_vertical(field, engine)
+    return _derivative(field, Y, engine)
 
 
 def x_derivative(field, engine=None):
@@ -680,12 +630,7 @@ def x_derivative(field, engine=None):
     The result is an ingredient for connection-building within one chart,
     not an object that transforms between charts on its own.
     """
-    engine = engine or DEFAULT_ENGINE
-    if engine.method == "analytic":
-        chain = field.x_chain()
-        if chain is not None:
-            return chain
-    return _fd_x(field, engine)
+    return _derivative(field, X, engine)
 
 
 def liouville_contract(field):

@@ -20,6 +20,7 @@ from .errors import DegeneracyError, ShapeError
 from .fields import (add, constant_field, liouville_contract, matrix_inverse,
                      pivot_inverse, scale, subtract, tensor_product,
                      vertical_derivative, x_derivative, zero_field)
+from .metrics import fundamental_tensor
 
 
 class LinearConnection:
@@ -164,8 +165,6 @@ _CLASSICAL = ("berwald", "chern", "hashiguchi", "cartan")
 def cartan_tensor(L, engine=None):
     """C^i_jk = (1/2) phi^{il} dphi_lj/dy^k; totally symmetric when lowered,
     killed by hooking y into any slot."""
-    from .metrics import fundamental_tensor
-
     metric = fundamental_tensor(L)
     dphi = vertical_derivative(metric.field, engine)
     return tensor_product(metric.inverse_field(), scale(dphi, 0.5),

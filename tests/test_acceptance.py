@@ -29,6 +29,7 @@ from anifield import (ActionFunctional, AnisotropicConnection, DiffEngine,
 from anifield.catalog import example_names, get_example
 from anifield.checks import kernel_shift
 from anifield.cli import main
+from anifield.fields import Y
 from anifield.linear import b_matrix
 
 ANALYTIC = DiffEngine("analytic")
@@ -66,7 +67,7 @@ def test_01_euler_ladder_identity():
         for field in bundle.fields.values():
             hooked_fd = liouville_contract(vertical_derivative(field, FD4))
             legs = [(hooked_fd, False)]
-            if field.vertical_chain() is not None:
+            if field.chain(Y) is not None:
                 hooked = liouville_contract(vertical_derivative(field, ANALYTIC))
                 legs.append((hooked, True))
             for x, y in zip(xs, ys):

@@ -16,6 +16,7 @@ from anifield.catalog import get_example
 from anifield.checks import check_euler
 from anifield.cli import RunConfig, _object_registry
 from anifield.errors import DegeneracyError, ShapeError
+from anifield.fields import Y
 from anifield.metrics import AnisotropicMetric
 
 EXAMPLES = ["euclidean2", "minkowski2", "conformal2", "quartic2", "handmadeN",
@@ -154,7 +155,7 @@ def test_captured_arrays_are_not_aliased():
     const = constant_field(domain, values, 1, 1)
     values[0, 0] = 7.0
     assert const(x, y)[0, 0] == 1.0
-    identity = liouville_field(domain).vertical_chain()
+    identity = liouville_field(domain).chain(Y)
     for field in (const, zero_field(domain, 0, 2, 0.0), identity):
         with pytest.raises(ValueError):
             field(x, y)[0, 0] = 5.0

@@ -73,13 +73,13 @@ def test_quadchart_carries_a_transition():
 def test_conformal_oracle_matches_markers():
     c = get_example("conformal2")
     assert c.riemannian
-    assert not c.flat_spray
+    assert c.spray_oracle is not None
     assert_allclose(c.spray_oracle(X0, np.array([1.0, 2.0])), [-1.5, 2.0])
 
 
 def test_flat_markers():
-    assert get_example("euclidean2").flat_spray
-    assert get_example("quartic2").flat_spray
+    assert get_example("euclidean2").spray_oracle is None
+    assert get_example("quartic2").spray_oracle is None
     assert not get_example("quartic2").riemannian
 
 

@@ -9,6 +9,7 @@ from anifield.catalog import get_example
 from anifield.checks import (CHECKS, applicable_checks, check_euler,
                              euclidean_energy_field, kernel_shift)
 from anifield.cli import RunConfig
+from anifield.fields import Y
 
 
 def _config(example, **overrides):
@@ -74,7 +75,7 @@ def test_kernel_shift_ranks_and_kernel_property():
 
 def test_energy_helper_has_a_full_chain():
     E = euclidean_energy_field(get_example("handmadeN").domain)
-    assert E.vertical_chain() is not None
+    assert E.chain(Y) is not None
     assert E(np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(25.0)
 
 

@@ -12,7 +12,7 @@ from anifield import (ConicDomain, DiffEngine, DomainError, DivisionError,
                       scalar_reciprocal, scale, subtract, tensor_product,
                       vertical_derivative, x_derivative, zero_field)
 from anifield.catalog import get_example
-from anifield.fields import DegeneracyError, pivot_inverse
+from anifield.fields import X, Y, DegeneracyError, pivot_inverse
 
 EUC = get_example("euclidean2")
 QUARTIC = get_example("quartic2")
@@ -172,6 +172,21 @@ def test_pivot_inverse_flags_tiny_scaled_pivot():
     assert info.value.sample is not None
 
 
+def test_pivot_inverse_flags_nan():
+    with pytest.raises(DegeneracyError):
+        pivot_inverse(np.array([[np.nan, 1.0], [1.0, 1.0]]))
+    with pytest.raises(DegeneracyError):
+        pivot_inverse(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def test_pivot_inverse_names_the_nan_sample_of_a_stack():
+    stack = np.array([np.eye(2), [[1.0, np.nan], [0.0, 1.0]], 2.0 * np.eye(2)])
+    xs, ys = EUC.domain.sample(3, seed=4)
+    with pytest.raises(DegeneracyError) as info:
+        pivot_inverse(stack, sample=(xs, ys))
+    assert info.value.sample == (xs[1].tolist(), ys[1].tolist())
+
+
 def test_scalar_power_values_and_weight():
     L = QUARTIC.lagrangian.field
     root = scalar_power(L, 0.5)
@@ -242,7 +257,7 @@ def test_vertical_derivative_gradient_of_energy():
 def test_fd_fallback_without_chain():
     bare = TensorField(EUC.domain, 0, 0, 2.0,
                        lambda xs, ys: np.sum(ys * ys, axis=-1))
-    assert bare.vertical_chain() is None
+    assert bare.chain(Y) is None
     dL = vertical_derivative(bare, DiffEngine("analytic"))
     assert_allclose(dL(X0, Y0), 2.0 * Y0, rtol=1e-9)
 
@@ -261,6 +276,73 @@ def test_mixed_partials_commute():
     a = x_derivative(vertical_derivative(ell))(X0, Y0)
     b = vertical_derivative(x_derivative(ell))(X0, Y0)
     assert_allclose(a, np.swapaxes(b, 1, 2), rtol=1e-7, atol=1e-10)
+
+
+def _weighted_energy():
+    """f = (1 + (x^1)^2) |y|^2, with exact chains along y and along x as
+    deep as the combinators in _RESULTS differentiate it."""
+    d = EUC.domain
+    e0, eye = np.eye(2)[0], np.eye(2)
+
+    def w(xs):
+        return 1.0 + xs[:, 0] ** 2
+
+    def dw(xs):
+        return 2.0 * xs[:, 0]
+
+    def node(r, s, alpha, fn, dy=None, dx=None):
+        return TensorField(d, r, s, alpha, fn, dy=dy, dx=dx)
+
+    gx = node(0, 2, 1.0, lambda xs, ys: 2.0 * dw(xs)[:, None, None]
+              * ys[:, :, None] * e0,
+              dy=node(0, 3, 0.0, lambda xs, ys: 2.0
+                      * dw(xs)[:, None, None, None]
+                      * np.einsum("im,k->ikm", eye, e0)),
+              dx=node(0, 3, 1.0, lambda xs, ys: 4.0 * ys[:, :, None, None]
+                      * np.einsum("k,m->km", e0, e0)))
+    hessian = node(0, 2, 0.0, lambda xs, ys: 2.0 * w(xs)[:, None, None] * eye,
+                   dy=zero_field(d, 0, 3, -1.0),
+                   dx=node(0, 3, 0.0, lambda xs, ys: 2.0
+                           * dw(xs)[:, None, None, None]
+                           * np.einsum("ij,k->ijk", eye, e0)))
+    g = node(0, 1, 1.0, lambda xs, ys: 2.0 * w(xs)[:, None] * ys,
+             dy=hessian, dx=gx)
+    fx = node(0, 1, 2.0, lambda xs, ys: dw(xs)[:, None]
+              * np.sum(ys * ys, axis=-1)[:, None] * e0)
+    f = node(0, 0, 2.0, lambda xs, ys: w(xs) * np.sum(ys * ys, axis=-1),
+             dy=g, dx=fx)
+    return f, g, hessian, gx
+
+
+_RESULTS = {
+    "add": lambda f, g, H, gx: add(f, scale(f, 3.0)),
+    "scale": lambda f, g, H, gx: scale(f, -2.5),
+    "subtract": lambda f, g, H, gx: subtract(scale(f, 3.0), f),
+    "tensor_product": lambda f, g, H, gx: tensor_product(f, g, ",i->i", 0, 1),
+    "reindex": lambda f, g, H, gx: reindex(gx, "ik->ki"),
+    # g g^T + f H varies along both axes, unlike H alone
+    "matrix_inverse": lambda f, g, H, gx: matrix_inverse(add(
+        tensor_product(g, g, "i,j->ij", 0, 2),
+        tensor_product(f, H, ",ij->ij", 0, 2))),
+    "scalar_power": lambda f, g, H, gx: scalar_power(f, 1.5),
+    "scalar_reciprocal": lambda f, g, H, gx: scalar_reciprocal(f),
+    "liouville_contract": lambda f, g, H, gx: liouville_contract(g),
+}
+
+
+@pytest.mark.parametrize("axis", [Y, X], ids=["y", "x"])
+@pytest.mark.parametrize("op", sorted(_RESULTS))
+def test_rules_hold_along_both_axes(op, axis):
+    """Each combinator's derivative rule, along y and along x, on a field
+    whose exact chains along both axes are non-zero, against the stencil."""
+    result = _RESULTS[op](*_weighted_energy())
+    assert result.chain(axis) is not None
+    derivative = (vertical_derivative, x_derivative)[axis]
+    exact = derivative(result, DiffEngine("analytic"))
+    probed = derivative(result, DiffEngine("fd4"))
+    xs, ys = EUC.domain.sample(6, seed=5)
+    assert np.max(np.abs(exact(xs, ys))) > 0.1
+    assert_allclose(probed(xs, ys), exact(xs, ys), rtol=1e-6, atol=1e-9)
 
 
 def test_engine_rejects_unknown_method():
