@@ -46,5 +46,5 @@ print("\ncoherence defects (transform-then-operate vs operate-then-transform):")
 for name, obj in (("spray", G), ("nonlinear", N), ("anisotropic", Gamma),
                   ("one-form", ell)):
     defects = coherence_defect(obj, T, xs, ys, engine)
-    worst = max(defects.values())
+    worst = max(gaps.max() for gaps in defects.values())
     print(f"  {name:>11}: checked {sorted(defects)} -> max defect {worst:.2e}")

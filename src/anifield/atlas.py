@@ -7,6 +7,8 @@ by slot; sprays, nonlinear connections, and anisotropic connections pick
 up the inhomogeneous Hessian terms of their cocycles.
 """
 
+from math import factorial
+
 import numpy as np
 
 from .connections import (AnisotropicConnection, NonlinearConnection, Spray,
@@ -17,6 +19,10 @@ from .fields import (ConicDomain, TensorField, _row_max_abs,
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
+# The connection ladder, by the number s of covariant slots of its
+# coefficients: spray (s = 0), nonlinear (1), anisotropic (2).
+_CONNECTIONS = (Spray, NonlinearConnection, AnisotropicConnection)
+
 
 class ChartTransition:
     """Overlap map x -> xt with analytic first and second derivatives.
@@ -25,6 +31,10 @@ class ChartTransition:
     inverse maps a target point back.  jacobian(x)[i, a] = d xt^i / d x^a
     and hessian(x)[i, b, c] = d^2 xt^i / d x^b d x^c.  An analytic inverse
     Jacobian is optional; partial-pivot inversion fills in when absent.
+
+    Every closure takes one point of shape (dim,) or a (B, dim) batch and
+    broadcasts over the leading axis, so a batch gives (B, dim),
+    (B, dim, dim) and (B, dim, dim, dim) arrays.
     """
 
     def __init__(self, forward, inverse, jacobian, hessian,
@@ -44,13 +54,17 @@ class ChartTransition:
     def push_point(self, x, y):
         """Map (x, y) to target-chart coordinates (xt, yt = J(x) y)."""
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return (np.asarray(self.forward(x), dtype=float),
-                np.asarray(self.jacobian(x), dtype=float) @ y)
+        J = np.asarray(self.jacobian(x), dtype=float)
+        return np.asarray(self.forward(x), dtype=float), _apply(J, y)
 
     def pull_point(self, xt, yt):
         x = np.asarray(self.inverse(np.asarray(xt, dtype=float)), dtype=float)
-        return x, self.inverse_jacobian(x) @ np.asarray(yt, dtype=float)
+        return x, _apply(self.inverse_jacobian(x), yt)
+
+
+def _apply(mat, v):
+    """mat @ v for one matrix and vector or for matching stacks of them."""
+    return (mat @ np.asarray(v, dtype=float)[..., None])[..., 0]
 
 
 def compose(second, first, name=""):
@@ -63,45 +77,25 @@ def compose(second, first, name=""):
         return first.inverse(second.inverse(xt))
 
     def jacobian(x):
-        mid = np.asarray(first.forward(x), dtype=float)
-        return np.asarray(second.jacobian(mid), dtype=float) @ \
-            np.asarray(first.jacobian(x), dtype=float)
+        mid = first.forward(x)
+        return np.einsum("...ia,...ab->...ib", second.jacobian(mid),
+                         first.jacobian(x))
 
     def hessian(x):
-        mid = np.asarray(first.forward(x), dtype=float)
-        J1 = np.asarray(first.jacobian(x), dtype=float)
-        H1 = np.asarray(first.hessian(x), dtype=float)
-        J2 = np.asarray(second.jacobian(mid), dtype=float)
-        H2 = np.asarray(second.hessian(mid), dtype=float)
-        return np.einsum("ipq,pb,qc->ibc", H2, J1, J1) + \
-            np.einsum("ia,abc->ibc", J2, H1)
+        mid = first.forward(x)
+        J1 = first.jacobian(x)
+        return np.einsum("...ipq,...pb,...qc->...ibc", second.hessian(mid),
+                         J1, J1) + \
+            np.einsum("...ia,...abc->...ibc", second.jacobian(mid),
+                      first.hessian(x))
 
     def jacobian_inverse(x):
-        mid = np.asarray(first.forward(x), dtype=float)
-        return first.inverse_jacobian(x) @ second.inverse_jacobian(mid)
+        return np.einsum("...ia,...ab->...ib", first.inverse_jacobian(x),
+                         second.inverse_jacobian(first.forward(x)))
 
     return ChartTransition(forward, inverse, jacobian, hessian,
                            jacobian_inverse,
                            name=name or f"{second.name}*{first.name}")
-
-
-def _rows(fn, xs):
-    """Stack a pointwise chart closure over the rows of a batch."""
-    return np.array([np.asarray(fn(x), dtype=float) for x in xs])
-
-
-def _pull_rows(t, xts, yts):
-    """Pull a (B, dim) batch of target-chart samples back, row by row."""
-    pulled = [t.pull_point(xt, yt) for xt, yt in zip(xts, yts)]
-    return (np.array([x for x, _ in pulled]),
-            np.array([y for _, y in pulled]))
-
-
-def _push_rows(t, xs, ys):
-    """Push a (B, dim) batch of source-chart samples forward, row by row."""
-    pushed = [t.push_point(x, y) for x, y in zip(xs, ys)]
-    return (np.array([x for x, _ in pushed]),
-            np.array([y for _, y in pushed]))
 
 
 def _pushed_domain(domain, t):
@@ -109,26 +103,28 @@ def _pushed_domain(domain, t):
         x, y = t.pull_point(xt, yt)
         return domain.contains(x, y)
 
-    corners = domain.x_box.T  # rough image box, only used for sampling
-    lo, hi = corners[0], corners[1]
-    pts = []
-    for mask in range(2 ** domain.dim):
-        c = np.where([(mask >> k) & 1 for k in range(domain.dim)], hi, lo)
-        pts.append(np.asarray(t.forward(c), dtype=float))
-    pts = np.stack(pts)
+    # Rough image box of the 2^dim corners of the x box, only used for
+    # sampling.
+    lo, hi = domain.x_box.T
+    bits = (np.arange(2 ** domain.dim)[:, None] >> np.arange(domain.dim)) & 1
+    pts = np.asarray(t.forward(np.where(bits, hi, lo)), dtype=float)
     box = np.stack([pts.min(axis=0), pts.max(axis=0)], axis=1)
     return ConicDomain(domain.dim, membership, x_box=box,
                        y_shell=domain.y_shell,
                        name=f"{t.name}({domain.name})")
 
 
-def transform_tensor(field, t):
-    """Pushforward of a tensor field: J on every contravariant slot, the
-    inverse Jacobian on every covariant slot, arguments pulled back."""
+def _pushforward(field, t, name, cocycle=False):
+    """`field` pushed forward along `t`: J on every contravariant slot, the
+    inverse Jacobian on every covariant slot, arguments pulled back once per
+    batch.
+
+    With `cocycle`, `field` holds the coefficients of a connection with s
+    covariant slots, which also subtract H^i_bc / (2 - s)!: the first s
+    lower slots of the Hessian H go to the inverse Jacobian, the rest to y.
+    """
     r, s = field.r, field.s
     total = r + s
-    domain = _pushed_domain(field.domain, t)
-
     old = _LETTERS[:total]
     new = _LETTERS[total:2 * total]
     factors = []
@@ -138,88 +134,57 @@ def transform_tensor(field, t):
         factors.append(f"{old[k]}{new[k]}")      # Jinv[old, new]
     subscript = (",".join("..." + f for f in [old] + factors)
                  + "->..." + new)
+    legs = ["...bj", "...ck"][:s] + ["...b", "...c"][s:]
+    inhomogeneous = "...ibc," + ",".join(legs) + "->...i" + "jk"[:s]
 
     def fn(xts, yts):
-        xs, ys = _pull_rows(t, xts, yts)
+        xs = np.asarray(t.inverse(xts), dtype=float)
+        J = np.asarray(t.jacobian(xs), dtype=float)
+        Ji = t.inverse_jacobian(xs)
+        ys = _apply(Ji, yts)
         comp = field(xs, ys)
-        if total == 0:
-            return comp
-        J = _rows(t.jacobian, xs)
-        Ji = _rows(t.inverse_jacobian, xs)
-        mats = [J] * r + [Ji] * s
-        return np.einsum(subscript, comp, *mats)
+        if total:
+            comp = np.einsum(subscript, comp, *([J] * r + [Ji] * s))
+        if cocycle:
+            H = np.asarray(t.hessian(xs), dtype=float)
+            lower = [Ji] * s + [ys] * (2 - s)
+            comp = comp - (np.einsum(inhomogeneous, H, *lower)
+                           / factorial(2 - s))
+        return comp
 
-    return TensorField(domain, r, s, field.alpha, fn,
-                       name=f"{t.name}.{field.name}")
+    return TensorField(_pushed_domain(field.domain, t), r, s, field.alpha, fn,
+                       name=name)
+
+
+def transform_tensor(field, t):
+    """Pushforward of a tensor field: J on every contravariant slot, the
+    inverse Jacobian on every covariant slot, arguments pulled back."""
+    return _pushforward(field, t, f"{t.name}.{field.name}")
 
 
 def transform_connection(obj, t):
     """Pushforward with the inhomogeneous cocycle of the object's level."""
-    if isinstance(obj, Spray):
-        field = obj.coefficients
-        domain = _pushed_domain(field.domain, t)
-
-        def fn_spray(xts, yts):
-            xs, ys = _pull_rows(t, xts, yts)
-            H = _rows(t.hessian, xs)
-            J = _rows(t.jacobian, xs)
-            return (-0.5 * np.einsum("...ibc,...b,...c->...i", H, ys, ys)
-                    + (J @ field(xs, ys)[:, :, None])[:, :, 0])
-
-        return Spray(TensorField(domain, 1, 0, 2.0, fn_spray,
-                                 name=f"{t.name}.{obj.name}"))
-
-    if isinstance(obj, NonlinearConnection):
-        field = obj.coefficients
-        domain = _pushed_domain(field.domain, t)
-
-        def fn_nonlin(xts, yts):
-            xs, ys = _pull_rows(t, xts, yts)
-            H = _rows(t.hessian, xs)
-            J = _rows(t.jacobian, xs)
-            Ji = _rows(t.inverse_jacobian, xs)
-            return -np.einsum("...ibc,...bj,...c->...ij", H, Ji, ys) + \
-                np.einsum("...ia,...bj,...ab->...ij", J, Ji, field(xs, ys))
-
-        return NonlinearConnection(TensorField(domain, 1, 1, 1.0, fn_nonlin,
-                                               name=f"{t.name}.{obj.name}"))
-
-    if isinstance(obj, AnisotropicConnection):
-        field = obj.coefficients
-        domain = _pushed_domain(field.domain, t)
-
-        def fn_aniso(xts, yts):
-            xs, ys = _pull_rows(t, xts, yts)
-            H = _rows(t.hessian, xs)
-            J = _rows(t.jacobian, xs)
-            Ji = _rows(t.inverse_jacobian, xs)
-            return -np.einsum("...ibc,...bj,...ck->...ijk", H, Ji, Ji) + \
-                np.einsum("...ia,...bj,...ck,...abc->...ijk", J, Ji, Ji,
-                          field(xs, ys))
-
-        return AnisotropicConnection(TensorField(domain, 1, 2, 0.0, fn_aniso,
-                                                 name=f"{t.name}.{obj.name}"))
-
-    raise ShapeError(f"no transformation rule for {type(obj).__name__}")
+    if not isinstance(obj, _CONNECTIONS):
+        raise ShapeError(f"no transformation rule for {type(obj).__name__}")
+    return type(obj)(_pushforward(obj.coefficients, t, f"{t.name}.{obj.name}",
+                                  cocycle=True))
 
 
 def coherence_defect(obj, t, xs, ys, engine=None):
-    """Max gaps between operate-then-transform and transform-then-operate.
+    """Per-sample gaps between operate-then-transform and
+    transform-then-operate.
 
     Samples are given in the source chart and pushed forward for the
     comparison.  Pushed-forward fields carry no attached derivatives, so
     the transformed side is differentiated by stencil regardless of the
-    engine method; the returned dict maps check names to worst absolute
-    defects over the samples, NaN when any sample gives NaN.
+    engine method; the returned dict maps check names to (B,) arrays, the
+    largest absolute defect at each sample, NaN where a sample gives NaN.
     """
     out = {}
-    xts, yts = _push_rows(t, np.asarray(xs, dtype=float),
-                          np.asarray(ys, dtype=float))
+    xts, yts = t.push_point(xs, ys)
 
     def gap(left_field, right_field):
-        return float(np.max(
-            _row_max_abs(left_field(xts, yts) - right_field(xts, yts)),
-            initial=0.0))
+        return _row_max_abs(left_field(xts, yts) - right_field(xts, yts))
 
     if isinstance(obj, TensorField):
         moved = transform_tensor(obj, t)

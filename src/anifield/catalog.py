@@ -190,12 +190,22 @@ def _quadchart():
     hess = np.zeros((2, 2, 2))
     hess[0, 1, 1] = 2.0
 
+    def shear(x, sign):
+        return np.stack([x[..., 0] + sign * x[..., 1] ** 2, x[..., 1]],
+                        axis=-1)
+
+    def shear_jacobian(x, sign):
+        J = np.zeros(np.shape(x) + (2,))
+        J[..., 0, 0] = J[..., 1, 1] = 1.0
+        J[..., 0, 1] = sign * 2.0 * x[..., 1]
+        return J
+
     transition = ChartTransition(
-        forward=lambda x: np.array([x[0] + x[1] ** 2, x[1]]),
-        inverse=lambda xt: np.array([xt[0] - xt[1] ** 2, xt[1]]),
-        jacobian=lambda x: np.array([[1.0, 2.0 * x[1]], [0.0, 1.0]]),
-        hessian=lambda x: hess,
-        jacobian_inverse=lambda x: np.array([[1.0, -2.0 * x[1]], [0.0, 1.0]]),
+        forward=lambda x: shear(x, 1.0),
+        inverse=lambda xt: shear(xt, -1.0),
+        jacobian=lambda x: shear_jacobian(x, 1.0),
+        hessian=lambda x: np.broadcast_to(hess, np.shape(x)[:-1] + hess.shape),
+        jacobian_inverse=lambda x: shear_jacobian(x, -1.0),
         name="quadchart")
     return ExampleBundle("quadchart", base.domain,
                          lagrangian=base.lagrangian,

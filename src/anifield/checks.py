@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import _push_rows, coherence_defect, transform_connection
+from .atlas import coherence_defect, transform_connection
 from .connections import (AnisotropicConnection, NonlinearConnection, Spray,
                           berwald_connection, canonical_spray,
                           chern_connection, geodesic_integrate,
@@ -271,7 +271,7 @@ def check_cocycle_coherence(bundle, config):
     moved_spray = transform_connection(flat_spray, t)
     moved_N = transform_connection(flat_N, t)
     moved_gamma = transform_connection(flat_gamma, t)
-    xts, yts = _push_rows(t, xs, ys)
+    xts, yts = t.push_point(xs, ys)
     G = moved_spray(xts, yts)
     N_expect = np.zeros((len(xs), 2, 2))
     N_expect[:, 0, 1] = -2.0 * yts[:, 1]
@@ -284,7 +284,7 @@ def check_cocycle_coherence(bundle, config):
     for obj in (flat_spray, flat_N, flat_gamma,
                 bundle.lagrangian.ell_field()):
         for defect in coherence_defect(obj, t, xs, ys, engine).values():
-            worst.feed(defect, xs[0], ys[0])
+            worst.feed(defect, xs, ys)
     return _report("cocycle_coherence", worst, len(xs), config.tolerance)
 
 

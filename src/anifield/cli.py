@@ -173,10 +173,19 @@ def _pick_object(bundle, name):
 
 
 def _point(bundle, args):
-    if args.x is not None and args.y is not None:
-        return np.asarray(args.x, dtype=float), np.asarray(args.y, dtype=float)
-    xs, ys = bundle.domain.sample(1, getattr(args, "seed", 0) or 0)
-    return xs[0], ys[0]
+    """The --x/--y point, which must lie in the example's domain, or a
+    seeded sample when both are omitted."""
+    if (args.x is None) != (args.y is None):
+        raise ValueError("--x and --y go together: give both or neither")
+    if args.x is None:
+        xs, ys = bundle.domain.sample(1, args.seed)
+        return xs[0], ys[0]
+    x = np.asarray(args.x, dtype=float)
+    y = np.asarray(args.y, dtype=float)
+    if not bundle.domain.contains(x, y):
+        raise DomainError(f"point x={x.tolist()}, y={y.tolist()} is outside "
+                          f"domain {bundle.domain.name!r}")
+    return x, y
 
 
 def _cmd_check(args):

@@ -155,12 +155,9 @@ def gauge_symmetrize(functional, engine=None):
     if level == "linear":
         new = lambda conn, xs, ys: density(
             embed_trivial(project_intrinsic(conn)), xs, ys)
-    elif level == "anisotropic":
-        new = lambda gamma, xs, ys: density(
-            raise_connection(lower_connection(gamma), engine), xs, ys)
-    elif level == "nonlinear":
-        new = lambda N, xs, ys: density(
-            raise_connection(lower_connection(N), engine), xs, ys)
+    elif level in ("anisotropic", "nonlinear"):
+        new = lambda conn, xs, ys: density(
+            raise_connection(lower_connection(conn), engine), xs, ys)
     else:
         raise TransitionError(
             f"gauge symmetrization is defined at linear, anisotropic, and "

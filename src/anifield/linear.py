@@ -56,13 +56,14 @@ class LinearConnection:
 def b_matrix(conn, x, y):
     """(B, True) with B = (id + Gamma2 . y)^{-1}, or (None, False) if singular.
 
+    At a (B, dim) batch of samples B is the stack of inverses, and the
+    result is (None, False) when any matrix of the batch is singular.
     Never raises on singularity; callers that need B hard should use
     `b_matrix_field` and let evaluation fail loudly.
     """
     M = conn.regularity_matrix_field()(x, y)
     try:
-        return pivot_inverse(M, sample=(np.asarray(x).tolist(),
-                                        np.asarray(y).tolist())), True
+        return pivot_inverse(M), True
     except DegeneracyError:
         return None, False
 

@@ -319,7 +319,7 @@ def test_08_cocycle_coherence():
     worst_commute = 0.0
     for obj in (G, N, gamma, ell):
         for value in coherence_defect(obj, t, xs, ys, ANALYTIC).values():
-            worst_commute = max(worst_commute, value)
+            worst_commute = max(worst_commute, value.max())
 
     Gt = transform_connection(G, t)
     Nt = transform_connection(N, t)

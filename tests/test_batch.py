@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from anifield import (DiffEngine, DivisionError, TensorField,
-                      berwald_connection, cartan_tensor, chern_connection,
-                      classical_linear, coherence_defect, constant_field,
-                      landsberg_tensor, liouville_field, matrix_inverse,
-                      scalar_power, scalar_reciprocal, vertical_derivative,
-                      x_derivative, zero_field)
+from anifield import (ChartTransition, DiffEngine, DivisionError,
+                      TensorField, berwald_connection, canonical_spray,
+                      cartan_tensor, chern_connection, classical_linear,
+                      coherence_defect, constant_field, landsberg_tensor,
+                      liouville_field, matrix_inverse, raise_connection,
+                      scalar_power, scalar_reciprocal, transform_connection,
+                      transform_tensor, vertical_derivative, x_derivative,
+                      zero_field)
+from anifield.atlas import compose
 from anifield.catalog import get_example
 from anifield.checks import check_euler
 from anifield.cli import RunConfig, _object_registry
@@ -208,4 +211,58 @@ def test_coherence_gap_reports_nan():
     field = TensorField(quad.domain, 0, 1, 1.0, fn, name="tainted")
     gaps = coherence_defect(field, quad.transition, xs, ys,
                             DiffEngine("analytic"))
-    assert np.isnan(gaps["liouville"])
+    assert np.flatnonzero(np.isnan(gaps["liouville"])).tolist() == [3]
+
+
+def _reverse(t):
+    """The inverse chart map of `t`, from its closures.  It has no analytic
+    inverse Jacobian, so partial-pivot inversion fills in."""
+
+    def hessian(xt):
+        x = t.inverse(xt)
+        Ji = t.inverse_jacobian(x)
+        return -np.einsum("...ak,...kbc,...bi,...cj->...aij", Ji,
+                          t.hessian(x), Ji, Ji)
+
+    return ChartTransition(t.inverse, t.forward,
+                           lambda xt: t.inverse_jacobian(t.inverse(xt)),
+                           hessian, name=f"reverse({t.name})")
+
+
+def _transition(kind):
+    quad = get_example("quadchart").transition
+    return quad if kind == "quadchart" else compose(quad, _reverse(quad))
+
+
+@pytest.mark.parametrize("kind", ["quadchart", "compose"])
+def test_transition_rows_match_points(kind):
+    """Transition closures, point maps and pushforwards broadcast over a
+    batch: row i equals the pointwise result bit for bit."""
+    t = _transition(kind)
+    xs, ys = get_example("quadchart").domain.sample(7, seed=17)
+    for key in ("forward", "jacobian", "hessian", "inverse_jacobian"):
+        fn = getattr(t, key)
+        rows = fn(xs)
+        for i, x in enumerate(xs):
+            assert_array_equal(rows[i], fn(x), err_msg=f"{key} row {i}")
+    for key in ("push_point", "pull_point"):
+        fn = getattr(t, key)
+        row_x, row_y = fn(xs, ys)
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            point_x, point_y = fn(x, y)
+            assert_array_equal(row_x[i], point_x, err_msg=f"{key} x row {i}")
+            assert_array_equal(row_y[i], point_y, err_msg=f"{key} y row {i}")
+
+    def build(name, engine):
+        t = _transition(kind)
+        L = get_example(name).lagrangian
+        G = canonical_spray(L, engine)
+        out = {key: transform_tensor(field, t) for key, field in (
+            ("ell", L.ell_field()), ("phi", L.phi_field()),
+            ("C", liouville_field(L.domain)))}
+        for key, obj in (("spray", G), ("N", raise_connection(G, engine)),
+                         ("gamma", berwald_connection(L, engine))):
+            out[key] = transform_connection(obj, t).coefficients
+        return out
+
+    _assert_rows_match_points(build, "quadchart", "analytic")

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from anifield import LevelError, liouville_contract
+from anifield import (AnisotropicConnection, DiffEngine, LevelError,
+                      NonlinearConnection, Spray, coherence_defect,
+                      liouville_contract, zero_field)
 from anifield.catalog import get_example
-from anifield.checks import (CHECKS, applicable_checks, check_euler,
+from anifield.checks import (CHECKS, applicable_checks,
+                             check_cocycle_coherence, check_euler,
                              euclidean_energy_field, kernel_shift)
 from anifield.cli import RunConfig
 from anifield.fields import Y
@@ -86,3 +89,26 @@ def test_full_applicable_suite_passes(name):
     for check_name in config.checks:
         report = CHECKS[check_name](bundle, config)
         assert report.passed, (check_name, report.max_abs_defect)
+
+
+def test_cocycle_coherence_names_the_worst_sample():
+    """The reported sample is the one with the largest coherence gap, not
+    the first sample of the batch."""
+    bundle = get_example("quadchart")
+    config = _config("quadchart", checks=["cocycle_coherence"], samples=16,
+                     seed=0)
+    report = check_cocycle_coherence(bundle, config)
+    xs, ys = bundle.domain.sample(16, 0)
+    domain = bundle.domain
+    objects = (Spray(zero_field(domain, 1, 0, 2.0)),
+               NonlinearConnection(zero_field(domain, 1, 1, 1.0)),
+               AnisotropicConnection(zero_field(domain, 1, 2, 0.0)),
+               bundle.lagrangian.ell_field())
+    gaps = np.column_stack([
+        gap for obj in objects for gap in coherence_defect(
+            obj, bundle.transition, xs, ys, DiffEngine("analytic")).values()])
+    row = int(np.argmax(gaps.max(axis=1)))
+    assert row != 0
+    assert report.max_abs_defect == gaps.max()
+    assert report.worst_sample == {"x": xs[row].tolist(),
+                                   "y": ys[row].tolist()}

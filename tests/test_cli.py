@@ -156,6 +156,31 @@ def test_ladder_command_validates_level(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "euclidean2", "phi", "--x", "0", "0", "--y", "0", "0"],
+    ["eval", "quartic2", "phi", "--x", "0", "0", "--y", "1", "0"],
+    ["ladder", "quartic2", "--x", "0", "0", "--y", "1", "0"],
+])
+def test_point_outside_the_domain_is_refused(capsys, argv):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "outside domain" in err
+    assert f"x=[0.0, 0.0], y=[{argv[-2]}.0, {argv[-1]}.0]" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "euclidean2", "phi", "--x", "0", "0"],
+    ["eval", "euclidean2", "phi", "--y", "1", "0"],
+    ["ladder", "euclidean2", "--x", "0", "0"],
+])
+def test_lone_x_or_y_is_refused(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--x and --y go together" in err
+
+
 def test_geodesic_command_straight_line(capsys):
     code = main(["geodesic", "euclidean2", "--x0", "0", "0",
                  "--y0", "1", "2", "--dt", "0.01", "--steps", "100"])

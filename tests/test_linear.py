@@ -100,6 +100,26 @@ def test_degenerate_regularity_matrix():
         b_matrix_field(conn)(X0, Y0)
 
 
+def test_b_matrix_of_a_batch_with_one_singular_sample():
+    """M = id at sample 0 and the zero matrix at sample 1: the batch gives
+    (None, False) instead of raising."""
+    dom = EUC.domain
+
+    def fn(xs, ys):
+        collapse = (xs[:, 0] > 0.5)[:, None, None, None].astype(float)
+        return (-collapse * np.einsum("ij,bc->bijc", np.eye(2), ys)
+                / np.sum(ys * ys, axis=-1)[:, None, None, None])
+
+    conn = LinearConnection(zero_field(dom, 1, 2, 0.0),
+                            TensorField(dom, 1, 2, -1.0, fn))
+    xs = np.array([[0.1, 0.2], [0.9, 0.2]])
+    ys = np.array([[1.0, 2.0], [1.0, 2.0]])
+    assert b_matrix(conn, xs, ys) == (None, False)
+    B, ok = b_matrix(conn, xs[:1], ys[:1])
+    assert ok
+    assert_allclose(B, np.eye(2)[None], atol=0.0)
+
+
 def test_trivial_embedding_is_strongly_regular():
     gamma = berwald_connection(CONFORMAL.lagrangian, ANALYTIC)
     conn = embed_trivial(gamma)
