@@ -9,8 +9,9 @@ from .atlas import (ChartTransition, coherence_defect, transform_connection,
 from .catalog import ExampleBundle, example_names, get_example
 from .checks import CHECKS, CheckReport, applicable_checks
 from .cli import RunConfig, canonical_json, parse_config, run_suite
-from .connections import (AnisotropicConnection, NonlinearConnection, Spray,
-                          Trajectory, berwald_connection, canonical_spray,
+from .connections import (AnisotropicConnection, Connection,
+                          NonlinearConnection, Spray, Trajectory,
+                          berwald_connection, canonical_spray,
                           chern_connection, geodesic_integrate,
                           landsberg_tensor, lower_connection,
                           nonlinear_residue, raise_connection, torsion)
@@ -41,11 +42,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionFunctional", "AnifieldError", "AnisotropicConnection",
     "AnisotropicMetric", "CHECKS", "ChartTransition", "CheckReport",
-    "ConicDomain", "DegeneracyError", "DiffEngine", "DivisionError",
-    "DomainError", "ExampleBundle", "LadderDecomposition", "Lagrangian",
-    "LevelError", "LinearConnection", "NonlinearConnection", "RankError",
-    "RunConfig", "ShapeError", "Spray", "TensorField", "Trajectory",
-    "TransitionError", "add", "applicable_checks", "b_matrix",
+    "ConicDomain", "Connection", "DegeneracyError", "DiffEngine",
+    "DivisionError", "DomainError", "ExampleBundle", "LadderDecomposition",
+    "Lagrangian", "LevelError", "LinearConnection", "NonlinearConnection",
+    "RankError", "RunConfig", "ShapeError", "Spray", "TensorField",
+    "Trajectory", "TransitionError", "add", "applicable_checks", "b_matrix",
     "berwald_connection", "canonical_json", "canonical_spray",
     "cartan_tensor", "chern_connection", "classical_linear",
     "coherence_defect", "constant_field", "covariant_derivative",

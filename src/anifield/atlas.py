@@ -11,17 +11,12 @@ from math import factorial
 
 import numpy as np
 
-from .connections import (AnisotropicConnection, NonlinearConnection, Spray,
-                          lower_connection, raise_connection)
+from .connections import Connection, lower_connection, raise_connection
 from .errors import ShapeError
 from .fields import (ConicDomain, TensorField, _row_max_abs,
                      liouville_contract, pivot_inverse, vertical_derivative)
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-# The connection ladder, by the number s of covariant slots of its
-# coefficients: spray (s = 0), nonlinear (1), anisotropic (2).
-_CONNECTIONS = (Spray, NonlinearConnection, AnisotropicConnection)
 
 
 class ChartTransition:
@@ -164,7 +159,7 @@ def transform_tensor(field, t):
 
 def transform_connection(obj, t):
     """Pushforward with the inhomogeneous cocycle of the object's level."""
-    if not isinstance(obj, _CONNECTIONS):
+    if not isinstance(obj, Connection):
         raise ShapeError(f"no transformation rule for {type(obj).__name__}")
     return type(obj)(_pushforward(obj.coefficients, t, f"{t.name}.{obj.name}",
                                   cocycle=True))
@@ -196,15 +191,15 @@ def coherence_defect(obj, t, xs, ys, engine=None):
         return out
 
     moved = transform_connection(obj, t)
-    if isinstance(obj, (Spray, NonlinearConnection)):
+    if obj.s < 2:
         out["raise"] = gap(
             transform_connection(raise_connection(obj, engine), t).coefficients,
             raise_connection(moved, engine).coefficients)
-    if isinstance(obj, (NonlinearConnection, AnisotropicConnection)):
+    if obj.s > 0:
         out["lower"] = gap(
             transform_connection(lower_connection(obj), t).coefficients,
             lower_connection(moved).coefficients)
-    if isinstance(obj, AnisotropicConnection):
+    if obj.s == 2:
         out["vertical"] = gap(
             transform_tensor(vertical_derivative(obj.coefficients, engine), t),
             vertical_derivative(moved.coefficients, engine))

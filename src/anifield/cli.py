@@ -16,7 +16,7 @@ from .catalog import example_names, get_example
 from .checks import CHECKS, applicable_checks
 from .connections import canonical_spray, geodesic_integrate
 from .errors import AnifieldError, DomainError
-from .fields import DiffEngine
+from .fields import DiffEngine, _require_inside
 from .ladder import decompose
 
 _CONFIG_KEYS = ("example", "checks", "samples", "seed", "tolerance",
@@ -180,12 +180,20 @@ def _point(bundle, args):
     if args.x is None:
         xs, ys = bundle.domain.sample(1, args.seed)
         return xs[0], ys[0]
-    x = np.asarray(args.x, dtype=float)
-    y = np.asarray(args.y, dtype=float)
-    if not bundle.domain.contains(x, y):
-        raise DomainError(f"point x={x.tolist()}, y={y.tolist()} is outside "
-                          f"domain {bundle.domain.name!r}")
+    x = _coordinates(args.x, "--x", bundle.domain)
+    y = _coordinates(args.y, "--y", bundle.domain)
+    _require_inside(bundle.domain, x, y)
     return x, y
+
+
+def _coordinates(values, option, domain):
+    """The values given to `option`: one finite number per dimension."""
+    if len(values) != domain.dim:
+        raise ValueError(f"{option} needs {domain.dim} coordinates for "
+                         f"domain {domain.name!r}, got {len(values)}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{option} must be finite, got {values}")
+    return np.asarray(values, dtype=float)
 
 
 def _cmd_check(args):
@@ -244,9 +252,13 @@ def _cmd_geodesic(args):
     if bundle.lagrangian is None:
         raise ValueError(f"example {bundle.name!r} has no energy to build "
                          f"a spray from")
+    if args.steps < 0:
+        raise ValueError(f"--steps must be at least 0, got {args.steps}")
+    if not np.isfinite(args.dt):
+        raise ValueError(f"--dt must be finite, got {args.dt}")
+    x0 = _coordinates(args.x0, "--x0", bundle.domain)
+    y0 = _coordinates(args.y0, "--y0", bundle.domain)
     spray = canonical_spray(bundle.lagrangian, DiffEngine(args.method))
-    x0 = np.asarray(args.x0, dtype=float)
-    y0 = np.asarray(args.y0, dtype=float)
     path = geodesic_integrate(spray, x0, y0, args.dt, args.steps)
     L = bundle.lagrangian.field
     e0 = float(L(*path.points[0]))

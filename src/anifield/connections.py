@@ -14,77 +14,70 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, LevelError, ShapeError
-from .fields import (add, liouville_contract, liouville_field, reindex, scale,
-                     subtract, tensor_product, vertical_derivative,
-                     x_derivative)
+from .fields import (_require_inside, add, liouville_contract,
+                     liouville_field, reindex, scale, subtract,
+                     tensor_product, vertical_derivative, x_derivative)
+from .ladder import project_kernel
 from .metrics import fundamental_tensor
 
 
-def _check(field, r, s, alpha, what):
-    if field.rank != (r, s) or float(field.alpha) != float(alpha):
-        raise ShapeError(
-            f"{what} needs a type-({r}, {s}) field of homogeneity {alpha}, "
-            f"got ({field.r}, {field.s}) at alpha={field.alpha:g}")
+class Connection:
+    """One rung of the connection ladder, indexed by the covariant rank s of
+    its coefficients, a type-(1, s) field of homogeneity 2 - s.  Each rung
+    declares its s and the noun its errors use."""
+
+    def __init__(self, coefficients, name=""):
+        s, alpha = self.s, 2 - self.s
+        if coefficients.rank != (1, s) or float(coefficients.alpha) != alpha:
+            raise ShapeError(
+                f"{self.noun} needs a type-(1, {s}) field of homogeneity "
+                f"{alpha}, got ({coefficients.r}, {coefficients.s}) at "
+                f"alpha={coefficients.alpha:g}")
+        self.coefficients = coefficients
+        self.name = name or coefficients.name
+
+    def __call__(self, x, y):
+        return self.coefficients(x, y)
 
 
-class Spray:
+class Spray(Connection):
     """Second-order vector field data: coefficients G^i(x, y), 2-homogeneous."""
 
-    def __init__(self, coefficients, name=""):
-        _check(coefficients, 1, 0, 2, "a spray")
-        self.coefficients = coefficients
-        self.name = name or coefficients.name
-
-    def __call__(self, x, y):
-        return self.coefficients(x, y)
+    s, noun = 0, "a spray"
 
 
-class NonlinearConnection:
+class NonlinearConnection(Connection):
     """Horizontal-splitting data: coefficients N^i_j(x, y), 1-homogeneous."""
 
-    def __init__(self, coefficients, name=""):
-        _check(coefficients, 1, 1, 1, "a nonlinear connection")
-        self.coefficients = coefficients
-        self.name = name or coefficients.name
-
-    def __call__(self, x, y):
-        return self.coefficients(x, y)
+    s, noun = 1, "a nonlinear connection"
 
 
-class AnisotropicConnection:
+class AnisotropicConnection(Connection):
     """Christoffel-type coefficients Gamma^i_jk(x, y), 0-homogeneous."""
 
-    def __init__(self, coefficients, name=""):
-        _check(coefficients, 1, 2, 0, "an anisotropic connection")
-        self.coefficients = coefficients
-        self.name = name or coefficients.name
+    s, noun = 2, "an anisotropic connection"
 
-    def __call__(self, x, y):
-        return self.coefficients(x, y)
+
+_LADDER = (Spray, NonlinearConnection, AnisotropicConnection)   # by s
 
 
 def raise_connection(obj, engine=None):
     """One rung up: spray -> nonlinear, nonlinear -> anisotropic."""
-    if isinstance(obj, Spray):
-        return NonlinearConnection(
-            vertical_derivative(obj.coefficients, engine),
-            name=f"dv({obj.name})")
-    if isinstance(obj, NonlinearConnection):
-        return AnisotropicConnection(
-            vertical_derivative(obj.coefficients, engine),
-            name=f"dv({obj.name})")
-    raise LevelError("nothing sits above an anisotropic connection")
+    if not isinstance(obj, Connection) or obj.s + 1 == len(_LADDER):
+        raise LevelError("nothing sits above an anisotropic connection")
+    return _LADDER[obj.s + 1](vertical_derivative(obj.coefficients, engine),
+                              name=f"dv({obj.name})")
 
 
 def lower_connection(obj):
-    """One rung down: anisotropic -> nonlinear, nonlinear -> spray."""
-    if isinstance(obj, AnisotropicConnection):
-        return NonlinearConnection(
-            liouville_contract(obj.coefficients), name=f"iota({obj.name})")
-    if isinstance(obj, NonlinearConnection):
-        return Spray(scale(liouville_contract(obj.coefficients), 0.5),
-                     name=f"iota({obj.name})")
-    raise LevelError("nothing sits below a spray")
+    """One rung down: anisotropic -> nonlinear, nonlinear -> spray.  The
+    contraction is divided by the lower rung's homogeneity 3 - s."""
+    if not isinstance(obj, Connection) or obj.s == 0:
+        raise LevelError("nothing sits below a spray")
+    coefficients = liouville_contract(obj.coefficients)
+    if obj.s == 1:
+        coefficients = scale(coefficients, 0.5)
+    return _LADDER[obj.s - 1](coefficients, name=f"iota({obj.name})")
 
 
 def nonlinear_residue(N, engine=None):
@@ -92,9 +85,9 @@ def nonlinear_residue(N, engine=None):
 
     Equals half the torsion hooked with y, and is killed by iota.
     """
-    rebuilt = raise_connection(lower_connection(N), engine)
-    return subtract(N.coefficients, rebuilt.coefficients,
-                    name=f"residue({N.name})")
+    residue = project_kernel(N.coefficients, engine=engine)
+    residue.name = f"residue({N.name})"
+    return residue
 
 
 def torsion(N, engine=None):
@@ -187,8 +180,7 @@ def geodesic_integrate(spray, x0, y0, dt, steps):
     domain = G.domain
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0, dtype=float).copy()
-    if not domain.contains(x, y):
-        raise DomainError("geodesic initial state is outside the domain")
+    _require_inside(domain, x, y)
     points = [(x.copy(), y.copy())]
 
     def rhs(xc, yc):

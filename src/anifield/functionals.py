@@ -150,16 +150,10 @@ def gauge_symmetrize(functional, engine=None):
     of its argument.  Supported at "linear" (regular connections),
     "anisotropic", and "nonlinear".
     """
-    level = functional.level
-    density = functional.density
-    if level == "linear":
-        new = lambda conn, xs, ys: density(
-            embed_trivial(project_intrinsic(conn)), xs, ys)
-    elif level in ("anisotropic", "nonlinear"):
-        new = lambda conn, xs, ys: density(
-            raise_connection(lower_connection(conn), engine), xs, ys)
-    else:
+    if functional.level not in ("linear", "anisotropic", "nonlinear"):
         raise TransitionError(
             f"gauge symmetrization is defined at linear, anisotropic, and "
-            f"nonlinear levels, not {level!r}")
-    return functional._with_density(level, new, f"sym({functional.name})")
+            f"nonlinear levels, not {functional.level!r}")
+    out = extend_functional(restrict_functional(functional, engine), engine)
+    out.name = f"sym({functional.name})"
+    return out

@@ -145,6 +145,8 @@ def destroy_residues(S, alpha=None, omega=None, engine=None):
             f"omega {w} does not match alpha + rank = {a + S.s}")
     if a < 0:
         raise LevelError(f"ladder starts at alpha >= 0, got {a}")
+    if w == a:
+        return S        # a scalar is its own ground floor
     current = S
     for nu in range(a + 1, w + 1):
         current = scale(liouville_contract(current), 1.0 / nu)

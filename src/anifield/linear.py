@@ -141,7 +141,8 @@ def covariant_derivative(conn, X, Z, x, y, engine=None, nonlinear=None):
         (D Z)^i = Xh^j (delta_j Z^i + Gamma1^i_jc Z^c)
                 + Xv^j (dZ^i/dy^j + Gamma2^i_jc Z^c)
 
-    with delta_j = d/dx^j - N^a_j d/dy^a.
+    with delta_j = d/dx^j - N^a_j d/dy^a.  x and y are one sample or a
+    (B, dim) batch; Xh and Xv are (dim,) or one row per sample.
     """
     Xh, Xv = (np.asarray(X[0], dtype=float), np.asarray(X[1], dtype=float))
     field = Z.coefficients if hasattr(Z, "coefficients") else Z
@@ -152,11 +153,11 @@ def covariant_derivative(conn, X, Z, x, y, engine=None, nonlinear=None):
     dZy = vertical_derivative(field, engine)(x, y)
     Nv = N.coefficients(x, y)
     Zv = field(x, y)
-    delta_Z = dZx - np.einsum("aj,ia->ij", Nv, dZy)
-    horiz = np.einsum("j,ij->i", Xh, delta_Z) \
-        + np.einsum("j,ijc,c->i", Xh, conn.gamma1(x, y), Zv)
-    vert = np.einsum("j,ij->i", Xv, dZy) \
-        + np.einsum("j,ijc,c->i", Xv, conn.gamma2(x, y), Zv)
+    delta_Z = dZx - np.einsum("...aj,...ia->...ij", Nv, dZy)
+    horiz = np.einsum("...j,...ij->...i", Xh, delta_Z) \
+        + np.einsum("...j,...ijc,...c->...i", Xh, conn.gamma1(x, y), Zv)
+    vert = np.einsum("...j,...ij->...i", Xv, dZy) \
+        + np.einsum("...j,...ijc,...c->...i", Xv, conn.gamma2(x, y), Zv)
     return horiz + vert
 
 

@@ -181,6 +181,40 @@ def test_lone_x_or_y_is_refused(capsys, argv):
     assert "--x and --y go together" in err
 
 
+def test_geodesic_names_a_refused_initial_state(capsys):
+    assert main(["geodesic", "quartic2", "--x0", "0", "0",
+                 "--y0", "1", "0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "x=[0.0, 0.0], y=[1.0, 0.0] is outside domain 'quartic2'" in err
+
+
+_GEODESIC = ["geodesic", "euclidean2", "--x0", "0", "0", "--y0", "1", "0"]
+
+
+@pytest.mark.parametrize("argv,option", [
+    (_GEODESIC + ["--steps", "-3"], "--steps"),
+    (_GEODESIC + ["--dt", "nan"], "--dt"),
+    (_GEODESIC + ["--dt", "inf"], "--dt"),
+    (["eval", "euclidean2", "phi", "--x", "0", "0", "0",
+      "--y", "1", "1", "1"], "--x"),
+    (["eval", "euclidean2", "phi", "--x", "0", "0", "--y", "1"], "--y"),
+    (["geodesic", "euclidean2", "--x0", "0", "0", "0",
+      "--y0", "1", "0", "1"], "--x0"),
+    (["geodesic", "euclidean2", "--x0", "0", "0", "--y0", "1"], "--y0"),
+    (["eval", "euclidean2", "phi", "--x", "nan", "0", "--y", "1", "0"],
+     "--x"),
+    (["geodesic", "euclidean2", "--x0", "0", "0", "--y0", "inf", "0"],
+     "--y0"),
+], ids=["steps", "dt_nan", "dt_inf", "eval_x", "eval_y", "geodesic_x0",
+        "geodesic_y0", "eval_x_nan", "geodesic_y0_inf"])
+def test_bad_numeric_input_names_its_option(capsys, argv, option):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {option} ")
+
+
 def test_geodesic_command_straight_line(capsys):
     code = main(["geodesic", "euclidean2", "--x0", "0", "0",
                  "--y0", "1", "2", "--dt", "0.01", "--steps", "100"])

@@ -1,16 +1,19 @@
 """Connection ladder: sprays, torsion residues, named connections, geodesics."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from anifield import (AnisotropicConnection, ConicDomain, DiffEngine,
-                      DomainError, LevelError, NonlinearConnection,
-                      ShapeError, Spray,
+from anifield import (AnisotropicConnection, ConicDomain, Connection,
+                      DiffEngine, DomainError, LevelError,
+                      NonlinearConnection, ShapeError, Spray,
                       TensorField, berwald_connection, canonical_spray,
-                      chern_connection, geodesic_integrate, landsberg_tensor,
-                      liouville_contract, lower_connection, nonlinear_residue,
-                      raise_connection, torsion, zero_field)
+                      chern_connection, classical_linear, geodesic_integrate,
+                      landsberg_tensor, liouville_contract, lower_connection,
+                      nonlinear_residue, project_kernel, raise_connection,
+                      torsion, zero_field)
 from anifield.catalog import get_example
 
 ANALYTIC = DiffEngine("analytic")
@@ -28,6 +31,44 @@ def test_wrappers_validate_type_and_weight():
         NonlinearConnection(zero_field(EUC.domain, 1, 1, 0.0))
     with pytest.raises(ShapeError):
         AnisotropicConnection(zero_field(EUC.domain, 0, 2, 0.0))
+
+
+@pytest.mark.parametrize("rung,r,s,alpha,message", [
+    (Spray, 1, 0, 1.0, "a spray needs a type-(1, 0) field of homogeneity 2, "
+                       "got (1, 0) at alpha=1"),
+    (NonlinearConnection, 1, 1, 0.0,
+     "a nonlinear connection needs a type-(1, 1) field of homogeneity 1, "
+     "got (1, 1) at alpha=0"),
+    (AnisotropicConnection, 0, 2, 0.0,
+     "an anisotropic connection needs a type-(1, 2) field of homogeneity 0, "
+     "got (0, 2) at alpha=0"),
+    (AnisotropicConnection, 1, 1, 0.0,
+     "an anisotropic connection needs a type-(1, 2) field of homogeneity 0, "
+     "got (1, 1) at alpha=0"),
+], ids=["spray", "nonlinear", "anisotropic", "anisotropic_rank"])
+def test_each_rung_names_its_type_check(rung, r, s, alpha, message):
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        rung(zero_field(EUC.domain, r, s, alpha))
+
+
+@pytest.mark.parametrize("s,rung", enumerate(
+    (Spray, NonlinearConnection, AnisotropicConnection)))
+def test_each_rung_is_a_connection_indexed_by_s(s, rung):
+    conn = rung(zero_field(EUC.domain, 1, s, 2.0 - s), name="z")
+    assert isinstance(conn, Connection)
+    assert conn.s == s and conn.name == "z"
+
+
+@pytest.mark.parametrize("obj", [
+    EUC.lagrangian.phi_field(),
+    classical_linear(CONFORMAL.lagrangian, "berwald"),
+], ids=["tensor_field", "linear_connection"])
+def test_non_connections_have_no_rung(obj):
+    with pytest.raises(LevelError,
+                       match="nothing sits above an anisotropic connection"):
+        raise_connection(obj)
+    with pytest.raises(LevelError, match="nothing sits below a spray"):
+        lower_connection(obj)
 
 
 def test_raise_then_lower_is_identity_on_sprays():
@@ -122,6 +163,16 @@ def test_handmade_residue_values():
     assert_allclose(delta(X0, Y0), [[1.0, -0.5], [0.0, 0.0]], atol=1e-10)
 
 
+def test_nonlinear_residue_is_the_kernel_projection():
+    N = HANDMADE.nonlinear
+    delta = nonlinear_residue(N, ANALYTIC)
+    ker = project_kernel(N.coefficients, engine=ANALYTIC)
+    assert delta.name == f"residue({N.name})"
+    assert delta.rank == ker.rank and delta.alpha == ker.alpha
+    xs, ys = HANDMADE.domain.sample(12, seed=3)
+    np.testing.assert_array_equal(delta(xs, ys), ker(xs, ys))
+
+
 def test_geodesics_are_straight_for_flat_spray():
     G = canonical_spray(EUC.lagrangian)
     tr = geodesic_integrate(G, np.zeros(2), Y0, 0.01, 100)
@@ -137,6 +188,13 @@ def test_geodesic_requires_interior_start():
     G = canonical_spray(mink.lagrangian)
     with pytest.raises(DomainError):
         geodesic_integrate(G, X0, np.array([2.0, 1.0]), 0.01, 5)
+
+
+def test_geodesic_names_the_refused_initial_state():
+    G = canonical_spray(get_example("quartic2").lagrangian)
+    with pytest.raises(DomainError, match=re.escape(
+            "point x=[0.0, 0.0], y=[1.0, 0.0] is outside domain 'quartic2'")):
+        geodesic_integrate(G, np.zeros(2), np.array([1.0, 0.0]), 0.01, 5)
 
 
 def test_geodesic_truncates_on_exit():

@@ -6,10 +6,11 @@ from numpy.testing import assert_allclose
 
 from anifield import (ActionFunctional, DiffEngine, LevelError,
                       NonlinearConnection, TransitionError, add,
-                      berwald_connection, canonical_spray, embed_trivial,
-                      evaluate_action, extend_functional, fundamental_tensor,
-                      gauge_symmetrize, linear_from_pair, lower_connection,
-                      raise_connection, restrict_functional, wick_metric)
+                      berwald_connection, canonical_spray, classical_linear,
+                      embed_trivial, evaluate_action, extend_functional,
+                      fundamental_tensor, gauge_symmetrize, linear_from_pair,
+                      lower_connection, project_intrinsic, raise_connection,
+                      restrict_functional, wick_metric)
 from anifield.catalog import get_example
 from anifield.checks import kernel_shift
 
@@ -126,6 +127,41 @@ def test_restrict_then_extend_is_gauge_symmetrization():
     # the handmade connection has a genuine residue, so both must disagree
     # with the raw functional
     assert abs(a - evaluate_action(S, N)) > 1e-6
+
+
+def _linear_density(conn, xs, ys):
+    return (np.sum(conn.gamma1(xs, ys), axis=(1, 2, 3))
+            + np.sum(conn.gamma2(xs, ys) ** 2, axis=(1, 2, 3)))
+
+
+def _linear_roundabout(conn):
+    return embed_trivial(project_intrinsic(conn))
+
+
+def _connection_roundabout(conn):
+    return raise_connection(lower_connection(conn), ANALYTIC)
+
+
+@pytest.mark.parametrize("level,density,roundabout,bundle,conn", [
+    ("linear", _linear_density, _linear_roundabout, CONFORMAL,
+     lambda: classical_linear(CONFORMAL.lagrangian, "cartan", ANALYTIC)),
+    ("anisotropic", _gamma_density, _connection_roundabout, CONFORMAL,
+     lambda: berwald_connection(CONFORMAL.lagrangian, ANALYTIC)),
+    ("nonlinear", _nonlinear_density, _connection_roundabout, HANDMADE,
+     lambda: HANDMADE.nonlinear),
+], ids=["linear", "anisotropic", "nonlinear"])
+def test_gauge_symmetrize_is_inject_after_retract(level, density, roundabout,
+                                                  bundle, conn):
+    S = ActionFunctional(level, density, bundle.domain, count=12, seed=13,
+                         name="S")
+    by_hand = ActionFunctional(
+        level, lambda obj, xs, ys: density(roundabout(obj), xs, ys),
+        bundle.domain, count=12, seed=13)
+    sym = gauge_symmetrize(S, ANALYTIC)
+    assert sym.level == level
+    assert sym.name == "sym(S)"
+    obj = conn()
+    assert evaluate_action(sym, obj) == evaluate_action(by_hand, obj)
 
 
 def test_gauge_blindness_to_nonlinear_residues():

@@ -146,6 +146,18 @@ def test_destroy_residues_validates_declared_levels():
         destroy_residues(skew, omega=3.0)
 
 
+def test_destroy_residues_leaves_its_input_alone():
+    L = EUC.lagrangian.field
+    name = L.name
+    flattened = destroy_residues(L, engine=ANALYTIC)
+    assert L.name == name
+    assert_allclose(flattened(X0, np.array([3.0, 4.0])), 25.0, atol=0.0)
+    g = wick_metric(EUC.lagrangian, 0.5).field
+    name = g.name
+    assert destroy_residues(g, engine=ANALYTIC).name == f"destroyed({name})"
+    assert g.name == name
+
+
 @given(kappa=st.floats(-3.0, 3.0))
 def test_destroy_residues_wick_identity(kappa):
     g = wick_metric(EUC.lagrangian, kappa).field

@@ -6,11 +6,12 @@ from numpy.testing import assert_allclose
 
 from anifield import (DegeneracyError, DiffEngine, LinearConnection,
                       ShapeError, TensorField, berwald_connection,
-                      cartan_tensor, classical_linear, constant_field,
-                      covariant_derivative, embed_trivial, induced_nonlinear,
-                      is_strongly_regular, linear_from_pair, liouville_field,
-                      project_intrinsic, project_with_N, scalar_power,
-                      tensor_product, zero_field)
+                      canonical_spray, cartan_tensor, classical_linear,
+                      constant_field, covariant_derivative, embed_trivial,
+                      induced_nonlinear, is_strongly_regular,
+                      linear_from_pair, liouville_field, project_intrinsic,
+                      project_with_N, scalar_power, tensor_product,
+                      zero_field)
 from anifield.catalog import get_example
 from anifield.linear import b_matrix, b_matrix_field
 
@@ -199,3 +200,17 @@ def test_covariant_derivative_of_liouville():
     v = np.array([0.4, -0.9])
     vertical = covariant_derivative(conn, (np.zeros(2), v), Z, X0, Y0, ANALYTIC)
     assert_allclose(vertical, v, atol=1e-9)
+
+
+def test_covariant_derivative_of_a_batch_matches_its_rows():
+    conn = classical_linear(CONFORMAL.lagrangian, "cartan", ANALYTIC)
+    Z = canonical_spray(CONFORMAL.lagrangian, ANALYTIC)
+    xs, ys = CONFORMAL.domain.sample(5, seed=21)
+    rng = np.random.default_rng(22)
+    Xh, Xv = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+    batch = covariant_derivative(conn, (Xh, Xv), Z, xs, ys, ANALYTIC)
+    assert batch.shape == (5, 2)
+    for i in range(5):
+        row = covariant_derivative(conn, (Xh[i], Xv[i]), Z, xs[i], ys[i],
+                                   ANALYTIC)
+        assert_allclose(batch[i], row, rtol=1e-12)
