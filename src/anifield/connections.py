@@ -85,9 +85,8 @@ def nonlinear_residue(N, engine=None):
 
     Equals half the torsion hooked with y, and is killed by iota.
     """
-    residue = project_kernel(N.coefficients, engine=engine)
-    residue.name = f"residue({N.name})"
-    return residue
+    return project_kernel(N.coefficients, engine=engine,
+                          name=f"residue({N.name})")
 
 
 def torsion(N, engine=None):
@@ -121,7 +120,7 @@ def berwald_connection(L, engine=None):
     """Twice the vertical derivative of the canonical spray."""
     N = raise_connection(canonical_spray(L, engine), engine)
     gamma = raise_connection(N, engine)
-    gamma.coefficients.name = f"berwald({L.name})"
+    gamma.name = f"berwald({L.name})"
     return gamma
 
 

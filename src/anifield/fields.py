@@ -19,6 +19,16 @@ derivative fields (built analytically, or assembled by the combinators in
 this module through sum/product rules); the "analytic" method uses them
 when present and falls back to the five-point stencil, while "fd4" always
 uses the stencil.
+
+The combinators fold constants while they build the graph: a node whose
+components are the same at every sample carries them as `const`, and a
+combinator over such nodes returns a folded node instead of a closure
+that recomputes the same array on every batch.  A structural zero is a
+constant with all components zero; a product with one is zero, and a sum
+with one is the other term.  Folding never widens where a field is
+defined: a fold that drops an operand keeps the nodes beneath it that can
+raise (inverses, powers and reciprocals, and stencils over them) as
+`guards`, and evaluates them on each batch before it returns its constant.
 """
 
 from __future__ import annotations
@@ -72,6 +82,7 @@ class ConicDomain:
         self.y_shell = (float(y_shell[0]), float(y_shell[1]))
         self.excluded = tuple(excluded)
         self.name = name
+        self._drawn = {}
 
     def contains(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -85,7 +96,18 @@ class ConicDomain:
         return bool(self.membership(x, y))
 
     def sample(self, count, seed):
-        """Draw `count` admissible (x, y) pairs; reproducible for a given seed."""
+        """Draw `count` admissible (x, y) pairs; reproducible for a given seed.
+
+        A draw is kept on the domain, so drawing the same (count, seed)
+        again costs two copies; the caller owns the arrays it gets.
+        """
+        key = (int(count), int(seed))
+        drawn = self._drawn.get(key)
+        if drawn is None:
+            drawn = self._drawn[key] = self._draw(*key)
+        return drawn[0].copy(), drawn[1].copy()
+
+    def _draw(self, count, seed):
         rng = np.random.default_rng(seed)
         lo, hi = self.x_box[:, 0], self.x_box[:, 1]
         rmin, rmax = self.y_shell
@@ -153,17 +175,28 @@ class TensorField:
     one-dimensional x and y it evaluates a batch of one and returns the
     components alone.  Results are memoized per batch, keyed by the bytes
     of the samples, and every returned array is read-only.
+
+    `const` holds the read-only components of a node that is the same at
+    every sample, and is None for a node that varies.  `guards` are the
+    nodes beneath this one that can raise: a folded node evaluates them
+    on each batch, an ordinary one reaches them through its operands.
+    `raises` marks a node that can raise itself, so that a fold dropping
+    it keeps it as a guard; a node never lists itself.
     """
 
-    __slots__ = ("domain", "r", "s", "alpha", "name", "_fn", "_chains",
-                 "_memo", "__weakref__")
+    __slots__ = ("domain", "r", "s", "alpha", "name", "const", "guards",
+                 "raises", "_fn", "_chains", "_memo", "__weakref__")
 
-    def __init__(self, domain, r, s, alpha, fn, dy=None, dx=None, name=""):
+    def __init__(self, domain, r, s, alpha, fn, dy=None, dx=None, name="",
+                 const=None, guards=(), raises=False):
         self.domain = domain
         self.r = int(r)
         self.s = int(s)
         self.alpha = float(alpha)
         self.name = name
+        self.const = const
+        self.guards = guards
+        self.raises = raises
         self._fn = fn
         self._chains = [dy, dx]
         self._memo = {}
@@ -225,9 +258,17 @@ class TensorField:
 
 
 def _require_inside(domain, x, y):
-    """Raise DomainError naming the first sample of (x, y) outside `domain`."""
-    for xi, yi in zip(np.reshape(x, (-1, domain.dim)),
-                      np.reshape(y, (-1, domain.dim))):
+    """Raise ShapeError unless (x, y) is one point or a (B, dim) batch of
+    the domain's dimension, and DomainError naming the first sample of
+    (x, y) outside `domain`."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dim = domain.dim
+    if x.shape != y.shape or x.ndim not in (1, 2) or x.shape[-1] != dim:
+        raise ShapeError(
+            f"point x={x.tolist()}, y={y.tolist()} does not fit domain "
+            f"{domain.name!r} of dim={dim}")
+    for xi, yi in zip(x.reshape(-1, dim), y.reshape(-1, dim)):
         if not domain.contains(xi, yi):
             raise DomainError(
                 f"point x={xi.tolist()}, y={yi.tolist()} is outside domain "
@@ -264,40 +305,74 @@ def evaluate(field, x, y):
 
 
 # ---------------------------------------------------------------------------
-# constructors
+# constructors and folding
 
 
-def _constant_fn(values):
-    """Closure returning the same components at every sample."""
+def _guards_of(operands):
+    """The guards a node over `operands` carries: each operand that can
+    raise, and the guards of every other operand, once each."""
+    out = ()
+    for f in operands:
+        for g in (f,) if f.raises else f.guards:
+            if g not in out:
+                out += (g,)
+    return out
+
+
+def _node(domain, r, s, alpha, fn, chains, name, operands, raises=False):
+    """An ordinary node over `operands`, evaluated by `fn` on each batch."""
+    return TensorField(domain, r, s, alpha, fn, *chains, name=name,
+                       guards=_guards_of(operands), raises=raises)
+
+
+def _folded(domain, r, s, alpha, values, operands, chains, name):
+    """A node with the constant components `values`, folded from `operands`.
+
+    It evaluates the operands' guards on each batch before it returns the
+    constant.  Unguarded, its chains are zeros; guarded, they keep the
+    combinator's rule, so that its derivatives keep the guards of the
+    operands' derivatives too.
+    """
     values = np.array(values, dtype=float)
     values.flags.writeable = False
+    want = (domain.dim,) * (r + s)
+    if values.shape != want:
+        raise ShapeError(f"constant components have shape {values.shape}, "
+                         f"declared type ({r}, {s}) needs {want}")
+    guards = _guards_of(operands)
+    if not guards:
+        chains = (lambda: zero_field(domain, r, s + 1, alpha - 1.0),
+                  lambda: zero_field(domain, r, s + 1, alpha))
 
     def fn(xs, ys):
+        for g in guards:
+            g(xs, ys)
         out = np.empty((len(xs),) + values.shape)
         out[...] = values
         return out
-    return fn
+
+    return TensorField(domain, r, s, alpha, fn, *chains, name=name,
+                       const=values, guards=guards)
+
+
+def _is_zero(field):
+    """Whether `field` is a structural zero, guarded or not."""
+    return field.const is not None and not field.const.any()
+
+
+def _bare_zero(field):
+    """Whether `field` is a structural zero with no guards."""
+    return _is_zero(field) and not field.guards
 
 
 def zero_field(domain, r, s, alpha, name="0"):
-    shape = (domain.dim,) * (r + s)
-    return TensorField(
-        domain, r, s, alpha, _constant_fn(np.zeros(shape)),
-        dy=lambda: zero_field(domain, r, s + 1, alpha - 1),
-        dx=lambda: zero_field(domain, r, s + 1, alpha),
-        name=name)
+    return _folded(domain, r, s, alpha, np.zeros((domain.dim,) * (r + s)),
+                   (), None, name)
 
 
 def constant_field(domain, values, r, s, name="const"):
     """Field with components independent of x and y (hence 0-homogeneous)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (domain.dim,) * (r + s):
-        raise ShapeError(f"constant components have shape {values.shape}")
-    return TensorField(
-        domain, r, s, 0.0, _constant_fn(values),
-        dy=lambda: zero_field(domain, r, s + 1, -1.0),
-        dx=lambda: zero_field(domain, r, s + 1, 0.0),
-        name=name)
+    return _folded(domain, r, s, 0.0, values, (), None, name)
 
 
 def liouville_field(domain):
@@ -344,17 +419,28 @@ def add(a, b, name=""):
     if a.alpha != b.alpha:
         raise ShapeError(
             f"cannot add homogeneities {a.alpha:g} and {b.alpha:g}")
-    return TensorField(a.domain, a.r, a.s, a.alpha,
-                       lambda xs, ys: a(xs, ys) + b(xs, ys),
-                       *_chains(add, a, b), name=name or f"({a.name}+{b.name})")
+    name = name or f"({a.name}+{b.name})"
+    chains = _chains(add, a, b)
+    if a.const is not None and b.const is not None:
+        return _folded(a.domain, a.r, a.s, a.alpha, a.const + b.const,
+                       (a, b), chains, name)
+    if _bare_zero(b):
+        return a
+    if _bare_zero(a):
+        return b
+    return _node(a.domain, a.r, a.s, a.alpha,
+                 lambda xs, ys: a(xs, ys) + b(xs, ys), chains, name, (a, b))
 
 
 def scale(a, c, name=""):
     c = float(c)
-    return TensorField(a.domain, a.r, a.s, a.alpha,
-                       lambda xs, ys: c * a(xs, ys),
-                       *_chains(lambda da: scale(da, c), a),
-                       name=name or f"{c:g}*{a.name}")
+    name = name or f"{c:g}*{a.name}"
+    chains = _chains(lambda da: scale(da, c), a)
+    if a.const is not None:
+        return _folded(a.domain, a.r, a.s, a.alpha, c * a.const, (a,),
+                       chains, name)
+    return _node(a.domain, a.r, a.s, a.alpha, lambda xs, ys: c * a(xs, ys),
+                 chains, name, (a,))
 
 
 def subtract(a, b, name=""):
@@ -379,10 +465,20 @@ def tensor_product(a, b, subscripts, r, s, name=""):
         t2 = tensor_product(a, db, f"{sa},{sb}{z}->{out}{z}", r, s + 1)
         return add(t1, t2)
 
-    return TensorField(a.domain, r, s, a.alpha + b.alpha,
-                       lambda xs, ys: np.einsum(batched, a(xs, ys), b(xs, ys)),
-                       *_chains(rule, a, b),
-                       name=name or f"({a.name}*{b.name})")
+    name = name or f"({a.name}*{b.name})"
+    alpha = a.alpha + b.alpha
+    chains = _chains(rule, a, b)
+    if a.const is not None and b.const is not None:
+        return _folded(a.domain, r, s, alpha,
+                       np.einsum(subscripts, a.const, b.const),
+                       (a, b), chains, name)
+    if _is_zero(a) or _is_zero(b):
+        return _folded(a.domain, r, s, alpha,
+                       np.zeros((a.domain.dim,) * len(out)),
+                       (a, b), chains, name)
+    return _node(a.domain, r, s, alpha,
+                 lambda xs, ys: np.einsum(batched, a(xs, ys), b(xs, ys)),
+                 chains, name, (a, b))
 
 
 def reindex(field, subscripts, name=""):
@@ -394,10 +490,15 @@ def reindex(field, subscripts, name=""):
         z = _fresh_letter(subscripts)
         return reindex(da, f"{lhs}{z}->{out}{z}")
 
-    return TensorField(field.domain, field.r, field.s, field.alpha,
-                       lambda xs, ys: np.einsum(batched, field(xs, ys)),
-                       *_chains(rule, field),
-                       name=name or f"perm({field.name})")
+    name = name or f"perm({field.name})"
+    chains = _chains(rule, field)
+    if field.const is not None:
+        return _folded(field.domain, field.r, field.s, field.alpha,
+                       np.einsum(subscripts, field.const), (field,),
+                       chains, name)
+    return _node(field.domain, field.r, field.s, field.alpha,
+                 lambda xs, ys: np.einsum(batched, field(xs, ys)),
+                 chains, name, (field,))
 
 
 def pivot_inverse(mat, sample=None, threshold=1e-12):
@@ -495,8 +596,18 @@ def matrix_inverse(a, name=""):
         full = tensor_product(half, inv, "iqz,qj->ijz", r_out, s_out + 1)
         return scale(full, -1.0)
 
-    inv_field = TensorField(a.domain, r_out, s_out, -a.alpha, fn,
-                            *_chains(rule, a), name=name or f"inv({a.name})")
+    name = name or f"inv({a.name})"
+    chains = _chains(rule, a)
+    try:
+        values = None if a.const is None else pivot_inverse(a.const)
+    except DegeneracyError:
+        values = None   # stays a node that names the sample when evaluated
+    if values is None:
+        inv_field = _node(a.domain, r_out, s_out, -a.alpha, fn, chains, name,
+                          (a,), raises=True)
+    else:
+        inv_field = _folded(a.domain, r_out, s_out, -a.alpha, values, (a,),
+                            chains, name)
     this = weakref.ref(inv_field)
     return inv_field
 
@@ -528,8 +639,8 @@ def scalar_power(a, exponent, name=""):
         return scale(tensor_product(scalar_power(a, p - 1.0), da,
                                     ",z->z", 0, 1), p)
 
-    return TensorField(a.domain, 0, 0, p * a.alpha, fn, *_chains(rule, a),
-                       name=name or f"({a.name})^{p:g}")
+    return _node(a.domain, 0, 0, p * a.alpha, fn, _chains(rule, a),
+                 name or f"({a.name})^{p:g}", (a,), raises=True)
 
 
 def scalar_reciprocal(a, name=""):
@@ -550,8 +661,8 @@ def scalar_reciprocal(a, name=""):
         sq = tensor_product(rec, rec, ",->", 0, 0)
         return scale(tensor_product(sq, da, ",z->z", 0, 1), -1.0)
 
-    rec_field = TensorField(a.domain, 0, 0, -a.alpha, fn, *_chains(rule, a),
-                            name=name or f"1/({a.name})")
+    rec_field = _node(a.domain, 0, 0, -a.alpha, fn, _chains(rule, a),
+                      name or f"1/({a.name})", (a,), raises=True)
     this = weakref.ref(rec_field)
     return rec_field
 
@@ -597,15 +708,23 @@ def _fd(field, axis, engine):
     """Stencil derivative of `field` along `axis`.  It has no exact chain
     along `axis`; along the other axis it has one when `field` does there:
     commute, differentiate that chain along `axis`, and swap the two
-    appended indices back."""
+    appended indices back.
+
+    Only an unguarded structural zero folds, to zero.  A stencil over
+    nodes that can raise evaluates them at the perturbed samples, so it
+    can raise itself."""
+    alpha, tag = ((field.alpha - 1.0, "fd_dv") if axis == Y
+                  else (field.alpha, "fd_dx"))
+    name = f"{tag}({field.name})"
+    if _bare_zero(field):
+        return zero_field(field.domain, field.r, field.s + 1, alpha, name)
     chains = list(_chains(
         lambda ch: _swap_last_two(_derivative(ch, axis, engine)), field))
     chains[axis] = None
-    alpha, tag = ((field.alpha - 1.0, "fd_dv") if axis == Y
-                  else (field.alpha, "fd_dx"))
-    return TensorField(field.domain, field.r, field.s + 1, alpha,
-                       lambda xs, ys: _stencil(field, xs, ys, axis == Y, engine),
-                       *chains, name=f"{tag}({field.name})")
+    return _node(field.domain, field.r, field.s + 1, alpha,
+                 lambda xs, ys: _stencil(field, xs, ys, axis == Y, engine),
+                 chains, name, (field,),
+                 raises=field.raises or bool(field.guards))
 
 
 def _derivative(field, axis, engine):

@@ -42,10 +42,11 @@ def project_image(S, alpha=None, engine=None):
     return vertical_derivative(lifted, engine)
 
 
-def project_kernel(S, alpha=None, engine=None):
-    """Component of S killed by the Liouville contraction."""
+def project_kernel(S, alpha=None, engine=None, name=""):
+    """Component of S killed by the Liouville contraction.  When S has no
+    image part, that is S itself, under its own name."""
     return subtract(S, project_image(S, alpha, engine),
-                    name=f"ker({S.name})")
+                    name=name or f"ker({S.name})")
 
 
 @dataclass(frozen=True)
@@ -121,10 +122,11 @@ def reconstruct(split, engine=None):
             out = vertical_derivative(out, engine)
         return out
 
+    # Named through `add`: a zero part folds away, and the sum is then
+    # the other part itself, whose name is not ours to change.
     total = climb(base)
     for res in split.residues:
-        total = add(total, climb(res))
-    total.name = f"rebuilt[{top}]"
+        total = add(total, climb(res), name=f"rebuilt[{top}]")
     return total
 
 
@@ -153,5 +155,5 @@ def destroy_residues(S, alpha=None, omega=None, engine=None):
     out = current
     for _ in range(w - a):
         out = vertical_derivative(out, engine)
-    out.name = f"destroyed({S.name})"
-    return out
+    # A derivative is a chain cached on the node below it; name a copy.
+    return scale(out, 1.0, name=f"destroyed({S.name})")

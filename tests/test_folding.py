@@ -1,0 +1,188 @@
+"""Folding at build time: constants and structural zeros become folded
+nodes, and a fold that drops an operand keeps every typed error of the
+nodes beneath it as guards."""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from anifield import (DiffEngine, DivisionError, Lagrangian,
+                      LadderDecomposition, ShapeError, TensorField, add,
+                      berwald_connection, canonical_spray, constant_field,
+                      evaluate, geodesic_integrate, landsberg_tensor,
+                      liouville_field, matrix_inverse, reconstruct,
+                      scalar_reciprocal, tensor_product, vertical_derivative,
+                      zero_field)
+from anifield.catalog import get_example
+from anifield.errors import DegeneracyError
+from anifield.fields import pivot_inverse
+
+ANALYTIC = DiffEngine("analytic")
+FD4 = DiffEngine("fd4")
+FLAT = ["euclidean2", "minkowski2", "quadchart", "wick(-1)"]
+
+
+def _is_zero(field):
+    return field.const is not None and not field.const.any()
+
+
+def _ladder(name, engine):
+    L = get_example(name).lagrangian
+    return {"spray": canonical_spray(L, engine).coefficients,
+            "berwald": berwald_connection(L, engine).coefficients,
+            "landsberg": landsberg_tensor(L, engine)}
+
+
+@pytest.mark.parametrize("name", FLAT)
+def test_flat_ladders_fold_to_bare_zeros(name):
+    for key, field in _ladder(name, ANALYTIC).items():
+        assert _is_zero(field), key
+        assert field.guards == (), key
+
+
+def test_quartic_spray_is_a_guarded_zero():
+    spray = canonical_spray(get_example("quartic2").lagrangian,
+                            ANALYTIC).coefficients
+    assert _is_zero(spray)
+    assert spray.guards and all(g.raises for g in spray.guards)
+
+
+def test_conformal_spray_is_not_folded():
+    spray = canonical_spray(get_example("conformal2").lagrangian, ANALYTIC)
+    assert spray.coefficients.const is None
+
+
+@pytest.mark.parametrize("name", FLAT + ["quartic2", "conformal2"])
+def test_fd4_folds_no_spray(name):
+    spray = canonical_spray(get_example(name).lagrangian, FD4)
+    assert spray.coefficients.const is None
+
+
+def test_fd4_stencils_every_constant_but_a_bare_zero():
+    domain = get_example("euclidean2").domain
+    assert _is_zero(vertical_derivative(zero_field(domain, 0, 1, 1.0), FD4))
+    const = constant_field(domain, np.eye(2), 0, 2)
+    assert vertical_derivative(const, FD4).const is None
+
+
+def _degenerate_lagrangian(domain, xs, bad):
+    """L = y1^2 + c(x) y2^2 with c vanishing at sample `bad`, so phi =
+    diag(1, 0) there.  Its chains claim no x-dependence at all, so the
+    spray folds to zero over the inverse of phi."""
+    shift = xs[bad, 0]
+
+    def c(bx):
+        return bx[:, 0] - shift
+
+    ddell = TensorField(
+        domain, 0, 2, 0.0,
+        lambda bx, by: np.stack([np.full(len(bx), 2.0), 2.0 * c(bx)],
+                                axis=1)[:, :, None] * np.eye(2),
+        dy=lambda: zero_field(domain, 0, 3, -1.0),
+        dx=lambda: zero_field(domain, 0, 3, 0.0), name="dv_ell")
+    ell = TensorField(
+        domain, 0, 1, 1.0,
+        lambda bx, by: 2.0 * np.stack([by[:, 0], c(bx) * by[:, 1]], axis=1),
+        dy=ddell, dx=lambda: zero_field(domain, 0, 2, 1.0), name="ell")
+    L = TensorField(
+        domain, 0, 0, 2.0,
+        lambda bx, by: by[:, 0] ** 2 + c(bx) * by[:, 1] ** 2,
+        dy=ell, dx=lambda: zero_field(domain, 0, 1, 2.0), name="flat_at")
+    return Lagrangian(L, engine=ANALYTIC)
+
+
+def test_folded_spray_and_berwald_still_name_a_degenerate_sample():
+    domain = get_example("euclidean2").domain
+    xs, ys = domain.sample(6, seed=4)
+    L = _degenerate_lagrangian(domain, xs, 3)
+    spray = canonical_spray(L, ANALYTIC).coefficients
+    berwald = berwald_connection(L, ANALYTIC).coefficients
+    for field in (spray, berwald):
+        with pytest.raises(DegeneracyError) as info:
+            field(xs, ys)
+        assert info.value.sample == (xs[3].tolist(), ys[3].tolist())
+    keep = np.arange(6) != 3
+    assert_array_equal(spray(xs[keep], ys[keep]), np.zeros((5, 2)))
+
+
+def test_degenerate_spray_is_a_guarded_zero():
+    domain = get_example("euclidean2").domain
+    xs, ys = domain.sample(6, seed=4)
+    L = _degenerate_lagrangian(domain, xs, 3)
+    for field in (canonical_spray(L, ANALYTIC).coefficients,
+                  berwald_connection(L, ANALYTIC).coefficients):
+        assert _is_zero(field) and field.guards
+
+
+def test_guarded_zero_keeps_a_division_error():
+    domain = get_example("euclidean2").domain
+    xs, ys = domain.sample(6, seed=5)
+    xs[:, 0] = [0.2, 0.3, 0.0, 0.5, -0.5, 0.7]
+    first = TensorField(domain, 0, 0, 0.0, lambda bx, by: bx[:, 0].copy())
+    zero = zero_field(domain, 0, 0, 0.0)
+    guarded = tensor_product(scalar_reciprocal(first), zero, ",->", 0, 0)
+    assert _is_zero(guarded) and len(guarded.guards) == 1
+    for field in (guarded, add(first, guarded)):
+        with pytest.raises(DivisionError) as info:
+            field(xs, ys)
+        assert info.value.sample == (xs[2].tolist(), ys[2].tolist())
+
+
+def test_folded_constant_inverse_is_bit_for_bit():
+    domain = get_example("euclidean2").domain
+    M = np.array([[2.0, 0.3], [0.7, 1.9]])
+    inv = matrix_inverse(constant_field(domain, M, 0, 2))
+    assert inv.const is not None and inv.guards == ()
+    assert inv.const.tobytes() == pivot_inverse(M).tobytes()
+    xs, ys = domain.sample(4, seed=2)
+    varying = TensorField(domain, 0, 2, 0.0,
+                          lambda bx, by: np.tile(M, (len(bx), 1, 1)))
+    assert inv(xs, ys).tobytes() == matrix_inverse(varying)(xs, ys).tobytes()
+
+
+def test_degenerate_constant_inverse_raises_at_evaluation():
+    domain = get_example("euclidean2").domain
+    inv = matrix_inverse(constant_field(domain, np.diag([1.0, 0.0]), 0, 2))
+    assert inv.const is None and inv.raises
+    xs, ys = domain.sample(3, seed=1)
+    with pytest.raises(DegeneracyError) as info:
+        inv(xs, ys)
+    assert info.value.sample == (xs[0].tolist(), ys[0].tolist())
+
+
+def test_reconstruct_leaves_a_folded_part_its_name():
+    domain = get_example("euclidean2").domain
+    f = TensorField(domain, 0, 1, 0.0, lambda xs, ys: np.cos(xs), name="f")
+    split = LadderDecomposition(r=0, omega=1, base=f,
+                                residues=(zero_field(domain, 0, 1, 0.0),))
+    rebuilt = reconstruct(split, ANALYTIC)
+    assert f.name == "f"
+    xs, ys = domain.sample(3, seed=0)
+    assert_array_equal(rebuilt(xs, ys), f(xs, ys))
+
+
+def test_points_of_the_wrong_length_raise_shape_error():
+    bundle = get_example("euclidean2")
+    spray = canonical_spray(bundle.lagrangian, ANALYTIC)
+    with pytest.raises(ShapeError, match="dim=2"):
+        geodesic_integrate(spray, np.zeros(3), np.ones(3), 0.1, 2)
+    with pytest.raises(ShapeError, match=r"x=\[0.0, 0.0, 0.0\]"):
+        evaluate(bundle.lagrangian.field, np.zeros(3), np.ones(3))
+    with pytest.raises(ShapeError, match="dim=2"):
+        evaluate(liouville_field(bundle.domain), np.zeros(2), np.ones(3))
+
+
+def test_domain_draws_are_kept_and_owned_by_the_caller(monkeypatch):
+    domain = get_example("euclidean2").domain
+    xs, ys = domain.sample(5, seed=11)
+    before = xs.copy()
+
+    def redraw(count, seed):
+        raise AssertionError("the same draw was made twice")
+
+    monkeypatch.setattr(domain, "_draw", redraw)
+    xs[0] = 99.0
+    xs2, ys2 = domain.sample(5, seed=11)
+    assert_array_equal(xs2, before)
+    assert_array_equal(ys2, ys)
+    assert xs2.flags.writeable and not np.shares_memory(xs2, xs)
