@@ -85,15 +85,17 @@ def _build_config(data):
     if samples < 1:
         raise ValueError("samples must be at least 1")
     tolerance = float(data.get("tolerance", 1e-6))
-    if not tolerance > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tolerance < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, "
+                         f"got {tolerance}")
     method = str(data.get("method", "analytic"))
     if method not in ("analytic", "fd4"):
         raise ValueError(f"method must be \"analytic\" or \"fd4\", "
                          f"got {method!r}")
     step_scale = float(data.get("step_scale", 1.0))
-    if not step_scale > 0.0:
-        raise ValueError("step_scale must be positive")
+    if not 0.0 < step_scale < np.inf:
+        raise ValueError(f"step_scale must be positive and finite, "
+                         f"got {step_scale}")
     seed = _env_seed(int(data.get("seed", 0)))
     return RunConfig(example=str(data["example"]), checks=sorted(checks),
                      samples=samples, seed=seed, tolerance=tolerance,

@@ -8,11 +8,23 @@ its index as the final covariant slot and lowers alpha by one; the
 Liouville contraction closes the final covariant slot against y and
 raises alpha by one.
 
-Every field is evaluated on a batch of samples: a node's closure
-`fn(xs, ys)` takes two (B, dim) arrays and returns the components of all
-B samples stacked along a leading axis, shape (B, *components).  Calling
-a field with one-dimensional x and y evaluates a batch of one and drops
-the sample axis again.
+Every field is evaluated on a batch of samples: calling a field with two
+(B, dim) arrays returns the components of all B samples stacked along a
+leading axis, shape (B, *components).  Calling it with one-dimensional x
+and y evaluates a batch of one and drops the sample axis again.
+
+A field is a node of a graph.  A hand-written leaf's closure `fn(xs, ys)`
+computes its components from the samples; a combinator's closure
+`fn(xs, ys, *values)` computes them from the values of its operands.  On
+its first call a field compiles the graph beneath it into a flat plan,
+its nodes in the order a depth-first walk would evaluate them, and every
+later call runs that plan on the batch (tape evaluation, as in Griewank
+and Walther, "Evaluating Derivatives", 2008).  Each call checks the shape
+of its input once and builds one memo key from the bytes of the batch;
+every node of the plan but a folded constant memoizes its values under
+that key, so a node shared by several fields runs once per batch across
+all of them.  A stencil node evaluates its child, with its own plan and
+key, on the perturbed batch.
 
 Differentiation is controlled by a DiffEngine.  Fields may carry attached
 derivative fields (built analytically, or assembled by the combinators in
@@ -140,14 +152,19 @@ class DiffEngine:
     method "analytic" uses a field's attached derivative when one exists and
     falls back to the stencil; "fd4" always uses the five-point stencil
     (-f2 + 8 f1 - 8 f-1 + f-2) / (12 h) with
-    h = step_scale * eps**(1/3) * max(1, |v|_inf), the same rule in x and y.
+    h = step_scale * eps**(1/3) * max(1, |v|_inf), the same rule in x and y;
+    step_scale must be positive and finite.
     """
 
     def __init__(self, method="analytic", step_scale=1.0):
         if method not in ("analytic", "fd4"):
             raise ValueError(f"unknown differentiation method {method!r}")
+        step_scale = float(step_scale)
+        if not 0.0 < step_scale < np.inf:
+            raise ValueError(f"step_scale must be positive and finite, "
+                             f"got {step_scale}")
         self.method = method
-        self.step_scale = float(step_scale)
+        self.step_scale = step_scale
 
     def step(self, v):
         """Stencil step for each sample (row) of `v`."""
@@ -173,22 +190,34 @@ class TensorField:
 
     Calling the field with (B, dim) arrays returns (B, *components); with
     one-dimensional x and y it evaluates a batch of one and returns the
-    components alone.  Results are memoized per batch, keyed by the bytes
-    of the samples, and every returned array is read-only.
+    components alone.  The first call compiles the plan of the graph
+    beneath the field; each call runs it under one memo key, the bytes of
+    the batch.  Every node of the plan but a folded one memoizes its
+    values per batch (at most `_MEMO_LIMIT` batches, then it starts
+    afresh), and every returned array is read-only.  A leaf's output is
+    checked for its shape on every batch, and copied when it shares
+    memory with the samples, which the caller still owns.
+
+    `operands` is None for a hand-written leaf.  A combinator's node
+    lists the nodes whose values its `fn(xs, ys, *values)` takes, in
+    order; the plan evaluates them first.
 
     `const` holds the read-only components of a node that is the same at
-    every sample, and is None for a node that varies.  `guards` are the
-    nodes beneath this one that can raise: a folded node evaluates them
-    on each batch, an ordinary one reaches them through its operands.
-    `raises` marks a node that can raise itself, so that a fold dropping
-    it keeps it as a guard; a node never lists itself.
+    every sample, and is None for a node that varies.  A folded node is
+    not memoized: it evaluates its guards, which are its operands, and
+    returns its constant stacked over the batch.  `guards` are the nodes
+    beneath this one that can raise: a folded node evaluates them on each
+    batch, an ordinary one reaches them through its operands.  `raises`
+    marks a node that can raise itself, so that a fold dropping it keeps
+    it as a guard; a node never lists itself.
     """
 
     __slots__ = ("domain", "r", "s", "alpha", "name", "const", "guards",
-                 "raises", "_fn", "_chains", "_memo", "__weakref__")
+                 "raises", "operands", "_fn", "_chains", "_memo", "_plan",
+                 "__weakref__")
 
     def __init__(self, domain, r, s, alpha, fn, dy=None, dx=None, name="",
-                 const=None, guards=(), raises=False):
+                 const=None, guards=(), raises=False, operands=None):
         self.domain = domain
         self.r = int(r)
         self.s = int(s)
@@ -197,9 +226,11 @@ class TensorField:
         self.const = const
         self.guards = guards
         self.raises = raises
+        self.operands = operands
         self._fn = fn
         self._chains = [dy, dx]
         self._memo = {}
+        self._plan = None
 
     @property
     def dim(self):
@@ -227,22 +258,10 @@ class TensorField:
         key = (xs.tobytes(), ys.tobytes())
         val = self._memo.get(key)
         if val is None:
-            val = np.asarray(self._fn(xs, ys), dtype=float)
-            want = (len(xs),) + (dim,) * (self.r + self.s)
-            if val.shape != want:
-                raise ShapeError(
-                    f"field {self.name!r} returned shape {val.shape}, "
-                    f"declared type ({self.r}, {self.s}) on {len(xs)} "
-                    f"samples needs {want}")
-            # A closure may hand back (a view of) its input, which the
-            # caller still owns; the memo keeps its own copy of those.
-            if val.base is not None and (np.may_share_memory(val, xs)
-                                         or np.may_share_memory(val, ys)):
-                val = val.copy()
-            val.setflags(write=False)
-            if len(self._memo) >= _MEMO_LIMIT:
-                self._memo.clear()
-            self._memo[key] = val
+            plan = self._plan
+            if plan is None:
+                plan = self._plan = _compile(self, {}, [])
+            val = _run(plan, key, xs, ys)
         return val[0, ...] if single else val
 
     def chain(self, axis):
@@ -255,6 +274,80 @@ class TensorField:
     def __repr__(self):
         tag = self.name or "field"
         return f"<{tag}: type ({self.r},{self.s}), alpha={self.alpha:g}>"
+
+
+def _compile(node, index, entries):
+    """Append to `entries` the plan entries of `node` and of the nodes
+    beneath it that `index` (node -> plan index) does not hold yet, and
+    return `entries`; `_compile(root, {}, [])` is the plan of `root`.
+
+    A plan has one entry per node, operands before the nodes that take
+    them and the root last, in the post-order of a depth-first walk that
+    visits each node's operands in the order its `fn` takes them: the
+    order a recursive evaluation would compute them in.  A stencil's
+    child is not walked, as it runs a plan of its own.  An entry holds
+    the node's memo (None for a folded node), its `fn`, the plan indices
+    of its operands and, for a hand-written leaf, what checking its
+    output needs.  It holds no node, so a plan adds no reference cycle.
+    """
+    operands = node.operands
+    if operands is None:
+        entries.append((node._memo, node._fn, (), (
+            node.component_shape(), node.name, node.r, node.s)))
+    else:
+        for op in operands:
+            if op not in index:
+                _compile(op, index, entries)
+        entries.append((None if node.const is not None else node._memo,
+                        node._fn, tuple(map(index.__getitem__, operands)),
+                        None))
+    index[node] = len(index)
+    return entries
+
+
+def _run(plan, key, xs, ys):
+    """Run `plan` on the (B, dim) batch (xs, ys) under memo `key`; the
+    value of its last node.
+
+    A node whose memo holds `key` is read from there.  The nodes beneath
+    it are looked up too; they were computed with it on that batch, so
+    they hold `key` as well, unless their own memo has started afresh
+    since, and then they are computed again.  A folded node returns its
+    constant again.
+    """
+    vals = []
+    push = vals.append
+    for memo, fn, slots, leaf in plan:
+        if memo is not None:
+            val = memo.get(key)
+            if val is not None:
+                push(val)
+                continue
+        val = fn(xs, ys, *map(vals.__getitem__, slots))
+        if leaf is not None:
+            val = _checked(val, xs, ys, *leaf)
+        val.setflags(write=False)
+        if memo is not None:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            memo[key] = val
+        push(val)
+    return val
+
+
+def _checked(val, xs, ys, comp, name, r, s):
+    """A leaf's output as a float array of shape (B, *comp); its own copy
+    when it shares memory with the samples, which the caller still owns."""
+    val = np.asarray(val, dtype=float)
+    want = (len(xs),) + comp
+    if val.shape != want:
+        raise ShapeError(
+            f"field {name!r} returned shape {val.shape}, declared type "
+            f"({r}, {s}) on {len(xs)} samples needs {want}")
+    if val is xs or val is ys or val.base is not None and (
+            np.may_share_memory(val, xs) or np.may_share_memory(val, ys)):
+        val = val.copy()
+    return val
 
 
 def _require_inside(domain, x, y):
@@ -320,18 +413,21 @@ def _guards_of(operands):
 
 
 def _node(domain, r, s, alpha, fn, chains, name, operands, raises=False):
-    """An ordinary node over `operands`, evaluated by `fn` on each batch."""
+    """An ordinary node over `operands`, whose values `fn(xs, ys, *values)`
+    takes on each batch."""
     return TensorField(domain, r, s, alpha, fn, *chains, name=name,
-                       guards=_guards_of(operands), raises=raises)
+                       guards=_guards_of(operands), raises=raises,
+                       operands=operands)
 
 
 def _folded(domain, r, s, alpha, values, operands, chains, name):
     """A node with the constant components `values`, folded from `operands`.
 
-    It evaluates the operands' guards on each batch before it returns the
-    constant.  Unguarded, its chains are zeros; guarded, they keep the
-    combinator's rule, so that its derivatives keep the guards of the
-    operands' derivatives too.
+    Its operands are the operands' guards, which it evaluates on each
+    batch before it returns the constant; it memoizes nothing.
+    Unguarded, its chains are zeros; guarded, they keep the combinator's
+    rule, so that its derivatives keep the guards of the operands'
+    derivatives too.
     """
     values = np.array(values, dtype=float)
     values.flags.writeable = False
@@ -344,15 +440,13 @@ def _folded(domain, r, s, alpha, values, operands, chains, name):
         chains = (lambda: zero_field(domain, r, s + 1, alpha - 1.0),
                   lambda: zero_field(domain, r, s + 1, alpha))
 
-    def fn(xs, ys):
-        for g in guards:
-            g(xs, ys)
+    def fn(xs, ys, *guarded):
         out = np.empty((len(xs),) + values.shape)
         out[...] = values
         return out
 
     return TensorField(domain, r, s, alpha, fn, *chains, name=name,
-                       const=values, guards=guards)
+                       const=values, guards=guards, operands=guards)
 
 
 def _is_zero(field):
@@ -429,7 +523,7 @@ def add(a, b, name=""):
     if _bare_zero(a):
         return b
     return _node(a.domain, a.r, a.s, a.alpha,
-                 lambda xs, ys: a(xs, ys) + b(xs, ys), chains, name, (a, b))
+                 lambda xs, ys, u, v: u + v, chains, name, (a, b))
 
 
 def scale(a, c, name=""):
@@ -439,7 +533,7 @@ def scale(a, c, name=""):
     if a.const is not None:
         return _folded(a.domain, a.r, a.s, a.alpha, c * a.const, (a,),
                        chains, name)
-    return _node(a.domain, a.r, a.s, a.alpha, lambda xs, ys: c * a(xs, ys),
+    return _node(a.domain, a.r, a.s, a.alpha, lambda xs, ys, u: c * u,
                  chains, name, (a,))
 
 
@@ -457,6 +551,9 @@ def tensor_product(a, b, subscripts, r, s, name=""):
     """
     lhs, out = subscripts.split("->")
     sa, sb = lhs.split(",")
+    if (len(sa), len(sb), len(out)) != (a.r + a.s, b.r + b.s, r + s):
+        raise ShapeError(f"subscripts {subscripts!r} do not fit types "
+                         f"{a.rank} and {b.rank} into ({r}, {s})")
     batched = f"...{sa},...{sb}->...{out}"
 
     def rule(da, db):
@@ -477,13 +574,16 @@ def tensor_product(a, b, subscripts, r, s, name=""):
                        np.zeros((a.domain.dim,) * len(out)),
                        (a, b), chains, name)
     return _node(a.domain, r, s, alpha,
-                 lambda xs, ys: np.einsum(batched, a(xs, ys), b(xs, ys)),
+                 lambda xs, ys, u, v: np.einsum(batched, u, v),
                  chains, name, (a, b))
 
 
 def reindex(field, subscripts, name=""):
     """Single-operand einsum; pure slot permutation, homogeneity unchanged."""
     lhs, out = subscripts.split("->")
+    if not len(lhs) == len(out) == field.r + field.s:
+        raise ShapeError(f"subscripts {subscripts!r} do not permute the "
+                         f"slots of type {field.rank}")
     batched = f"...{lhs}->...{out}"
 
     def rule(da):
@@ -497,7 +597,7 @@ def reindex(field, subscripts, name=""):
                        np.einsum(subscripts, field.const), (field,),
                        chains, name)
     return _node(field.domain, field.r, field.s, field.alpha,
-                 lambda xs, ys: np.einsum(batched, field(xs, ys)),
+                 lambda xs, ys, u: np.einsum(batched, u),
                  chains, name, (field,))
 
 
@@ -587,8 +687,8 @@ def matrix_inverse(a, name=""):
         raise ShapeError("matrix_inverse needs a two-slot field")
     r_out, s_out = a.s, a.r
 
-    def fn(xs, ys):
-        return pivot_inverse(a(xs, ys), sample=(xs, ys))
+    def fn(xs, ys, m):
+        return pivot_inverse(m, sample=(xs, ys))
 
     def rule(da):
         inv = this()
@@ -623,8 +723,7 @@ def scalar_power(a, exponent, name=""):
         raise ShapeError("scalar_power needs a type-(0, 0) field")
     p = float(exponent)
 
-    def fn(xs, ys):
-        v = a(xs, ys)
+    def fn(xs, ys, v):
         vanishing = (v == 0.0) & (p < 0.0)
         bad = vanishing | ((v < 0.0) & (not p.is_integer()))
         if bad.any():
@@ -648,8 +747,7 @@ def scalar_reciprocal(a, name=""):
     if a.r or a.s:
         raise ShapeError("scalar_reciprocal needs a type-(0, 0) field")
 
-    def fn(xs, ys):
-        v = a(xs, ys)
+    def fn(xs, ys, v):
         if np.any(v == 0.0):
             raise DivisionError(
                 f"scalar field {a.name!r} vanishes",
@@ -721,10 +819,11 @@ def _fd(field, axis, engine):
     chains = list(_chains(
         lambda ch: _swap_last_two(_derivative(ch, axis, engine)), field))
     chains[axis] = None
-    return _node(field.domain, field.r, field.s + 1, alpha,
-                 lambda xs, ys: _stencil(field, xs, ys, axis == Y, engine),
-                 chains, name, (field,),
-                 raises=field.raises or bool(field.guards))
+    return TensorField(field.domain, field.r, field.s + 1, alpha,
+                       lambda xs, ys: _stencil(field, xs, ys, axis == Y,
+                                               engine),
+                       *chains, name=name, guards=_guards_of((field,)),
+                       raises=field.raises or bool(field.guards), operands=())
 
 
 def _derivative(field, axis, engine):

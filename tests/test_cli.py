@@ -59,6 +59,34 @@ def test_parse_config_rejections(payload, fragment):
         parse_config(payload)
 
 
+
+@pytest.mark.parametrize("key", ["tolerance", "step_scale"])
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+def test_config_refuses_a_non_finite_tolerance_or_step(tmp_path, capsys,
+                                                       key, value):
+    """json.loads reads these constants as floats; a tolerance of inf
+    passed every verdict and an infinite step scale made every stencil
+    pivot NaN."""
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"example": "euclidean2", "checks": ["euler"], '
+                    f'"samples": 2, "{key}": {value}}}')
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {key} must be positive and finite")
+
+
+@pytest.mark.parametrize("flag,key", [("--tolerance", "tolerance"),
+                                      ("--step-scale", "step_scale")],
+                         ids=["tolerance", "step_scale"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_report_refuses_a_non_finite_tolerance_or_step(capsys, flag, key,
+                                                       value):
+    assert main(["report", "--samples", "2", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {key} must be positive and finite")
+
 def test_environment_seed_wins(monkeypatch):
     monkeypatch.setenv("FINSLER_SEED", "99")
     config = parse_config('{"example": "euclidean2", "seed": 7}')

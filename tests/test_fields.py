@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from anifield import (ConicDomain, DiffEngine, DomainError, DivisionError,
                       RankError, ShapeError, TensorField, add, constant_field,
@@ -350,6 +350,12 @@ def test_engine_rejects_unknown_method():
         DiffEngine("secant")
 
 
+@pytest.mark.parametrize("step_scale", [0.0, -1.0, np.inf, -np.inf, np.nan])
+def test_engine_rejects_a_bad_step_scale(step_scale):
+    with pytest.raises(ValueError, match="step_scale"):
+        DiffEngine("fd4", step_scale=step_scale)
+
+
 def test_step_scales_with_magnitude():
     e = DiffEngine("fd4", step_scale=2.0)
     assert e.step(np.array([100.0, 0.0])) > e.step(np.array([1.0, 0.0]))
@@ -377,3 +383,113 @@ def test_zero_field_round_trip():
     z = zero_field(EUC.domain, 1, 1, 0.0)
     assert_allclose(z(X0, Y0), np.zeros((2, 2)))
     assert vertical_derivative(z)(X0, Y0).shape == (2, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# plan evaluation: one memo key per batch, every node's closure once
+
+
+def _counted(field, calls):
+    """Count the runs of `field`'s closure under its name in `calls`."""
+    fn = field._fn
+
+    def counted(*args):
+        calls[field.name] = calls.get(field.name, 0) + 1
+        return fn(*args)
+    field._fn = counted
+    return field
+
+
+def _varying(name, r=0, s=1):
+    """A leaf whose components vary with the sample."""
+    def fn(xs, ys):
+        out = np.empty((len(xs),) + (2,) * (r + s))
+        out[...] = (xs[:, 0] + 2.0 * ys[:, 1]).reshape((-1,) + (1,) * (r + s))
+        return out
+    return TensorField(EUC.domain, r, s, 1.0, fn, name=name)
+
+
+def test_plan_runs_each_node_of_a_diamond_once_per_batch():
+    calls = {}
+    base = _counted(_varying("base"), calls)
+    left = _counted(scale(base, 2.0, name="left"), calls)
+    right = _counted(scale(base, 3.0, name="right"), calls)
+    top = _counted(add(left, right, name="top"), calls)
+    xs, ys = EUC.domain.sample(4, seed=2)
+    assert_allclose(top(xs, ys), 5.0 * base(xs, ys))
+    assert calls == {"base": 1, "left": 1, "right": 1, "top": 1}
+    top(xs, ys)
+    assert calls == {"base": 1, "left": 1, "right": 1, "top": 1}
+    top(xs[:3], ys[:3])
+    assert calls == {"base": 2, "left": 2, "right": 2, "top": 2}
+
+
+def test_a_node_shared_by_two_fields_runs_once_per_batch():
+    calls = {}
+    base = _varying("base")
+    shared = _counted(scale(base, 2.0, name="shared"), calls)
+    first = _counted(add(shared, base, name="first"), calls)
+    second = _counted(scale(shared, 3.0, name="second"), calls)
+    xs, ys = EUC.domain.sample(4, seed=2)
+    first(xs, ys)
+    second(xs, ys)
+    assert calls == {"shared": 1, "first": 1, "second": 1}
+    second(xs[1:], ys[1:])
+    first(xs[1:], ys[1:])
+    assert calls == {"shared": 2, "first": 2, "second": 2}
+
+
+def test_a_leaf_of_the_wrong_shape_inside_a_plan_is_named():
+    lopsided = TensorField(EUC.domain, 0, 1, 1.0,
+                           lambda xs, ys: np.zeros((len(xs), 3)),
+                           name="lopsided")
+    top = scale(add(lopsided, _varying("fine")), 2.0, name="top")
+    xs, ys = EUC.domain.sample(3, seed=2)
+    with pytest.raises(ShapeError, match="'lopsided' returned shape"):
+        top(xs, ys)
+
+
+def test_a_leaf_returning_its_input_is_copied_and_values_are_read_only():
+    echo = TensorField(EUC.domain, 1, 0, 1.0, lambda xs, ys: ys, name="echo")
+    top = add(scale(echo, 2.0), _varying("other", r=1, s=0), name="top")
+    xs, ys = EUC.domain.sample(3, seed=2)
+    kept = ys.copy()
+    out = top(xs, ys)
+    held = echo(xs, ys)              # read back from the memo
+    assert not np.shares_memory(held, ys)
+    ys[...] = 0.0
+    assert_array_equal(held, kept)
+    assert_array_equal(echo(xs, kept), kept)
+    for value in [out, held] + [v for f in (echo, top)
+                                for v in f._memo.values()]:
+        assert not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[...] = 1.0
+
+
+def test_an_inner_inverse_names_the_first_degenerate_sample():
+    def fn(xs, ys):
+        mats = np.tile(np.eye(2), (len(xs), 1, 1))
+        mats[[2, 4]] = [[1.0, 1.0], [1.0, 1.0]]
+        return mats
+    mat = TensorField(EUC.domain, 0, 2, 0.0, fn, name="mat")
+    top = scale(tensor_product(matrix_inverse(mat), _varying("v", r=0, s=1),
+                               "ij,j->i", 1, 0), 2.0)
+    xs, ys = EUC.domain.sample(6, seed=2)
+    with pytest.raises(DegeneracyError) as info:
+        top(xs, ys)
+    assert info.value.sample == (xs[2].tolist(), ys[2].tolist())
+
+
+def test_subscripts_that_miss_the_declared_type_are_refused_when_built():
+    """Combinator outputs get no per-batch shape check, so a product or a
+    permutation whose subscripts do not fit its types is refused when it
+    is built."""
+    phi = EUC.lagrangian.phi_field()
+    v = _varying("v")
+    with pytest.raises(ShapeError, match="do not fit"):
+        tensor_product(phi, v, "ij,j->i", 0, 2)
+    with pytest.raises(ShapeError, match="do not fit"):
+        tensor_product(phi, v, "i,j->ij", 0, 2)
+    with pytest.raises(ShapeError, match="do not permute"):
+        reindex(phi, "ij->i")

@@ -186,3 +186,18 @@ def test_domain_draws_are_kept_and_owned_by_the_caller(monkeypatch):
     assert_array_equal(xs2, before)
     assert_array_equal(ys2, ys)
     assert xs2.flags.writeable and not np.shares_memory(xs2, xs)
+
+
+def test_a_folded_constant_memoizes_nothing():
+    """A folded node returns its constant on every batch; it keeps no
+    per-batch copy, however many distinct RK4 stages it sees."""
+    spray = canonical_spray(get_example("euclidean2").lagrangian, ANALYTIC)
+    G = spray.coefficients
+    assert _is_zero(G) and G.guards == ()
+    path = geodesic_integrate(spray, np.array([0.1, 0.2]),
+                              np.array([1.0, 0.5]), 0.01, 200)
+    assert path.completed and len(path) == 201
+    assert len(G._memo) == 0
+    value = G(np.array([0.1, 0.2]), np.array([1.0, 0.5]))
+    assert_array_equal(value, np.zeros(2))
+    assert not value.flags.writeable
