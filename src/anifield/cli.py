@@ -361,6 +361,16 @@ def build_parser():
     return parser
 
 
+def _at_sample(exc):
+    """The suffix ' at x=[...], y=[...]' naming the sample a typed error
+    carries; empty when it carries none."""
+    sample = getattr(exc, "sample", None)
+    if sample is None:
+        return ""
+    x, y = sample
+    return f" at x={x}, y={y}"
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -370,7 +380,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AnifieldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}{_at_sample(exc)}", file=sys.stderr)
         return 3
 
 

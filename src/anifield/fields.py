@@ -46,6 +46,7 @@ raise (inverses, powers and reciprocals, and stencils over them) as
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 
 import numpy as np
@@ -97,11 +98,14 @@ class ConicDomain:
         self._drawn = {}
 
     def contains(self, x, y):
+        """Whether (x, y) is an admissible pair: finite, y != 0, and
+        accepted by the membership predicate."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             return False
-        if not np.count_nonzero(y):
+        xl, yl = x.tolist(), y.tolist()
+        if not all(map(math.isfinite, xl + yl)) or not any(yl):
             return False
         if self.membership is None:
             return True
@@ -611,10 +615,78 @@ def pivot_inverse(mat, sample=None, threshold=1e-12):
     returning garbage.  The error carries `sample`; for a stack, `sample`
     may be the pair (xs, ys) of (B, dim) sample arrays, and the error then
     names the sample of the first degenerate matrix.
+
+    One matrix, of shape (n, n) or (1, n, n), is eliminated on Python
+    floats, where numpy's per-call cost would outweigh the arithmetic; a
+    stack of several is eliminated with numpy, all matrices at once.  Both
+    take the same row operations in the same IEEE double arithmetic, so
+    they return the same bits and raise the same errors.
     """
     mat = np.asarray(mat, dtype=float)
     single = mat.ndim == 2
     stack = mat[None] if single else mat
+    n = stack.shape[-1]
+    if stack.shape == (1, n, n) and n:
+        inverse, failures = _eliminate(stack[0].tolist(), n, threshold)
+    else:
+        inverse, failures = _eliminate_stack(stack, threshold)
+    if failures:
+        i = min(failures)
+        where = sample
+        if not single and sample is not None:
+            where = _sample_at(sample[0], sample[1], i)
+        raise DegeneracyError(failures[i], sample=where)
+    return inverse[0] if single else inverse
+
+
+def _eliminate(rows, n, threshold):
+    """Gauss-Jordan elimination of one matrix, given as its `n` rows, lists
+    of Python floats that it extends by the identity and eliminates in
+    place, with the row operations `_eliminate_stack` applies to a stack
+    of one: (inverse of shape (1, n, n), {}), or (None, {0: why})."""
+    scale = []
+    for row in rows:
+        s = 0.0
+        for v in row:
+            v = abs(v)
+            if v > s:
+                s = v
+            elif v != v:  # a NaN scales its row to NaN, as np.max does
+                s = v
+                break
+        if s == 0.0:
+            return None, {0: "matrix has a zero row"}
+        scale.append(s)
+    for row, unit in zip(rows, _identity(n).tolist()):
+        row.extend(unit)
+    for col in range(n):
+        # as np.argmax picks: the first NaN, else the first largest pivot
+        k, best = col, abs(rows[col][col]) / scale[col]
+        for r in range(col + 1, n):
+            if best != best:
+                break
+            p = abs(rows[r][col]) / scale[r]
+            if p > best or p != p:
+                k, best = r, p
+        if not best >= threshold:
+            return None, {0: f"scaled pivot {best:.3e} below "
+                             f"{threshold:.0e} in column {col}"}
+        if k != col:
+            rows[col], rows[k] = rows[k], rows[col]
+            scale[col], scale[k] = scale[k], scale[col]
+        pivot = rows[col][col]
+        top = rows[col] = [v / pivot for v in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and f != 0.0:
+                rows[r] = [v - f * t for v, t in zip(rows[r], top)]
+    return np.array(rows)[None, :, n:], {}
+
+
+def _eliminate_stack(stack, threshold):
+    """Gauss-Jordan elimination of a (B, n, n) stack with scaled partial
+    pivoting: (inverses, {}), or (None, {index: why}) naming each
+    degenerate matrix by its first reason."""
     count, n = stack.shape[0], stack.shape[-1]
     rows = np.arange(count)
     aug = np.empty((count, n, 2 * n))
@@ -651,13 +723,8 @@ def pivot_inverse(mat, sample=None, threshold=1e-12):
                 np.subtract(aug[:, rr], f * aug[:, col], out=aug[:, rr],
                             where=f != 0.0)
     if failures:
-        i = min(failures)
-        where = sample
-        if not single and sample is not None:
-            where = _sample_at(sample[0], sample[1], i)
-        raise DegeneracyError(failures[i], sample=where)
-    inverse = aug[:, :, n:]
-    return inverse[0] if single else inverse
+        return None, failures
+    return aug[:, :, n:], {}
 
 
 @functools.lru_cache(maxsize=None)

@@ -217,6 +217,19 @@ def test_geodesic_names_a_refused_initial_state(capsys):
     assert "x=[0.0, 0.0], y=[1.0, 0.0] is outside domain 'quartic2'" in err
 
 
+def test_typed_error_names_its_sample(capsys):
+    # conformal2's factor e^(2 x^1) overflows far out, and phi degenerates
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["geodesic", "conformal2", "--x0", "0", "0", "--y0", "1",
+                     "0.5", "--dt", "5", "--steps", "40"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        "error: scaled pivot nan below 1e-12 in column 0 at x=[")
+    x, y = err.split(" at x=")[1].split(", y=")
+    assert len(json.loads(x)) == len(json.loads(y)) == 2
+
+
 _GEODESIC = ["geodesic", "euclidean2", "--x0", "0", "0", "--y0", "1", "0"]
 
 

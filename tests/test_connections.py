@@ -197,6 +197,23 @@ def test_geodesic_names_the_refused_initial_state():
         geodesic_integrate(G, np.zeros(2), np.array([1.0, 0.0]), 0.01, 5)
 
 
+def test_geodesic_refuses_a_non_finite_initial_state():
+    G = canonical_spray(EUC.lagrangian)
+    with pytest.raises(DomainError, match=re.escape(
+            "point x=[nan, 0.0], y=[1.0, 2.0] is outside domain")):
+        geodesic_integrate(G, np.array([np.nan, 0.0]), Y0, 0.01, 5)
+
+
+def test_geodesic_truncates_where_a_stage_overflows():
+    """x + dt * y overflows to inf, which no domain contains."""
+    G = canonical_spray(EUC.lagrangian)
+    with np.errstate(over="ignore"):
+        tr = geodesic_integrate(G, np.zeros(2), np.array([1e300, 1e300]),
+                                1e10, 3)
+    assert not tr.completed
+    assert len(tr) == 1
+
+
 def test_geodesic_truncates_on_exit():
     """A downward push drives y out of the half plane and stops the flow."""
     dom_half = ConicDomain(2, membership=lambda x, y: y[1] > 0.0, name="upper")

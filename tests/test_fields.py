@@ -28,6 +28,22 @@ def test_domain_contains_ignores_sampling_box():
     assert not EUC.domain.contains(X0, np.zeros(2))
 
 
+@pytest.mark.parametrize("x,y", [
+    ([np.nan, 0.0], [1.0, 1.0]),
+    ([0.0, 0.0], [np.inf, 1.0]),
+    ([-np.inf, 0.0], [1.0, 1.0]),
+    ([0.0, 0.0], [1.0, np.nan]),
+], ids=["x_nan", "y_inf", "x_minus_inf", "y_nan"])
+def test_domain_refuses_non_finite_points(x, y):
+    x, y = np.array(x), np.array(y)
+    assert not EUC.domain.contains(x, y)
+    L = EUC.lagrangian.field
+    with pytest.raises(DomainError, match="outside domain 'euclidean2'"):
+        evaluate(L, x, y)
+    with pytest.raises(DomainError, match="outside domain 'euclidean2'"):
+        homogeneity_defect(L, x, y)
+
+
 def test_domain_sampling_is_seeded():
     xs1, ys1 = EUC.domain.sample(5, seed=11)
     xs2, ys2 = EUC.domain.sample(5, seed=11)
@@ -185,6 +201,60 @@ def test_pivot_inverse_names_the_nan_sample_of_a_stack():
     with pytest.raises(DegeneracyError) as info:
         pivot_inverse(stack, sample=(xs, ys))
     assert info.value.sample == (xs[1].tolist(), ys[1].tolist())
+
+
+def _pivot_cases():
+    """(matrix, whether it is degenerate) for n = 1..4: entries scaled over
+    1e-8..1e8, then zero rows, NaN and inf entries and rank-deficient
+    matrices."""
+    rng = np.random.default_rng(8)
+    for n in range(1, 5):
+        for _ in range(50):
+            scales = 10.0 ** rng.uniform(-8.0, 8.0, (n, n))
+            yield rng.normal(size=(n, n)) * scales, False
+        base = rng.normal(size=(n, n))
+        for i in range(n):
+            for bad in (np.nan, np.inf, -np.inf):
+                m = base.copy()
+                m[i, n - 1 - i] = bad
+                yield m, True
+            m = base.copy()
+            m[i] = 0.0
+            yield m, True
+        if n > 1:
+            m = np.round(4.0 * base)
+            m[-1] = 3.0 * m[0]
+            yield m, True
+            m[-1] = m[0] + m[n - 2]
+            yield m, True
+
+
+def _outcome(mat, sample):
+    """The bytes of each inverse of `mat`, or the message and sample of the
+    DegeneracyError it raises."""
+    try:
+        inverse = pivot_inverse(mat, sample=sample)
+    except DegeneracyError as exc:
+        return str(exc), exc.sample
+    return [m.tobytes() for m in inverse.reshape((-1,) + inverse.shape[-2:])]
+
+
+def test_pivot_inverse_of_one_matrix_matches_the_stack_bit_for_bit():
+    # one matrix is eliminated on Python floats, a stack with numpy
+    xs, ys = EUC.domain.sample(2, seed=6)
+    for m, degenerate in _pivot_cases():
+        with np.errstate(all="ignore"):
+            pair = _outcome(np.stack([m, m]), (xs, ys))
+        one = _outcome(m, "here")
+        first = _outcome(m[None], (xs[:1], ys[:1]))
+        if degenerate:
+            message, where = pair
+            assert where == (xs[0].tolist(), ys[0].tolist())
+            assert one == (message, "here")
+            assert first == pair
+        else:
+            assert pair[0] == pair[1]
+            assert one == first == pair[:1]
 
 
 def test_scalar_power_values_and_weight():
