@@ -15,8 +15,8 @@ import numpy as np
 from .atlas import ChartTransition
 from .connections import NonlinearConnection
 from .errors import DomainError
-from .fields import (ConicDomain, TensorField, _row_dot, constant_field,
-                     liouville_field, zero_field)
+from .fields import (ConicDomain, TensorField, _identity, _row_dot,
+                     constant_field, liouville_field, zero_field)
 from .metrics import Lagrangian, wick_metric
 
 
@@ -79,7 +79,7 @@ def _conformal():
 
     ddell = TensorField(domain, 0, 2, 0.0,
                         lambda xs, ys: (2.0 * factor(xs))[:, None, None]
-                        * np.eye(2),
+                        * _identity(2),
                         dy=lambda: zero_field(domain, 0, 3, -1.0),
                         name="dv_ell")
     ell = TensorField(domain, 0, 1, 1.0,
@@ -130,7 +130,7 @@ def _quartic():
 
     def ddellfn(xs, ys):
         Q = (ys[:, 0] ** 4 + ys[:, 1] ** 4)[:, None, None]
-        diag = np.eye(2) * (ys ** 2)[:, None, :]
+        diag = _identity(2) * (ys ** 2)[:, None, :]
         outer = (ys ** 3)[:, :, None] * (ys ** 3)[:, None, :]
         return 6.0 * diag * Q ** -0.5 - 4.0 * outer * Q ** -1.5
 

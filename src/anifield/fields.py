@@ -30,7 +30,8 @@ Differentiation is controlled by a DiffEngine.  Fields may carry attached
 derivative fields (built analytically, or assembled by the combinators in
 this module through sum/product rules); the "analytic" method uses them
 when present and falls back to the five-point stencil, while "fd4" always
-uses the stencil.
+uses the stencil.  Under either method the derivative of an unguarded
+constant is an unguarded structural zero, with no stencil.
 
 The combinators fold constants while they build the graph: a node whose
 components are the same at every sample carries them as `const`, and a
@@ -157,7 +158,8 @@ class DiffEngine:
     falls back to the stencil; "fd4" always uses the five-point stencil
     (-f2 + 8 f1 - 8 f-1 + f-2) / (12 h) with
     h = step_scale * eps**(1/3) * max(1, |v|_inf), the same rule in x and y;
-    step_scale must be positive and finite.
+    step_scale must be positive and finite.  Under both, the derivative
+    of an unguarded constant is the exact zero, not a stencil.
     """
 
     def __init__(self, method="analytic", step_scale=1.0):
@@ -700,7 +702,10 @@ def _eliminate_stack(stack, threshold):
             failures[i] = "matrix has a zero row"
         _retire(aug, row_scale, zero)
     for col in range(n):
-        pivots = np.abs(aug[:, col:, col]) / row_scale[:, col:]
+        # an inf entry makes an inf/inf pivot: NaN, degenerate as in
+        # `_eliminate`, and as quiet
+        with np.errstate(invalid="ignore", divide="ignore"):
+            pivots = np.abs(aug[:, col:, col]) / row_scale[:, col:]
         k = pivots.argmax(axis=-1)
         best = pivots[rows, k]
         low = ~(best >= threshold)  # a NaN pivot is degenerate too
@@ -875,13 +880,15 @@ def _fd(field, axis, engine):
     commute, differentiate that chain along `axis`, and swap the two
     appended indices back.
 
-    Only an unguarded structural zero folds, to zero.  A stencil over
-    nodes that can raise evaluates them at the perturbed samples, so it
-    can raise itself."""
+    An unguarded constant is the same at every sample, so its derivative
+    folds to an unguarded zero, also where the stencil of the constant
+    would leave a round-off residue.  A guarded constant and a varying
+    field get the stencil.  A stencil over nodes that can raise evaluates
+    them at the perturbed samples, so it can raise itself."""
     alpha, tag = ((field.alpha - 1.0, "fd_dv") if axis == Y
                   else (field.alpha, "fd_dx"))
     name = f"{tag}({field.name})"
-    if _bare_zero(field):
+    if field.const is not None and not field.guards:
         return zero_field(field.domain, field.r, field.s + 1, alpha, name)
     chains = list(_chains(
         lambda ch: _swap_last_two(_derivative(ch, axis, engine)), field))

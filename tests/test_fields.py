@@ -1,5 +1,7 @@
 """Core field algebra: domains, chains, combinators, derivative fallbacks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -255,6 +257,23 @@ def test_pivot_inverse_of_one_matrix_matches_the_stack_bit_for_bit():
         else:
             assert pair[0] == pair[1]
             assert one == first == pair[:1]
+
+
+def test_pivot_inverse_of_a_non_finite_stack_raises_without_a_warning():
+    # a stack meets inf, -inf and NaN entries as quietly as one matrix
+    # does, and names the same reason
+    xs, ys = EUC.domain.sample(2, seed=6)
+    mixed = np.array([[[1.0, 2.0], [3.0, 4.0]],
+                      [[np.inf, 1.0], [-np.inf, np.nan]]])
+    stacks = [(np.stack([m, m]), m, 0)
+              for m, _ in _pivot_cases() if not np.isfinite(m).all()]
+    stacks.append((mixed, mixed[1], 1))
+    for stack, bad, i in stacks:
+        message, _ = _outcome(bad, "here")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(stack, (xs, ys)) == (
+                message, (xs[i].tolist(), ys[i].tolist()))
 
 
 def test_scalar_power_values_and_weight():

@@ -12,8 +12,10 @@ from anifield import (DiffEngine, DivisionError, Lagrangian,
                       evaluate, geodesic_integrate, landsberg_tensor,
                       liouville_field, matrix_inverse, reconstruct,
                       scalar_reciprocal, tensor_product, vertical_derivative,
-                      zero_field)
+                      x_derivative, zero_field)
 from anifield.catalog import get_example
+from anifield.checks import CHECKS
+from anifield.cli import RunConfig
 from anifield.errors import DegeneracyError
 from anifield.fields import pivot_inverse
 
@@ -52,17 +54,65 @@ def test_conformal_spray_is_not_folded():
     assert spray.coefficients.const is None
 
 
-@pytest.mark.parametrize("name", FLAT + ["quartic2", "conformal2"])
+@pytest.mark.parametrize("name", FLAT)
+def test_fd4_flat_ladders_fold_to_bare_zeros(name):
+    # phi is read through the chains, a constant; its stencils fold
+    xs, ys = get_example(name).domain.sample(3, seed=2)
+    for key, field in _ladder(name, FD4).items():
+        assert _is_zero(field), key
+        assert field.guards == (), key
+        assert_array_equal(field(xs, ys), np.zeros(
+            (3,) + field.component_shape()), key)
+
+
+@pytest.mark.parametrize("name", ["quartic2", "conformal2"])
 def test_fd4_folds_no_spray(name):
     spray = canonical_spray(get_example(name).lagrangian, FD4)
     assert spray.coefficients.const is None
 
 
-def test_fd4_stencils_every_constant_but_a_bare_zero():
+def test_fd4_folds_an_unguarded_constant_and_stencils_the_rest():
     domain = get_example("euclidean2").domain
-    assert _is_zero(vertical_derivative(zero_field(domain, 0, 1, 1.0), FD4))
-    const = constant_field(domain, np.eye(2), 0, 2)
-    assert vertical_derivative(const, FD4).const is None
+    for const in (zero_field(domain, 0, 1, 1.0),
+                  constant_field(domain, np.eye(2), 0, 2)):
+        dv = vertical_derivative(const, FD4)
+        assert _is_zero(dv) and dv.guards == ()
+    varying = liouville_field(domain)
+    assert vertical_derivative(varying, FD4).const is None
+    assert x_derivative(varying, FD4).const is None
+    # a constant guarded by a reciprocal that vanishes at sample 2
+    xs, ys = domain.sample(4, seed=5)
+    xs[:, 0] = [0.2, 0.3, 0.0, 0.5]
+    first = TensorField(domain, 0, 0, 0.0, lambda bx, by: bx[:, 0].copy())
+    guarded = add(tensor_product(scalar_reciprocal(first),
+                                 zero_field(domain, 0, 0, 0.0), ",->", 0, 0),
+                  constant_field(domain, np.asarray(2.0), 0, 0))
+    assert guarded.const == 2.0 and guarded.guards
+    for derivative in (vertical_derivative, x_derivative):
+        dv = derivative(guarded, FD4)
+        assert dv.const is None and dv.raises
+        with pytest.raises(DivisionError):
+            dv(xs, ys)
+        assert_array_equal(dv(xs[:2], ys[:2]), np.zeros((2, 2)))
+
+
+def test_fd4_derivative_of_a_constant_is_an_exact_zero():
+    """Its stencil would leave a round-off residue where 7c is inexact."""
+    domain = get_example("euclidean2").domain
+    const = constant_field(domain, [[0.1, 0.3], [0.3, 0.7]], 0, 2)
+    xs, ys = domain.sample(4, seed=3)
+    for derivative in (vertical_derivative, x_derivative):
+        d = derivative(const, FD4)
+        assert_array_equal(d(xs, ys), np.zeros((4, 2, 2, 2)))
+        assert _is_zero(d) and d.guards == ()
+
+
+@pytest.mark.parametrize("check", ["linear_roundtrip", "landsberg_kernel"])
+def test_fd4_flat_defects_stay_exactly_zero(check):
+    config = RunConfig(example="euclidean2", checks=[check], samples=4,
+                       seed=0, tolerance=1e-6, method="fd4", step_scale=1.0)
+    report = CHECKS[check](get_example("euclidean2"), config)
+    assert report.max_abs_defect == 0.0 and report.passed
 
 
 def _degenerate_lagrangian(domain, xs, bad):
