@@ -27,7 +27,7 @@ from .fields import (ConicDomain, DiffEngine, TensorField, add,
 from .functionals import (ActionFunctional, evaluate_action,
                           extend_functional, gauge_symmetrize,
                           restrict_functional)
-from .ladder import (LadderDecomposition, decompose, destroy_residues,
+from .ladder import (LadderDecomposition, decompose, destroy_residues, lower,
                      project_image, project_kernel, reconstruct)
 from .linear import (LinearConnection, b_matrix, cartan_tensor,
                      classical_linear, covariant_derivative, embed_trivial,
@@ -57,7 +57,7 @@ __all__ = [
     "is_strongly_regular", "kernel_residue", "lagrangian_of_metric",
     "landsberg_tensor", "legendre_of", "legendre_residue",
     "linear_from_pair", "liouville_contract", "liouville_field",
-    "lower_connection", "matrix_inverse", "nonlinear_residue",
+    "lower", "lower_connection", "matrix_inverse", "nonlinear_residue",
     "parse_config", "project_image", "project_intrinsic", "project_kernel",
     "project_with_N", "raise_connection", "reconstruct", "reindex",
     "restrict_functional", "run_suite", "scalar_power", "scalar_reciprocal",

@@ -109,21 +109,17 @@ def _quartic():
         name="quartic2")
 
     def d3fn(xs, ys):
-        y = ys.T
-        Q = y[0] ** 4 + y[1] ** 4
+        # component [a, b, c] along the last three axes; d.. are deltas
+        Q = (ys[:, 0] ** 4 + ys[:, 1] ** 4)[:, None, None, None]
         s1, s3, s5 = Q ** -0.5, Q ** -1.5, Q ** -2.5
-        out = np.empty((len(ys), 2, 2, 2))
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    dab, dac, dbc = a == b, a == c, b == c
-                    out[:, a, b, c] = (
-                        12.0 * y[a] * dab * dac * s1
-                        - 12.0 * (y[a] ** 2 * dab * y[c] ** 3
-                                  + y[a] ** 2 * y[b] ** 3 * dac
-                                  + y[a] ** 3 * y[b] ** 2 * dbc) * s3
-                        + 24.0 * y[a] ** 3 * y[b] ** 3 * y[c] ** 3 * s5)
-        return out
+        ya, yb, yc = (ys[:, :, None, None], ys[:, None, :, None],
+                      ys[:, None, None, :])
+        eye = _identity(2)
+        dab, dac, dbc = eye[:, :, None], eye[:, None, :], eye
+        return (12.0 * ya * dab * dac * s1
+                - 12.0 * (ya ** 2 * dab * yc ** 3 + ya ** 2 * yb ** 3 * dac
+                          + ya ** 3 * yb ** 2 * dbc) * s3
+                + 24.0 * ya ** 3 * yb ** 3 * yc ** 3 * s5)
 
     d3 = TensorField(domain, 0, 3, -1.0, d3fn,
                      dx=lambda: zero_field(domain, 0, 4, -1.0), name="d3L")

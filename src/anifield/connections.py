@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LevelError, ShapeError
-from .fields import (_require_inside, add, liouville_contract,
-                     liouville_field, reindex, scale, subtract,
-                     tensor_product, vertical_derivative, x_derivative)
-from .ladder import project_kernel
+from .errors import DomainError, LevelError
+from .fields import (_require_inside, _require_type, add, liouville_field,
+                     reindex, scale, subtract, tensor_product,
+                     vertical_derivative, x_derivative)
+from .ladder import lower, project_kernel
 from .metrics import fundamental_tensor
 
 
@@ -27,12 +27,7 @@ class Connection:
     declares its s and the noun its errors use."""
 
     def __init__(self, coefficients, name=""):
-        s, alpha = self.s, 2 - self.s
-        if coefficients.rank != (1, s) or float(coefficients.alpha) != alpha:
-            raise ShapeError(
-                f"{self.noun} needs a type-(1, {s}) field of homogeneity "
-                f"{alpha}, got ({coefficients.r}, {coefficients.s}) at "
-                f"alpha={coefficients.alpha:g}")
+        _require_type(coefficients, 1, self.s, 2 - self.s, self.noun)
         self.coefficients = coefficients
         self.name = name or coefficients.name
 
@@ -70,14 +65,12 @@ def raise_connection(obj, engine=None):
 
 
 def lower_connection(obj):
-    """One rung down: anisotropic -> nonlinear, nonlinear -> spray.  The
-    contraction is divided by the lower rung's homogeneity 3 - s."""
+    """One rung down: anisotropic -> nonlinear, nonlinear -> spray, by
+    `lower` at the lower rung's homogeneity 3 - s."""
     if not isinstance(obj, Connection) or obj.s == 0:
         raise LevelError("nothing sits below a spray")
-    coefficients = liouville_contract(obj.coefficients)
-    if obj.s == 1:
-        coefficients = scale(coefficients, 0.5)
-    return _LADDER[obj.s - 1](coefficients, name=f"iota({obj.name})")
+    return _LADDER[obj.s - 1](lower(obj.coefficients, 3 - obj.s),
+                              name=f"iota({obj.name})")
 
 
 def nonlinear_residue(N, engine=None):

@@ -374,6 +374,15 @@ def _require_inside(domain, x, y):
                 f"{domain.name!r}")
 
 
+def _require_type(field, r, s, alpha, what):
+    """Raise ShapeError, naming `what` needs it, unless `field` has type
+    (r, s) and homogeneity alpha."""
+    if field.rank != (r, s) or float(field.alpha) != alpha:
+        raise ShapeError(
+            f"{what} needs a type-({r}, {s}) field of homogeneity {alpha:g}, "
+            f"got ({field.r}, {field.s}) at alpha={field.alpha:g}")
+
+
 def _first(mask):
     """Index of the first true entry of a boolean sample mask."""
     return int(np.argmax(mask))
@@ -612,9 +621,11 @@ def pivot_inverse(mat, sample=None, threshold=1e-12):
 
     `mat` has shape (n, n) or (B, n, n); each matrix of a stack goes
     through the same row operations it would get on its own.  Raises
-    DegeneracyError when a row is zero or a scaled pivot falls below
-    `threshold` or is NaN, so near-singular inputs fail loudly instead of
-    returning garbage.  The error carries `sample`; for a stack, `sample`
+    DegeneracyError when a row is zero, a scaled pivot falls below
+    `threshold` or is NaN, or an entry is NaN or infinite, so near-singular
+    inputs fail loudly instead of returning garbage.  A degenerate matrix
+    with a non-finite entry is named as such, whichever of these stopped
+    its elimination.  The error carries `sample`; for a stack, `sample`
     may be the pair (xs, ys) of (B, dim) sample arrays, and the error then
     names the sample of the first degenerate matrix.
 
@@ -634,10 +645,13 @@ def pivot_inverse(mat, sample=None, threshold=1e-12):
         inverse, failures = _eliminate_stack(stack, threshold)
     if failures:
         i = min(failures)
+        why = failures[i]
+        if not np.isfinite(stack[i]).all():
+            why = "matrix has a non-finite entry"
         where = sample
         if not single and sample is not None:
             where = _sample_at(sample[0], sample[1], i)
-        raise DegeneracyError(failures[i], sample=where)
+        raise DegeneracyError(why, sample=where)
     return inverse[0] if single else inverse
 
 

@@ -31,18 +31,20 @@ _EXPECTED_TYPE = {
     "metric": AnisotropicMetric,
 }
 
-# restrict moves along these arrows (precomposing the injection into the
-# richer level); extend moves against them (precomposing the retraction).
+# Each source level maps to its neighbour and the move that carries an
+# object of the neighbour level back to the source level.  restrict moves
+# along these arrows (precomposing the injection into the richer level);
+# extend moves against them (precomposing the retraction).
 _RESTRICT = {
-    "linear": "anisotropic",
-    "anisotropic": "nonlinear",
-    "nonlinear": "spray",
-    "metric": "lagrangian",
+    "linear": ("anisotropic", lambda gamma, engine: embed_trivial(gamma)),
+    "anisotropic": ("nonlinear", raise_connection),
+    "nonlinear": ("spray", raise_connection),
+    "metric": ("lagrangian", lambda lagr, engine: fundamental_tensor(lagr)),
 }
 _EXTEND = {
-    "spray": "nonlinear",
-    "nonlinear": "anisotropic",
-    "anisotropic": "linear",
+    "spray": ("nonlinear", lambda obj, engine: lower_connection(obj)),
+    "nonlinear": ("anisotropic", lambda obj, engine: lower_connection(obj)),
+    "anisotropic": ("linear", lambda conn, engine: project_intrinsic(conn)),
 }
 
 
@@ -98,6 +100,20 @@ def evaluate_action(functional, obj):
     return total
 
 
+def _move(functional, table, verb, engine, note=""):
+    """Precompose the density with the move `table` holds for the
+    functional's level, and retag it with the neighbour level."""
+    src = functional.level
+    if src not in table:
+        raise TransitionError(
+            f"cannot {verb} from level {src!r}; supported source levels: "
+            f"{sorted(table)}{note}")
+    dst, move = table[src]
+    density = functional.density
+    new = lambda obj, xs, ys: density(move(obj, engine), xs, ys)
+    return functional._with_density(dst, new, f"{functional.name}|{dst}")
+
+
 def restrict_functional(functional, engine=None):
     """Pull the functional back one level along the canonical injection.
 
@@ -105,21 +121,7 @@ def restrict_functional(functional, engine=None):
     nonlinear -> spray (vertical raising), metric -> lagrangian (fundamental
     tensor).
     """
-    src = functional.level
-    if src not in _RESTRICT:
-        raise TransitionError(
-            f"cannot restrict from level {src!r}; supported source levels: "
-            f"{sorted(_RESTRICT)}")
-    dst = _RESTRICT[src]
-    density = functional.density
-    if src == "linear":
-        new = lambda gamma, xs, ys: density(embed_trivial(gamma), xs, ys)
-    elif src == "metric":
-        new = lambda lagr, xs, ys: density(fundamental_tensor(lagr), xs, ys)
-    else:
-        new = lambda obj, xs, ys: density(raise_connection(obj, engine),
-                                          xs, ys)
-    return functional._with_density(dst, new, f"{functional.name}|{dst}")
+    return _move(functional, _RESTRICT, "restrict", engine)
 
 
 def extend_functional(functional, engine=None):
@@ -129,18 +131,8 @@ def extend_functional(functional, engine=None):
     anisotropic -> linear (intrinsic quotient).  The metric side has no
     canonical upward move: extending from "lagrangian" is rejected.
     """
-    src = functional.level
-    if src not in _EXTEND:
-        raise TransitionError(
-            f"cannot extend from level {src!r}; supported source levels: "
-            f"{sorted(_EXTEND)} (the metric side only restricts)")
-    dst = _EXTEND[src]
-    density = functional.density
-    if src == "anisotropic":
-        new = lambda conn, xs, ys: density(project_intrinsic(conn), xs, ys)
-    else:
-        new = lambda obj, xs, ys: density(lower_connection(obj), xs, ys)
-    return functional._with_density(dst, new, f"{functional.name}|{dst}")
+    return _move(functional, _EXTEND, "extend", engine,
+                 " (the metric side only restricts)")
 
 
 def gauge_symmetrize(functional, engine=None):

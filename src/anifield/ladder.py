@@ -2,9 +2,12 @@
 
 For a field S of type (r, s) with integer homogeneity alpha, the total
 weight omega = alpha + s is constant along vertical differentiation and
-Liouville contraction.  Climbing one rung divides out one covariant slot:
+Liouville contraction.  The rung move down is `lower`, the contraction
+divided by nu = alpha + 1; the move up is the vertical derivative, which
+`lower` undoes, as iota(dv T) = nu T for T of homogeneity nu.  Climbing
+one rung divides out one covariant slot:
 
-    S = dv(S_up) + Delta,   S_up = (1/nu) iota(S),   nu = alpha + 1,
+    S = dv(S_up) + Delta,   S_up = lower(S, nu) = (1/nu) iota(S),
 
 where the residue Delta is killed by iota.  Iterating to the ground floor
 writes S as iterated vertical derivatives of a single base function plus
@@ -12,8 +15,6 @@ one in-kernel residue per rung.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import LevelError, ShapeError
 from .fields import (add, liouville_contract, scale, subtract,
@@ -27,25 +28,37 @@ def _as_int_level(value, what):
     return int(v)
 
 
-def project_image(S, alpha=None, engine=None):
-    """Component of S reachable as a vertical derivative.
-
-    Inverts iota(dv T) = alpha T one rung up: returns dv((1/alpha) iota S)
-    where alpha is the homogeneity of the pre-image, S.alpha + 1 unless
-    given explicitly.  Idempotent, and the identity on any dv T.
-    """
-    alpha = S.alpha + 1.0 if alpha is None else float(alpha)
-    if alpha == 0.0:
-        raise LevelError("image projection is undefined when the pre-image "
-                         "would sit at level 0")
-    lifted = scale(liouville_contract(S), 1.0 / alpha)
-    return vertical_derivative(lifted, engine)
+def _levels(S):
+    """(alpha, omega) of a field the ladder walks: integer alpha >= 0."""
+    alpha = _as_int_level(S.alpha, "field homogeneity")
+    if alpha < 0:
+        raise LevelError(f"ladder starts at alpha >= 0, got {alpha}")
+    return alpha, alpha + S.s
 
 
-def project_kernel(S, alpha=None, engine=None, name=""):
+def lower(S, nu, name=""):
+    """The rung move down: (1/nu) iota(S), the bare contraction at nu = 1
+    unless a name asks for a named copy."""
+    if nu == 0:
+        raise LevelError(f"cannot lower {S.name!r} by nu = 0: its "
+                         f"contraction would have no pre-image")
+    hooked = liouville_contract(S)
+    if nu == 1 and not name:
+        return hooked
+    return scale(hooked, 1.0 / nu, name=name)
+
+
+def project_image(S, engine=None):
+    """Component of S reachable as a vertical derivative: dv(lower(S, nu))
+    with nu = alpha + 1, the homogeneity of the pre-image.  Idempotent, and
+    the identity on any dv T."""
+    return vertical_derivative(lower(S, S.alpha + 1.0), engine)
+
+
+def project_kernel(S, engine=None, name=""):
     """Component of S killed by the Liouville contraction.  When S has no
     image part, that is S itself, under its own name."""
-    return subtract(S, project_image(S, alpha, engine),
+    return subtract(S, project_image(S, engine),
                     name=name or f"ker({S.name})")
 
 
@@ -81,23 +94,27 @@ def decompose(S, beta, engine=None):
     alpha < beta <= omega = alpha + s.  beta = omega reaches the ground
     floor: a single function of full weight plus one residue per rung.
     """
-    alpha = _as_int_level(S.alpha, "field homogeneity")
+    alpha, omega = _levels(S)
     beta = _as_int_level(beta, "target")
-    omega = alpha + S.s
-    if alpha < 0:
-        raise LevelError(f"ladder starts at alpha >= 0, got {alpha}")
     if not alpha < beta <= omega:
         raise LevelError(
             f"target level {beta} not in ({alpha}, {omega}] for this field")
     current = S
     collected = []
     for nu in range(alpha + 1, beta + 1):
-        lifted = scale(liouville_contract(current), 1.0 / nu)
+        lifted = lower(current, nu)
         collected.append(subtract(current, vertical_derivative(lifted, engine),
                                   name=f"residue[{current.s}]"))
         current = lifted
     return LadderDecomposition(r=S.r, omega=omega, base=current,
                                residues=tuple(reversed(collected)))
+
+
+def _climb(field, top, engine):
+    """Differentiate `field` vertically up to covariant rank `top`."""
+    for _ in range(top - field.s):
+        field = vertical_derivative(field, engine)
+    return field
 
 
 def reconstruct(split, engine=None):
@@ -115,45 +132,24 @@ def reconstruct(split, engine=None):
             raise ShapeError(
                 f"residue of rank {res.s} has weight "
                 f"{res.s + res.alpha:g}, expected {split.omega}")
-
-    def climb(field):
-        out = field
-        for _ in range(top - field.s):
-            out = vertical_derivative(out, engine)
-        return out
-
     # Named through `add`: a zero part folds away, and the sum is then
     # the other part itself, whose name is not ours to change.
-    total = climb(base)
+    total = _climb(base, top, engine)
     for res in split.residues:
-        total = add(total, climb(res), name=f"rebuilt[{top}]")
+        total = add(total, _climb(res, top, engine), name=f"rebuilt[{top}]")
     return total
 
 
-def destroy_residues(S, alpha=None, omega=None, engine=None):
+def destroy_residues(S, engine=None):
     """Ground-floor shadow of S: drop every residue, keep the base.
 
-    Walks S all the way down with repeated normalized contractions, then
-    differentiates the base back up.  Equals S exactly when S is an
-    iterated vertical derivative, and kills S when iota(S) = 0.
+    Climbs the base of `decompose(S, omega)` back up to the rank of S.
+    Equals S exactly when S is an iterated vertical derivative, and kills
+    S when iota(S) = 0.  The homogeneity of S must be an integer >= 0.
     """
-    a = _as_int_level(S.alpha if alpha is None else alpha, "alpha")
-    if alpha is not None and a != round(S.alpha):
-        raise LevelError(
-            f"declared alpha {a} does not match field homogeneity {S.alpha:g}")
-    w = a + S.s if omega is None else _as_int_level(omega, "omega")
-    if w != a + S.s:
-        raise LevelError(
-            f"omega {w} does not match alpha + rank = {a + S.s}")
-    if a < 0:
-        raise LevelError(f"ladder starts at alpha >= 0, got {a}")
-    if w == a:
+    alpha, omega = _levels(S)
+    if alpha == omega:
         return S        # a scalar is its own ground floor
-    current = S
-    for nu in range(a + 1, w + 1):
-        current = scale(liouville_contract(current), 1.0 / nu)
-    out = current
-    for _ in range(w - a):
-        out = vertical_derivative(out, engine)
+    out = _climb(decompose(S, omega, engine).base, S.s, engine)
     # A derivative is a chain cached on the node below it; name a copy.
     return scale(out, 1.0, name=f"destroyed({S.name})")

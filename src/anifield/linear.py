@@ -17,9 +17,10 @@ import numpy as np
 from .connections import (AnisotropicConnection, NonlinearConnection,
                           berwald_connection, chern_connection)
 from .errors import DegeneracyError, ShapeError
-from .fields import (add, constant_field, liouville_contract, matrix_inverse,
-                     pivot_inverse, scale, subtract, tensor_product,
-                     vertical_derivative, x_derivative, zero_field)
+from .fields import (_require_type, add, constant_field, liouville_contract,
+                     matrix_inverse, pivot_inverse, scale, subtract,
+                     tensor_product, vertical_derivative, x_derivative,
+                     zero_field)
 from .metrics import fundamental_tensor
 
 
@@ -27,10 +28,8 @@ class LinearConnection:
     """Blocks (Gamma1, Gamma2) of a vertically trivial linear connection."""
 
     def __init__(self, gamma1, gamma2, name=""):
-        if gamma1.rank != (1, 2) or float(gamma1.alpha) != 0.0:
-            raise ShapeError("Gamma1 must be type (1, 2) with alpha = 0")
-        if gamma2.rank != (1, 2) or float(gamma2.alpha) != -1.0:
-            raise ShapeError("Gamma2 must be type (1, 2) with alpha = -1")
+        _require_type(gamma1, 1, 2, 0, "Gamma1")
+        _require_type(gamma2, 1, 2, -1, "Gamma2")
         if gamma1.domain is not gamma2.domain:
             raise ShapeError("both blocks live on one domain")
         self.gamma1 = gamma1
@@ -124,8 +123,7 @@ def linear_from_pair(gamma, delta):
     Gamma1 . y = (id + delta . y) . (iota gamma).
     """
     coeff = gamma.coefficients if isinstance(gamma, AnisotropicConnection) else gamma
-    if delta.rank != (1, 2) or float(delta.alpha) != -1.0:
-        raise ShapeError("the vertical block must be type (1, 2), alpha = -1")
+    _require_type(delta, 1, 2, -1, "the vertical block")
     N = liouville_contract(coeff)
     slanted = tensor_product(N, delta, "bj,ibk->ijk", 1, 2)
     return LinearConnection(add(coeff, slanted), delta,

@@ -9,22 +9,17 @@ phi . y = (1/2) ell.
 import numpy as np
 
 from .errors import DegeneracyError, ShapeError
-from .fields import (DEFAULT_ENGINE, _first, _sample_at, add,
-                     liouville_contract, liouville_field, matrix_inverse,
-                     scalar_reciprocal, scale, subtract, tensor_product,
-                     vertical_derivative)
-from .ladder import project_kernel
+from .fields import (DEFAULT_ENGINE, _first, _require_type, _sample_at, add,
+                     liouville_field, matrix_inverse, scalar_reciprocal,
+                     scale, subtract, tensor_product, vertical_derivative)
+from .ladder import lower, project_kernel
 
 
 class Lagrangian:
     """2-homogeneous scalar energy on a conic domain."""
 
     def __init__(self, field, engine=None, name=""):
-        if field.rank != (0, 0):
-            raise ShapeError("a Lagrangian is a scalar field")
-        if float(field.alpha) != 2.0:
-            raise ShapeError(
-                f"a Lagrangian is 2-homogeneous, got alpha={field.alpha:g}")
+        _require_type(field, 0, 0, 2, "a Lagrangian")
         self.field = field
         self.engine = engine or DEFAULT_ENGINE
         self.name = name or field.name
@@ -55,9 +50,7 @@ class LegendreField:
     """A (0, 1) field of homogeneity 1; the gradient shape of an energy."""
 
     def __init__(self, field, name=""):
-        if field.rank != (0, 1) or float(field.alpha) != 1.0:
-            raise ShapeError(
-                "a Legendre-type field has type (0, 1) and homogeneity 1")
+        _require_type(field, 0, 1, 1, "a Legendre-type field")
         self.field = field
         self.name = name or field.name
 
@@ -69,9 +62,7 @@ class AnisotropicMetric:
     """Symmetric nondegenerate (0, 2) field, 0-homogeneous in y."""
 
     def __init__(self, field, name=""):
-        if field.rank != (0, 2) or float(field.alpha) != 0.0:
-            raise ShapeError(
-                "an anisotropic metric has type (0, 2) and homogeneity 0")
+        _require_type(field, 0, 2, 0, "an anisotropic metric")
         self.field = field
         self.name = name or field.name
         self._inv = None
@@ -131,8 +122,7 @@ def legendre_residue(ell, engine=None):
     ell is the vertical gradient of its own ground-floor energy.
     """
     field = ell.field if isinstance(ell, LegendreField) else ell
-    if field.rank != (0, 1):
-        raise ShapeError("legendre_residue needs a type-(0, 1) field")
+    _require_type(field, 0, 1, 1, "legendre_residue")
     dell = vertical_derivative(field, engine)
     hooked = tensor_product(
         dell, liouville_field(field.domain), "ai,a->i", 0, 1)
@@ -143,7 +133,8 @@ def legendre_residue(ell, engine=None):
 def kernel_residue(ell, engine=None):
     """Same obstruction, computed through the ladder kernel projection."""
     field = ell.field if isinstance(ell, LegendreField) else ell
-    return project_kernel(field, 2.0, engine)
+    _require_type(field, 0, 1, 1, "kernel_residue")
+    return project_kernel(field, engine)
 
 
 def wick_metric(L, kappa):
@@ -166,9 +157,8 @@ def wick_metric(L, kappa):
 
 def lagrangian_of_metric(metric, engine=None):
     """Ground-floor energy (1/2) g(y, y) of an anisotropic metric."""
-    closed = liouville_contract(liouville_contract(metric.field))
-    return Lagrangian(scale(closed, 0.5, name=f"energy({metric.name})"),
-                      engine=engine)
+    return Lagrangian(lower(lower(metric.field, 1), 2,
+                            name=f"energy({metric.name})"), engine=engine)
 
 
 def _symmetric(g, tol):
@@ -188,7 +178,7 @@ def signature_at(metric, x, y, zero_tol=1e-8):
     (B, dim) batch of samples the three counts are integer arrays of
     length B.
     """
-    g = metric.field(x, y) if isinstance(metric, AnisotropicMetric) else metric(x, y)
+    g = metric(x, y)
     if not np.all(_symmetric(g, 1e-8)):
         raise ShapeError("signature of a non-symmetric matrix is undefined")
     eigs = np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, -1, -2)))

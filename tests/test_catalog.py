@@ -93,3 +93,30 @@ def test_catalog_fields_are_positively_homogeneous(name):
         for x, y in zip(xs, ys):
             defect = np.max(np.abs(homogeneity_defect(field, x, y)))
             assert defect < 1e-7, (field.name, defect)
+
+
+def _quartic_third_by_loop(ys):
+    """quartic2's third vertical derivative, one component at a time."""
+    y = ys.T
+    Q = y[0] ** 4 + y[1] ** 4
+    s1, s3, s5 = Q ** -0.5, Q ** -1.5, Q ** -2.5
+    out = np.empty((len(ys), 2, 2, 2))
+    for a in range(2):
+        for b in range(2):
+            for c in range(2):
+                dab, dac, dbc = a == b, a == c, b == c
+                out[:, a, b, c] = (
+                    12.0 * y[a] * dab * dac * s1
+                    - 12.0 * (y[a] ** 2 * dab * y[c] ** 3
+                              + y[a] ** 2 * y[b] ** 3 * dac
+                              + y[a] ** 3 * y[b] ** 2 * dbc) * s3
+                    + 24.0 * y[a] ** 3 * y[b] ** 3 * y[c] ** 3 * s5)
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 7, 64])
+def test_quartic_third_derivative_matches_the_loop_bit_for_bit(count):
+    bundle = get_example("quartic2")
+    xs, ys = bundle.domain.sample(count, seed=count)
+    third = bundle.fields["third"](xs, ys)
+    assert third.tobytes() == _quartic_third_by_loop(ys).tobytes()

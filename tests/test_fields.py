@@ -276,6 +276,35 @@ def test_pivot_inverse_of_a_non_finite_stack_raises_without_a_warning():
                 message, (xs[i].tolist(), ys[i].tolist()))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pivot_inverse_names_a_non_finite_matrix(n, bad):
+    # every entry position, alone and beside a zero row, one matrix and
+    # the middle of a stack of three: the reason is the non-finite entry
+    xs, ys = EUC.domain.sample(3, seed=6)
+    good = np.eye(n) + 0.1 * np.random.default_rng(n).normal(size=(n, n))
+    for i in range(n):
+        for j in range(n):
+            m = good.copy()
+            m[i, j] = bad
+            cases = [m]
+            if n > 1:
+                cases.append(m.copy())
+                cases[-1][(i + 1) % n] = 0.0
+            for m in cases:
+                for mat, sample, where in (
+                        (m, "here", "here"),
+                        (m[None], (xs[:1], ys[:1]),
+                         (xs[0].tolist(), ys[0].tolist())),
+                        (np.stack([good, m, good]), (xs, ys),
+                         (xs[1].tolist(), ys[1].tolist()))):
+                    with pytest.raises(DegeneracyError) as info:
+                        pivot_inverse(mat, sample=sample)
+                    assert str(info.value) == "matrix has a non-finite entry"
+                    assert info.value.sample == where
+
+
 def test_scalar_power_values_and_weight():
     L = QUARTIC.lagrangian.field
     root = scalar_power(L, 0.5)

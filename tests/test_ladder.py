@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from anifield import (DiffEngine, LadderDecomposition, LevelError, ShapeError,
                       TensorField, decompose, destroy_residues,
-                      liouville_contract, project_image, project_kernel,
+                      liouville_contract, lower, project_image, project_kernel,
                       reconstruct, subtract, vertical_derivative, wick_metric)
 from anifield.catalog import get_example
 
@@ -39,10 +39,26 @@ def test_project_image_is_identity_on_gradients():
         assert_allclose(proj(x, y), ell(x, y), atol=1e-13)
 
 
-def test_project_image_accepts_explicit_level():
+def test_project_image_lifts_to_the_next_level():
+    # ell is 1-homogeneous, so its pre-image sits at level 2: dv(iota(ell)/2)
     ell = EUC.lagrangian.ell_field()
-    proj = project_image(ell, 2.0, engine=ANALYTIC)
+    proj = project_image(ell, engine=ANALYTIC)
     assert_allclose(proj(X0, np.array([3.0, 4.0])), [6.0, 8.0], atol=1e-12)
+
+
+def test_lower_is_the_contraction_divided_by_nu():
+    g = wick_metric(EUC.lagrangian, 0.5).field
+    xs, ys = EUC.domain.sample(8, seed=3)
+    hooked = liouville_contract(g)
+    bare = lower(g, 1)
+    assert bare.name == hooked.name == f"iota({g.name})"   # no x1 copy
+    assert bare(xs, ys).tobytes() == hooked(xs, ys).tobytes()
+    assert lower(g, 2)(xs, ys).tobytes() == (0.5 * hooked(xs, ys)).tobytes()
+    named = lower(g, 1, name="named")
+    assert named.name == "named"
+    assert named(xs, ys).tobytes() == hooked(xs, ys).tobytes()
+    with pytest.raises(LevelError):
+        lower(g, 0)
 
 
 def test_project_image_is_idempotent():
@@ -138,12 +154,15 @@ def test_destroy_residues_frozen_value():
     assert_allclose(flattened(X0, y), [3.0, 4.0], atol=1e-12)
 
 
-def test_destroy_residues_validates_declared_levels():
-    skew = _custom_ell()
-    with pytest.raises(LevelError):
-        destroy_residues(skew, alpha=2.0)
-    with pytest.raises(LevelError):
-        destroy_residues(skew, omega=3.0)
+def test_destroy_residues_refuses_bad_homogeneity():
+    # the level comes from the field: negative or fractional is refused,
+    # scalars included
+    for s in (0, 1, 2):
+        for alpha in (-1.0, 0.5, -2.5):
+            field = TensorField(EUC.domain, 0, s, alpha,
+                                lambda xs, ys: np.zeros((len(xs),) + (2,) * s))
+            with pytest.raises(LevelError, match="alpha >= 0|integer level"):
+                destroy_residues(field, engine=ANALYTIC)
 
 
 def test_destroy_residues_leaves_its_input_alone():

@@ -6,11 +6,14 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from anifield import (AnisotropicMetric, DegeneracyError, DiffEngine,
-                      Lagrangian, ShapeError, TensorField, constant_field,
-                      fundamental_tensor, kernel_residue, lagrangian_of_metric,
-                      legendre_of, legendre_residue, liouville_contract,
-                      scale, signature_at, vertical_derivative, wick_metric)
+                      Lagrangian, LinearConnection, ShapeError, TensorField,
+                      constant_field, fundamental_tensor, kernel_residue,
+                      lagrangian_of_metric, legendre_of, legendre_residue,
+                      linear_from_pair, liouville_contract, scale,
+                      signature_at, vertical_derivative, wick_metric,
+                      zero_field)
 from anifield.catalog import get_example
+from anifield.metrics import LegendreField
 
 ANALYTIC = DiffEngine("analytic")
 EUC = get_example("euclidean2")
@@ -25,6 +28,49 @@ def test_lagrangian_rejects_wrong_type():
     linear = TensorField(EUC.domain, 0, 0, 1.0, lambda xs, ys: ys[:, 0])
     with pytest.raises(ShapeError):
         Lagrangian(linear)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Lagrangian(zero_field(EUC.domain, 0, 1, 1.0)),
+     "a Lagrangian needs a type-(0, 0) field of homogeneity 2, "
+     "got (0, 1) at alpha=1"),
+    (lambda: Lagrangian(zero_field(EUC.domain, 0, 0, 1.0)),
+     "a Lagrangian needs a type-(0, 0) field of homogeneity 2, "
+     "got (0, 0) at alpha=1"),
+    (lambda: LegendreField(zero_field(EUC.domain, 0, 1, 0.0)),
+     "a Legendre-type field needs a type-(0, 1) field of homogeneity 1, "
+     "got (0, 1) at alpha=0"),
+    (lambda: AnisotropicMetric(zero_field(EUC.domain, 0, 2, 1.0)),
+     "an anisotropic metric needs a type-(0, 2) field of homogeneity 0, "
+     "got (0, 2) at alpha=1"),
+    (lambda: LinearConnection(zero_field(EUC.domain, 1, 2, -1.0),
+                              zero_field(EUC.domain, 1, 2, -1.0)),
+     "Gamma1 needs a type-(1, 2) field of homogeneity 0, "
+     "got (1, 2) at alpha=-1"),
+    (lambda: LinearConnection(zero_field(EUC.domain, 1, 2, 0.0),
+                              zero_field(EUC.domain, 2, 1, -1.0)),
+     "Gamma2 needs a type-(1, 2) field of homogeneity -1, "
+     "got (2, 1) at alpha=-1"),
+    (lambda: linear_from_pair(zero_field(EUC.domain, 1, 2, 0.0),
+                              zero_field(EUC.domain, 1, 2, 0.0)),
+     "the vertical block needs a type-(1, 2) field of homogeneity -1, "
+     "got (1, 2) at alpha=0"),
+    (lambda: legendre_residue(zero_field(EUC.domain, 0, 1, 2.0)),
+     "legendre_residue needs a type-(0, 1) field of homogeneity 1, "
+     "got (0, 1) at alpha=2"),
+    (lambda: legendre_residue(EUC.lagrangian.field),
+     "legendre_residue needs a type-(0, 1) field of homogeneity 1, "
+     "got (0, 0) at alpha=2"),
+    (lambda: kernel_residue(zero_field(EUC.domain, 0, 1, 0.0)),
+     "kernel_residue needs a type-(0, 1) field of homogeneity 1, "
+     "got (0, 1) at alpha=0"),
+], ids=["lagrangian_rank", "lagrangian_alpha", "legendre", "metric",
+        "gamma1", "gamma2", "pair_delta", "legendre_residue_alpha",
+        "legendre_residue_rank", "kernel_residue_alpha"])
+def test_each_wrapper_names_its_type_check(build, message):
+    with pytest.raises(ShapeError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_euclidean_ladder_values():
