@@ -5,6 +5,13 @@ samples and passes when the defect stays under the configured tolerance
 (the signature table instead counts mismatched sign patterns).  The CLI
 composes these into reports; the vocabulary lives in CHECKS and
 applicability is decided per bundle by `applicable_checks`.
+
+A check is added as a body under `@_check(name, *needs)`; it applies to
+a bundle on which none of the attributes named in `needs` is None.  The
+body gets `(bundle, engine, xs, ys, config, feed)` and only feeds
+defects; the runner the decorator returns builds the engine, draws the
+samples, keeps the worst defect and writes the `CheckReport`.  A body
+returns its sample count only when that is not `len(xs)`.
 """
 
 from dataclasses import dataclass
@@ -87,13 +94,29 @@ def _columns(*values):
     return np.stack([_row_max_abs(v) for v in values], axis=1)
 
 
-def _report(name, worst, count, tol):
-    return CheckReport(name, worst.value, count, worst.value < tol,
-                       worst.sample)
+CHECKS = {}
+_NEEDS = {}
 
 
-def _engine(config):
-    return DiffEngine(config.method, config.step_scale)
+def _check(name, *needs, tolerance=None):
+    """Register a check body as `CHECKS[name]`, applicable to the bundles
+    on which every attribute in `needs` is set; a `tolerance` given here
+    replaces the configured one."""
+    def register(body):
+        def run(bundle, config):
+            xs, ys = bundle.domain.sample(config.samples, config.seed)
+            worst = _Worst()
+            used = body(bundle, DiffEngine(config.method, config.step_scale),
+                        xs, ys, config, worst.feed)
+            tol = config.tolerance if tolerance is None else tolerance
+            return CheckReport(name, worst.value,
+                               len(xs) if used is None else used,
+                               worst.value < tol, worst.sample)
+        run.__name__, run.__doc__ = body.__name__, body.__doc__
+        CHECKS[name] = run
+        _NEEDS[name] = needs
+        return run
+    return register
 
 
 def euclidean_energy_field(domain):
@@ -127,53 +150,40 @@ def kernel_shift(domain, coeffs, rank=2):
     return split.residues[-1]
 
 
-def check_euler(bundle, config):
+@_check("euler")
+def check_euler(bundle, engine, xs, ys, config, feed):
     """Euler defect dv(T) . y - alpha T, relative, over every bundle field."""
-    engine = _engine(config)
-    xs, ys = bundle.domain.sample(config.samples, config.seed)
-    worst = _Worst()
     for field in bundle.fields.values():
         defect = homogeneity_defect(field, xs, ys, engine)
         ref = 1.0 + _row_max_abs(field(xs, ys))
-        worst.feed(_row_max_abs(defect) / ref, xs, ys)
-    return _report("euler", worst, len(xs), config.tolerance)
+        feed(_row_max_abs(defect) / ref, xs, ys)
 
 
-def check_ladder_roundtrip(bundle, config):
+@_check("ladder_roundtrip", "lagrangian")
+def check_ladder_roundtrip(bundle, engine, xs, ys, config, feed):
     """Ground-floor split and reassembly of the bundle's metric objects."""
-    engine = _engine(config)
-    xs, ys = bundle.domain.sample(config.samples, config.seed)
-    worst = _Worst()
-    targets = []
-    if bundle.lagrangian is not None:
-        targets.append(bundle.lagrangian.ell_field())
-        targets.append(bundle.lagrangian.phi_field())
+    targets = [bundle.lagrangian.ell_field(), bundle.lagrangian.phi_field()]
     if bundle.metric is not None:
         targets.append(bundle.metric.field)
     for field in targets:
         split = decompose(field, round(field.alpha) + field.s, engine)
         rebuilt = reconstruct(split, engine)
         kernels = [liouville_contract(res) for res in split.residues]
-        worst.feed(_columns(rebuilt(xs, ys) - field(xs, ys),
-                            *(hooked(xs, ys) for hooked in kernels)), xs, ys)
-    return _report("ladder_roundtrip", worst, len(xs), config.tolerance)
+        feed(_columns(rebuilt(xs, ys) - field(xs, ys),
+                      *(hooked(xs, ys) for hooked in kernels)), xs, ys)
 
 
-def check_legendre_residue(bundle, config):
+@_check("legendre_residue", "lagrangian")
+def check_legendre_residue(bundle, engine, xs, ys, config, feed):
     """The gradient of an energy has no Legendre-type residue."""
-    engine = _engine(config)
-    xs, ys = bundle.domain.sample(config.samples, config.seed)
     res = legendre_residue(legendre_of(bundle.lagrangian), engine)
-    worst = _Worst()
-    worst.feed(_row_max_abs(res(xs, ys)), xs, ys)
-    return _report("legendre_residue", worst, len(xs), config.tolerance)
+    feed(_row_max_abs(res(xs, ys)), xs, ys)
 
 
-def check_wick_identity(bundle, config):
+@_check("wick_identity", "metric", "kappa")
+def check_wick_identity(bundle, engine, xs, ys, config, feed):
     """Hooking y into a wick metric scales the base by 1 + kappa; destroying
     its residues recovers (1 + kappa) phi; its energy is (1 + kappa) L / 2."""
-    engine = _engine(config)
-    xs, ys = bundle.domain.sample(config.samples, config.seed)
     kappa = bundle.kappa
     g = bundle.metric.field
     phi = bundle.lagrangian.phi_field()
@@ -182,21 +192,18 @@ def check_wick_identity(bundle, config):
     destroyed = destroy_residues(g, engine=engine)
     energy = lagrangian_of_metric(bundle.metric).field
     target = (1.0 + kappa) * phi(xs, ys)
-    worst = _Worst()
-    worst.feed(_columns(hooked(xs, ys) - (target @ ys[:, :, None])[:, :, 0],
-                        destroyed(xs, ys) - target,
-                        energy(xs, ys) - (1.0 + kappa) * L(xs, ys) / 2.0),
-               xs, ys)
-    return _report("wick_identity", worst, len(xs), config.tolerance)
+    feed(_columns(hooked(xs, ys) - (target @ ys[:, :, None])[:, :, 0],
+                  destroyed(xs, ys) - target,
+                  energy(xs, ys) - (1.0 + kappa) * L(xs, ys) / 2.0), xs, ys)
 
 
-def check_signature_table(bundle, config):
+@_check("signature_table", "metric", "kappa", tolerance=1.0)
+def check_signature_table(bundle, engine, xs, ys, config, feed):
     """Eigenvalue signs of the wick metric follow the kappa thresholds.
 
     The defect is the number of samples whose signature disagrees with the
     prediction, so the check passes only with zero mismatches.
     """
-    xs, ys = bundle.domain.sample(config.samples, config.seed)
     kappa = bundle.kappa
     p, m, z = signature_at(bundle.lagrangian.phi_field(), xs[0], ys[0])
     if kappa > -1.0:
@@ -205,66 +212,51 @@ def check_signature_table(bundle, config):
         expected = (p - 1, m, z + 1)
     else:
         expected = (p - 1, m + 1, z)
-    worst = _Worst()
-    worst.feed(0.0, xs[0], ys[0])
+    feed(0.0, xs[0], ys[0])
     counts = signature_at(bundle.metric, xs, ys)
     wrong = np.any([c != e for c, e in zip(counts, expected)], axis=0)
     if wrong.any():
         last = len(wrong) - 1 - _first(wrong[::-1])
-        worst.feed(float(np.sum(wrong)), xs[last], ys[last])
-    return _report("signature_table", worst, len(xs), 1.0)
+        feed(float(np.sum(wrong)), xs[last], ys[last])
 
 
-def check_canonical_spray_oracle(bundle, config):
+@_check("canonical_spray_oracle", "lagrangian")
+def check_canonical_spray_oracle(bundle, engine, xs, ys, config, feed):
     """Canonical spray against its closed form (zero for x-independent
     energies)."""
-    engine = _engine(config)
-    xs, ys = bundle.domain.sample(config.samples, config.seed)
     spray = canonical_spray(bundle.lagrangian, engine)
     oracle = bundle.spray_oracle
     if oracle is None:
         oracle = lambda xs, ys: np.zeros_like(ys)
-    worst = _Worst()
-    worst.feed(_row_max_abs(spray(xs, ys) - oracle(xs, ys)), xs, ys)
-    return _report("canonical_spray_oracle", worst, len(xs), config.tolerance)
+    feed(_row_max_abs(spray(xs, ys) - oracle(xs, ys)), xs, ys)
 
 
-def check_landsberg_kernel(bundle, config):
+@_check("landsberg_kernel", "lagrangian")
+def check_landsberg_kernel(bundle, engine, xs, ys, config, feed):
     """iota kills the Landsberg tensor; Riemannian energies kill it outright."""
-    engine = _engine(config)
-    xs, ys = bundle.domain.sample(config.samples, config.seed)
     lan = landsberg_tensor(bundle.lagrangian, engine)
     hooked = liouville_contract(lan)
     compared = [hooked(xs, ys)]
     if bundle.riemannian:
         compared.append(lan(xs, ys))
-    worst = _Worst()
-    worst.feed(_columns(*compared), xs, ys)
-    return _report("landsberg_kernel", worst, len(xs), config.tolerance)
+    feed(_columns(*compared), xs, ys)
 
 
-def check_torsion_residue(bundle, config):
+@_check("torsion_residue", "nonlinear")
+def check_torsion_residue(bundle, engine, xs, ys, config, feed):
     """residue(N) = (1/2) torsion . y, and iota kills the residue."""
-    engine = _engine(config)
-    xs, ys = bundle.domain.sample(config.samples, config.seed)
     N = bundle.nonlinear
     res = nonlinear_residue(N, engine)
     half_tor = scale(liouville_contract(torsion(N, engine)), 0.5)
     hooked = liouville_contract(res)
-    worst = _Worst()
-    worst.feed(_columns(res(xs, ys) - half_tor(xs, ys), hooked(xs, ys)),
-               xs, ys)
-    return _report("torsion_residue", worst, len(xs), config.tolerance)
+    feed(_columns(res(xs, ys) - half_tor(xs, ys), hooked(xs, ys)), xs, ys)
 
 
-def check_cocycle_coherence(bundle, config):
+@_check("cocycle_coherence", "transition")
+def check_cocycle_coherence(bundle, engine, xs, ys, config, feed):
     """Transform-then-operate equals operate-then-transform across the
     bundle's transition, plus the closed cocycle forms on the flat plane."""
-    engine = _engine(config)
     t = bundle.transition
-    xs, ys = bundle.domain.sample(config.samples, config.seed)
-    worst = _Worst()
-
     flat_spray = Spray(zero_field(bundle.domain, 1, 0, 2.0))
     flat_N = NonlinearConnection(zero_field(bundle.domain, 1, 1, 1.0))
     flat_gamma = AnisotropicConnection(zero_field(bundle.domain, 1, 2, 0.0))
@@ -277,27 +269,24 @@ def check_cocycle_coherence(bundle, config):
     N_expect[:, 0, 1] = -2.0 * yts[:, 1]
     gamma_expect = np.zeros((2, 2, 2))
     gamma_expect[0, 1, 1] = -2.0
-    worst.feed(_columns(G[:, 0] + yts[:, 1] ** 2, G[:, 1],
-                        moved_N(xts, yts) - N_expect,
-                        moved_gamma(xts, yts) - gamma_expect), xs, ys)
+    feed(_columns(G[:, 0] + yts[:, 1] ** 2, G[:, 1],
+                  moved_N(xts, yts) - N_expect,
+                  moved_gamma(xts, yts) - gamma_expect), xs, ys)
 
     for obj in (flat_spray, flat_N, flat_gamma,
                 bundle.lagrangian.ell_field()):
         for defect in coherence_defect(obj, t, xs, ys, engine).values():
-            worst.feed(defect, xs, ys)
-    return _report("cocycle_coherence", worst, len(xs), config.tolerance)
+            feed(defect, xs, ys)
 
 
-def check_linear_roundtrip(bundle, config):
+@_check("linear_roundtrip", "lagrangian")
+def check_linear_roundtrip(bundle, engine, xs, ys, config, feed):
     """The four classical linear connections are strongly regular, induce
     the canonical N, and project back onto their source connections."""
-    engine = _engine(config)
-    xs, ys = bundle.domain.sample(config.samples, config.seed)
     L = bundle.lagrangian
     Nhat = raise_connection(canonical_spray(L, engine), engine).coefficients
     sources = {"berwald": berwald_connection(L, engine).coefficients,
                "chern": chern_connection(L, engine).coefficients}
-    worst = _Worst()
     for kind in ("berwald", "chern", "hashiguchi", "cartan"):
         conn = classical_linear(L, kind, engine)
         induced = induced_nonlinear(conn).coefficients
@@ -307,17 +296,16 @@ def check_linear_roundtrip(bundle, config):
         # An irregular sample scores 1; a regular one scores 0 there,
         # which never beats the (non-negative) defects fed beside it.
         irregular = ~is_strongly_regular(conn, xs, ys, tol=1e-9)
-        worst.feed(np.column_stack([
+        feed(np.column_stack([
             irregular.astype(float),
             _columns(induced(xs, ys) - Nhat(xs, ys),
                      back(xs, ys) - source(xs, ys))]), xs, ys)
-    return _report("linear_roundtrip", worst, len(xs), config.tolerance)
 
 
-def check_functional_laws(bundle, config):
+@_check("functional_laws", "lagrangian")
+def check_functional_laws(bundle, engine, xs, ys, config, feed):
     """Extend-then-restrict is the identity; gauge-symmetrized functionals
     ignore in-kernel shifts and cannot tell Chern from Berwald."""
-    engine = _engine(config)
     L = bundle.lagrangian
     domain = bundle.domain
     count = min(config.samples, 32)
@@ -333,9 +321,8 @@ def check_functional_laws(bundle, config):
     roundtrip = evaluate_action(
         restrict_functional(extend_functional(spray_action, engine), engine),
         spray)
-    worst = _Worst()
-    worst.feed(abs(direct - roundtrip) / (1.0 + abs(direct)),
-               spray_action.xs[0], spray_action.ys[0])
+    feed(abs(direct - roundtrip) / (1.0 + abs(direct)),
+         spray_action.xs[0], spray_action.ys[0])
 
     gamma_action = ActionFunctional(
         "anisotropic",
@@ -349,63 +336,31 @@ def check_functional_laws(bundle, config):
     rng = np.random.default_rng(config.seed + 13)
     shift = kernel_shift(domain, rng.normal(size=(2, 2, 2, 2)))
     shifted = AnisotropicConnection(add(berwald.coefficients, shift))
-    worst.feed(abs(evaluate_action(sym, shifted) - base_val)
-               / (1.0 + abs(base_val)),
-               gamma_action.xs[0], gamma_action.ys[0])
+    feed(abs(evaluate_action(sym, shifted) - base_val) / (1.0 + abs(base_val)),
+         gamma_action.xs[0], gamma_action.ys[0])
 
     chern = chern_connection(L, engine)
-    worst.feed(abs(evaluate_action(sym, chern) - base_val)
-               / (1.0 + abs(base_val)),
-               gamma_action.xs[0], gamma_action.ys[0])
-    return _report("functional_laws", worst, count, config.tolerance)
+    feed(abs(evaluate_action(sym, chern) - base_val) / (1.0 + abs(base_val)),
+         gamma_action.xs[0], gamma_action.ys[0])
+    return count
 
 
-def check_geodesic_conservation(bundle, config):
+@_check("geodesic_conservation", "lagrangian")
+def check_geodesic_conservation(bundle, engine, xs, ys, config, feed):
     """The energy is constant along canonical-spray geodesics."""
-    engine = _engine(config)
     L = bundle.lagrangian
     spray = canonical_spray(L, engine)
-    xs, ys = bundle.domain.sample(1, config.seed)
     path = geodesic_integrate(spray, xs[0], ys[0], 1e-3, 200)
     px = np.array([x for x, _ in path.points])
     py = np.array([y for _, y in path.points])
     energy = L.field(px, py)
     e0 = float(energy[0])
-    worst = _Worst()
-    worst.feed(np.abs(energy - e0) / max(1e-12, abs(e0)), px, py)
+    feed(np.abs(energy - e0) / max(1e-12, abs(e0)), px, py)
     if not path.completed:
-        worst.feed(1.0, xs[0], ys[0])
-    return _report("geodesic_conservation", worst, len(path.points),
-                   config.tolerance)
-
-
-CHECKS = {
-    "euler": check_euler,
-    "ladder_roundtrip": check_ladder_roundtrip,
-    "legendre_residue": check_legendre_residue,
-    "wick_identity": check_wick_identity,
-    "signature_table": check_signature_table,
-    "canonical_spray_oracle": check_canonical_spray_oracle,
-    "landsberg_kernel": check_landsberg_kernel,
-    "torsion_residue": check_torsion_residue,
-    "cocycle_coherence": check_cocycle_coherence,
-    "linear_roundtrip": check_linear_roundtrip,
-    "functional_laws": check_functional_laws,
-    "geodesic_conservation": check_geodesic_conservation,
-}
+        feed(1.0, xs[0], ys[0])
+    return len(path.points)
 
 
 def applicable_checks(bundle):
-    names = ["euler"]
-    if bundle.lagrangian is not None:
-        names += ["ladder_roundtrip", "legendre_residue",
-                  "canonical_spray_oracle", "landsberg_kernel",
-                  "linear_roundtrip", "functional_laws",
-                  "geodesic_conservation"]
-    if bundle.metric is not None and bundle.kappa is not None:
-        names += ["wick_identity", "signature_table"]
-    if bundle.nonlinear is not None:
-        names.append("torsion_residue")
-    if bundle.transition is not None:
-        names.append("cocycle_coherence")
-    return sorted(names)
+    return sorted(name for name, needs in _NEEDS.items()
+                  if all(getattr(bundle, need) is not None for need in needs))

@@ -1,5 +1,9 @@
 """The named check suite and its report shape."""
 
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,8 +15,12 @@ from anifield.catalog import get_example
 from anifield.checks import (CHECKS, applicable_checks,
                              check_cocycle_coherence, check_euler,
                              euclidean_energy_field, kernel_shift)
-from anifield.cli import RunConfig
+from anifield.cli import RunConfig, parse_config
 from anifield.fields import Y
+
+_LAGRANGIAN = ["canonical_spray_oracle", "euler", "functional_laws",
+               "geodesic_conservation", "ladder_roundtrip", "landsberg_kernel",
+               "legendre_residue", "linear_roundtrip"]
 
 
 def _config(example, **overrides):
@@ -112,3 +120,83 @@ def test_cocycle_coherence_names_the_worst_sample():
     assert report.max_abs_defect == gaps.max()
     assert report.worst_sample == {"x": xs[row].tolist(),
                                    "y": ys[row].tolist()}
+
+
+_PARENT_APPLICABLE = {
+    "conformal2": _LAGRANGIAN,
+    "euclidean2": _LAGRANGIAN,
+    "handmadeN": ["euler", "torsion_residue"],
+    "minkowski2": _LAGRANGIAN,
+    "quadchart": sorted(_LAGRANGIAN + ["cocycle_coherence"]),
+    "quartic2": _LAGRANGIAN,
+    "wick(-2)": sorted(_LAGRANGIAN + ["signature_table", "wick_identity"]),
+    "wick(-1)": sorted(_LAGRANGIAN + ["signature_table", "wick_identity"]),
+    "wick(0.5)": sorted(_LAGRANGIAN + ["signature_table", "wick_identity"]),
+}
+
+
+def _applicability():
+    return {name: applicable_checks(get_example(name))
+            for name in _PARENT_APPLICABLE}
+
+
+def test_applicability_is_the_frozen_table():
+    assert _applicability() == _PARENT_APPLICABLE
+
+
+def test_applicability_survives_wrapped_checks():
+    """Wrapping every CHECKS entry, as a tracer or timer does, changes
+    neither applicability nor config validation."""
+    quad = json.dumps({"example": "quadchart",
+                       "checks": _PARENT_APPLICABLE["quadchart"]})
+    wrong = json.dumps({"example": "handmadeN", "checks": ["euler",
+                                                           "wick_identity"]})
+    before = parse_config(quad)
+    with pytest.raises(ValueError) as refused:
+        parse_config(wrong)
+    saved = dict(CHECKS)
+
+    def wrap(fn):
+        return lambda bundle, config: fn(bundle, config)
+
+    CHECKS.update({name: wrap(fn) for name, fn in saved.items()})
+    try:
+        assert _applicability() == _PARENT_APPLICABLE
+        assert parse_config(quad) == before
+        with pytest.raises(ValueError) as again:
+            parse_config(wrong)
+        assert str(again.value) == str(refused.value)
+    finally:
+        CHECKS.update(saved)
+
+
+@pytest.mark.parametrize("example", ["euclidean2", "wick(-1)", "handmadeN",
+                                     "quadchart"])
+def test_runner_names_each_report_and_counts_its_samples(example):
+    bundle = get_example(example)
+    config = _config(example, samples=40)
+    used = {"functional_laws": 32, "geodesic_conservation": 201}
+    for name in applicable_checks(bundle):
+        report = CHECKS[name](bundle, config)
+        assert report.check == name
+        assert report.samples_used == used.get(name, 40), name
+
+
+@pytest.mark.parametrize("example", sorted(_PARENT_APPLICABLE))
+def test_a_short_draw_is_a_prefix_of_a_long_one(example):
+    """The geodesic check starts from the first sample of the batch it is
+    given, which is the sample a one-point draw gives."""
+    domain = get_example(example).domain
+    for seed in range(10):
+        xs, ys = domain.sample(40, seed)
+        for k in (1, 5):
+            xk, yk = domain.sample(k, seed)
+            assert np.array_equal(xk, xs[:k]) and np.array_equal(yk, ys[:k])
+
+
+def test_readme_lists_every_check():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"Available\s+checks:\s*```\n(.*?)```", readme,
+                      re.DOTALL)
+    assert block is not None
+    assert block.group(1).split() == sorted(CHECKS)
