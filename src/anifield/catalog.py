@@ -74,19 +74,25 @@ def _conformal():
     stencil."""
     domain = ConicDomain(2, None, name="conformal2")
 
-    def factor(xs):
-        return np.exp(2.0 * xs[:, 0])
+    def scaled(form):
+        """The leaf form(e^(2 x^1), ys).  Far out the factor overflows to
+        inf and its products with 0 are NaN; numpy does not warn, as the
+        typed errors downstream name such a sample."""
+        @np.errstate(over="ignore", invalid="ignore")
+        def fn(xs, ys):
+            return form(np.exp(2.0 * xs[:, 0]), ys)
+        return fn
 
     ddell = TensorField(domain, 0, 2, 0.0,
-                        lambda xs, ys: (2.0 * factor(xs))[:, None, None]
-                        * _identity(2),
+                        scaled(lambda f, ys: (2.0 * f)[:, None, None]
+                               * _identity(2)),
                         dy=lambda: zero_field(domain, 0, 3, -1.0),
                         name="dv_ell")
     ell = TensorField(domain, 0, 1, 1.0,
-                      lambda xs, ys: (2.0 * factor(xs))[:, None] * ys,
+                      scaled(lambda f, ys: (2.0 * f)[:, None] * ys),
                       dy=ddell, name="ell")
     L = TensorField(domain, 0, 0, 2.0,
-                    lambda xs, ys: factor(xs) * _row_dot(ys, ys),
+                    scaled(lambda f, ys: f * _row_dot(ys, ys)),
                     dy=ell, name="conformal2")
     lagr = Lagrangian(L, name="conformal2")
     fields = {"energy": L, "gradient": ell, "fundamental": lagr.phi_field(),

@@ -167,30 +167,53 @@ def geodesic_integrate(spray, x0, y0, dt, steps):
     Returns a Trajectory of (x, y) pairs including the initial state.  If a
     stage or a step lands outside the spray's domain the curve is truncated
     there and flagged.
+
+    The state is stepped on lists of Python floats, with the IEEE double
+    operations of the array form in the same order, so every point has the
+    bits numpy arithmetic on (dim,) arrays would give.  A spray whose
+    coefficients are an unguarded constant is never called: its -2 G is
+    taken once.  Any other spray, a guarded constant included, is called
+    at every stage, so a guard still raises and names its sample.  Every
+    stage and every step is checked with `domain.contains`.
     """
     G = spray.coefficients
     domain = G.domain
-    x = np.asarray(x0, dtype=float).copy()
-    y = np.asarray(y0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
+    y = np.asarray(y0, dtype=float)
     _require_inside(domain, x, y)
     points = [(x.copy(), y.copy())]
+    x, y, dt = x.tolist(), y.tolist(), float(dt)
+    half, sixth = 0.5 * dt, dt / 6.0
+    fixed = (-2.0 * G.const).tolist() if (
+        G.const is not None and not G.guards) else None
 
     def rhs(xc, yc):
-        if not domain.contains(xc, yc):
+        xa, ya = np.array(xc), np.array(yc)
+        if not domain.contains(xa, ya):
             raise DomainError("stage point left the admissible cone")
-        return yc, -2.0 * G(xc, yc)
+        if fixed is not None:
+            return yc, fixed
+        return yc, [-2.0 * g for g in G(xa, ya).tolist()]
+
+    def stage(a, h, b):
+        return [ai + h * bi for ai, bi in zip(a, b)]
+
+    def combine(a, k1, k2, k3, k4):
+        return [ai + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
+                for ai, p, q, r, s in zip(a, k1, k2, k3, k4)]
 
     for _ in range(int(steps)):
         try:
             k1x, k1y = rhs(x, y)
-            k2x, k2y = rhs(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y)
-            k3x, k3y = rhs(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y)
-            k4x, k4y = rhs(x + dt * k3x, y + dt * k3y)
+            k2x, k2y = rhs(stage(x, half, k1x), stage(y, half, k1y))
+            k3x, k3y = rhs(stage(x, half, k2x), stage(y, half, k2y))
+            k4x, k4y = rhs(stage(x, dt, k3x), stage(y, dt, k3y))
         except DomainError:
             return Trajectory(points, completed=False)
-        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        if not domain.contains(x, y):
+        x = combine(x, k1x, k2x, k3x, k4x)
+        y = combine(y, k1y, k2y, k3y, k4y)
+        point = (np.array(x), np.array(y))
+        if not domain.contains(*point):
             return Trajectory(points, completed=False)
-        points.append((x.copy(), y.copy()))
+        points.append(point)
     return Trajectory(points, completed=True)

@@ -268,6 +268,62 @@ def test_geodesic_command_straight_line(capsys):
     assert doc["energy_initial"] == pytest.approx(doc["energy_final"])
 
 
+# stdout of `anifield geodesic`, recorded from the array form of the RK4
+# loop; stepping on Python floats reproduces it byte for byte.  The
+# minkowski2 run leaves the domain where x overflows, at a stage of its 16th
+# step.
+_NEAR = ["--x0", "0.1", "0.2", "--dt", "0.01", "--steps", "40"]
+_GEODESIC_STDOUT = {
+    "conformal2": (
+        ["conformal2", "--y0", "1", "0.5"] + _NEAR,
+        '{"completed":true,"dt":0.01,"energy_final":1.5267534478492557,'
+        '"energy_initial":1.5267534477002123,"example":"conformal2",'
+        '"final_x":[0.44657359036494082,0.34189705440860946],'
+        '"final_y":[0.74999999994785294,0.25000000006604711],"steps":40,'
+        '"steps_taken":40,"x0":[0.10000000000000001,0.20000000000000001],'
+        '"y0":[1,0.5]}'),
+    "conformal2_fd4": (
+        ["conformal2", "--method", "fd4", "--y0", "1", "0.5"] + _NEAR,
+        '{"completed":true,"dt":0.01,"energy_final":1.5267534478492557,'
+        '"energy_initial":1.5267534477002123,"example":"conformal2",'
+        '"final_x":[0.44657359036494082,0.34189705440860946],'
+        '"final_y":[0.74999999994785294,0.25000000006604711],"steps":40,'
+        '"steps_taken":40,"x0":[0.10000000000000001,0.20000000000000001],'
+        '"y0":[1,0.5]}'),
+    "quartic2": (
+        ["quartic2", "--y0", "1", "0.7"] + _NEAR,
+        '{"completed":true,"dt":0.01,"energy_final":1.1135977729862789,'
+        '"energy_initial":1.1135977729862789,"example":"quartic2",'
+        '"final_x":[0.50000000000000033,0.48000000000000026],"final_y":[1,'
+        '0.69999999999999996],"steps":40,"steps_taken":40,'
+        '"x0":[0.10000000000000001,0.20000000000000001],"y0":[1,'
+        '0.69999999999999996]}'),
+    "euclidean2": (
+        ["euclidean2", "--y0", "1", "0.5"] + _NEAR,
+        '{"completed":true,"dt":0.01,"energy_final":1.25,'
+        '"energy_initial":1.25,"example":"euclidean2",'
+        '"final_x":[0.50000000000000033,0.40000000000000019],"final_y":[1,'
+        '0.5],"steps":40,"steps_taken":40,"x0":[0.10000000000000001,'
+        '0.20000000000000001],"y0":[1,0.5]}'),
+    "minkowski2_leaves": (
+        ["minkowski2", "--x0", "1e308", "0", "--y0", "0.5", "1", "--dt", "1e307",
+         "--steps", "40"],
+        '{"completed":false,"dt":9.9999999999999999e+306,'
+        '"energy_final":0.75,"energy_initial":0.75,"example":"minkowski2",'
+        '"final_x":[1.7500000000000012e+308,1.4999999999999996e+308],'
+        '"final_y":[0.5,1],"steps":40,"steps_taken":15,"x0":[1e+308,0],'
+        '"y0":[0.5,1]}'),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_GEODESIC_STDOUT))
+def test_geodesic_stdout_is_unchanged(capsys, run):
+    argv, stdout = _GEODESIC_STDOUT[run]
+    assert main(["geodesic"] + argv) == 0
+    out, err = capsys.readouterr()
+    assert out == stdout + "\n" and err == ""
+
+
 def test_report_command_small_run(capsys):
     code = main(["report", "--samples", "2", "--seed", "1"])
     assert code == 0
