@@ -76,9 +76,8 @@ def _conformal():
 
     def scaled(form):
         """The leaf form(e^(2 x^1), ys).  Far out the factor overflows to
-        inf and its products with 0 are NaN; numpy does not warn, as the
-        typed errors downstream name such a sample."""
-        @np.errstate(over="ignore", invalid="ignore")
+        inf and its products with 0 are NaN, and numpy warns unless its
+        caller has silenced it, as the geodesic integrator and the CLI do."""
         def fn(xs, ys):
             return form(np.exp(2.0 * xs[:, 0]), ys)
         return fn

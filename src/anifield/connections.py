@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LevelError
+from .errors import DomainError, LevelError, ShapeError
 from .fields import (_require_inside, _require_type, add, liouville_field,
                      reindex, scale, subtract, tensor_product,
                      vertical_derivative, x_derivative)
@@ -174,26 +174,40 @@ def geodesic_integrate(spray, x0, y0, dt, steps):
     coefficients are an unguarded constant is never called: its -2 G is
     taken once.  Any other spray, a guarded constant included, is called
     at every stage, so a guard still raises and names its sample.  Every
-    stage and every step is checked with `domain.contains`.
+    step and the three later stages of each step are checked with
+    `domain.contains`; the first stage of a step is the point the previous
+    step accepted, or the initial state, and is not checked again.  A
+    state of any other shape than (dim,) raises ShapeError.
+
+    numpy does not warn while the curve is stepped: far out a spray's
+    arithmetic may overflow, and the typed error that follows names the
+    sample.
     """
     G = spray.coefficients
     domain = G.domain
     x = np.asarray(x0, dtype=float)
     y = np.asarray(y0, dtype=float)
     _require_inside(domain, x, y)
-    points = [(x.copy(), y.copy())]
+    if x.ndim != 1:
+        raise ShapeError(f"geodesic_integrate takes one state of shape "
+                         f"({domain.dim},), got {x.shape}")
+    point = (x.copy(), y.copy())
+    points = [point]
     x, y, dt = x.tolist(), y.tolist(), float(dt)
     half, sixth = 0.5 * dt, dt / 6.0
     fixed = (-2.0 * G.const).tolist() if (
         G.const is not None and not G.guards) else None
 
+    def accel(xa, ya):
+        if fixed is not None:
+            return fixed
+        return [-2.0 * g for g in G(xa, ya).tolist()]
+
     def rhs(xc, yc):
         xa, ya = np.array(xc), np.array(yc)
         if not domain.contains(xa, ya):
             raise DomainError("stage point left the admissible cone")
-        if fixed is not None:
-            return yc, fixed
-        return yc, [-2.0 * g for g in G(xa, ya).tolist()]
+        return yc, accel(xa, ya)
 
     def stage(a, h, b):
         return [ai + h * bi for ai, bi in zip(a, b)]
@@ -202,18 +216,20 @@ def geodesic_integrate(spray, x0, y0, dt, steps):
         return [ai + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
                 for ai, p, q, r, s in zip(a, k1, k2, k3, k4)]
 
-    for _ in range(int(steps)):
-        try:
-            k1x, k1y = rhs(x, y)
-            k2x, k2y = rhs(stage(x, half, k1x), stage(y, half, k1y))
-            k3x, k3y = rhs(stage(x, half, k2x), stage(y, half, k2y))
-            k4x, k4y = rhs(stage(x, dt, k3x), stage(y, dt, k3y))
-        except DomainError:
-            return Trajectory(points, completed=False)
-        x = combine(x, k1x, k2x, k3x, k4x)
-        y = combine(y, k1y, k2y, k3y, k4y)
-        point = (np.array(x), np.array(y))
-        if not domain.contains(*point):
-            return Trajectory(points, completed=False)
-        points.append(point)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(int(steps)):
+            try:
+                # the first stage is the point accepted last, checked then
+                k1x, k1y = y, accel(*point)
+                k2x, k2y = rhs(stage(x, half, k1x), stage(y, half, k1y))
+                k3x, k3y = rhs(stage(x, half, k2x), stage(y, half, k2y))
+                k4x, k4y = rhs(stage(x, dt, k3x), stage(y, dt, k3y))
+            except DomainError:
+                return Trajectory(points, completed=False)
+            x = combine(x, k1x, k2x, k3x, k4x)
+            y = combine(y, k1y, k2y, k3y, k4y)
+            point = (np.array(x), np.array(y))
+            if not domain.contains(*point):
+                return Trajectory(points, completed=False)
+            points.append(point)
     return Trajectory(points, completed=True)

@@ -856,29 +856,86 @@ def scalar_reciprocal(a, name=""):
 
 
 _OFFSETS = np.array([2.0, 1.0, -1.0, -2.0])
+_OFFSET_FLOATS = tuple(_OFFSETS.tolist())
 
 
 def _stencil(field, x, y, wiggle_y, engine):
     """Five-point derivative of `field` in y (or x) at the (B, dim) samples,
     index appended last.  The child is evaluated once, on all 4 * dim
-    perturbed copies of the batch; each sample gets its own step."""
+    perturbed copies of the batch; each sample gets its own step.
+
+    A batch of one sample takes its step, its perturbed rows and the
+    combination of the child's values on Python floats, where numpy's
+    per-call cost would outweigh the arithmetic.  Both forms take the same
+    IEEE double operations in the same order, so they return the same
+    bits.  A sample with a non-finite coordinate, a step that is 0 or
+    makes 12 h or a perturbed coordinate overflow, or a combination that
+    is not finite goes to the array form, so NaN, inf and numpy's warnings
+    stay those of the array form."""
     base, other = (y, x) if wiggle_y else (x, y)
     count, n = base.shape
-    h = engine.step(base)
-    moved = np.empty((n, 4, count, n))
-    moved[...] = base
-    axis = np.arange(n)
-    moved[axis, :, :, axis] += _OFFSETS[:, None] * h
-    fixed = np.empty((4 * n, count, n))
-    fixed[...] = other
-    moved, fixed = moved.reshape(-1, n), fixed.reshape(-1, n)
+    rows = (_one_sample_rows(base, other, engine) if count == 1 and n
+            else None)
+    if rows is None:
+        h = engine.step(base)
+        moved = np.empty((n, 4, count, n))
+        moved[...] = base
+        axis = np.arange(n)
+        moved[axis, :, :, axis] += _OFFSETS[:, None] * h
+        fixed = np.empty((4 * n, count, n))
+        fixed[...] = other
+        moved, fixed = moved.reshape(-1, n), fixed.reshape(-1, n)
+    else:
+        moved, fixed, h = rows
     vals = field(fixed, moved) if wiggle_y else field(moved, fixed)
     comp = vals.shape[1:]
-    vals = vals.reshape((n, 4, count) + comp)
-    f_pp, f_p, f_m, f_mm = vals[:, 0], vals[:, 1], vals[:, 2], vals[:, 3]
-    step = h.reshape((count,) + (1,) * len(comp))
-    cols = (-f_pp + 8.0 * f_p - 8.0 * f_m + f_mm) / (12.0 * step)
+    cols = None if rows is None else _one_sample_combination(vals, h, n)
+    if cols is None:
+        vals = vals.reshape((n, 4, count) + comp)
+        f_pp, f_p, f_m, f_mm = vals[:, 0], vals[:, 1], vals[:, 2], vals[:, 3]
+        step = np.reshape(h, (count,) + (1,) * len(comp))
+        cols = (-f_pp + 8.0 * f_p - 8.0 * f_m + f_mm) / (12.0 * step)
     return cols.transpose(tuple(range(1, cols.ndim)) + (0,))
+
+
+def _one_sample_rows(base, other, engine):
+    """(moved, fixed, h): the (4 * dim, dim) perturbed and fixed rows of
+    the stencil of a one-sample batch, and its step, built on Python
+    floats; None when a coordinate, 12 h or a perturbed coordinate is not
+    finite, or h is 0."""
+    b = base[0].tolist()
+    total = sum(b) + sum(other[0].tolist())
+    if total - total != 0.0:    # inf or NaN, or a sum that overflowed
+        return None
+    top = max(1.0, *map(abs, b))
+    h = engine.step_scale * _CBRT_EPS * top
+    # the combination divides by 12 h; top + 2 h bounds every |b + off h|
+    if not (0.0 < 12.0 * h < math.inf and top + 2.0 * h < math.inf):
+        return None
+    moved = []
+    for i, bi in enumerate(b):
+        for off in _OFFSET_FLOATS:
+            row = b.copy()
+            row[i] = bi + off * h
+            moved += row
+    n = len(b)
+    return (np.array(moved).reshape(4 * n, n),
+            other.repeat(4 * n, axis=0), h)
+
+
+def _one_sample_combination(vals, h, n):
+    """The stencil combination of a one-sample batch on Python floats, of
+    shape (dim, 1, *components) as in the array form; None when an entry
+    is not finite."""
+    d = 12.0 * h
+    # the four values of each (coordinate, component) pair in a row
+    quads = iter(vals.reshape(n, 4, -1).transpose(0, 2, 1).ravel().tolist())
+    cols = [(-f_pp + 8.0 * f_p - 8.0 * f_m + f_mm) / d
+            for f_pp, f_p, f_m, f_mm in zip(quads, quads, quads, quads)]
+    total = sum(cols)
+    if total - total != 0.0:    # inf or NaN, or a sum that overflowed
+        return None
+    return np.array(cols).reshape((n, 1) + vals.shape[1:])
 
 
 def _swap_last_two(field):

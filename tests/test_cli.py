@@ -269,9 +269,10 @@ def test_geodesic_command_straight_line(capsys):
 
 
 # stdout of `anifield geodesic`, recorded from the array form of the RK4
-# loop; stepping on Python floats reproduces it byte for byte.  The
-# minkowski2 run leaves the domain where x overflows, at a stage of its 16th
-# step.
+# loop; stepping on Python floats reproduces it byte for byte.  quartic2
+# under fd4 stencils phi in x at every stage; its run was recorded with the
+# array form of the one-sample stencil.  The minkowski2 run leaves the
+# domain where x overflows, at a stage of its 16th step.
 _NEAR = ["--x0", "0.1", "0.2", "--dt", "0.01", "--steps", "40"]
 _GEODESIC_STDOUT = {
     "conformal2": (
@@ -298,6 +299,14 @@ _GEODESIC_STDOUT = {
         '0.69999999999999996],"steps":40,"steps_taken":40,'
         '"x0":[0.10000000000000001,0.20000000000000001],"y0":[1,'
         '0.69999999999999996]}'),
+    "quartic2_fd4": (
+        ["quartic2", "--method", "fd4", "--y0", "1", "0.7"] + _NEAR,
+        '{"completed":true,"dt":0.01,"energy_final":1.1135977729862754,'
+        '"energy_initial":1.1135977729862789,"example":"quartic2",'
+        '"final_x":[0.49999999999995831,0.4800000000000807],'
+        '"final_y":[0.9999999999999506,0.70000000000013829],"steps":40,'
+        '"steps_taken":40,"x0":[0.10000000000000001,0.20000000000000001],'
+        '"y0":[1,0.69999999999999996]}'),
     "euclidean2": (
         ["euclidean2", "--y0", "1", "0.5"] + _NEAR,
         '{"completed":true,"dt":0.01,"energy_final":1.25,'

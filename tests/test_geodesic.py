@@ -13,7 +13,7 @@ from anifield import (ConicDomain, DiffEngine, Spray, TensorField,
                       canonical_spray, geodesic_integrate, matrix_inverse,
                       tensor_product, zero_field)
 from anifield.catalog import get_example
-from anifield.errors import DegeneracyError, DomainError
+from anifield.errors import DegeneracyError, DomainError, ShapeError
 from anifield.fields import _folded
 
 
@@ -198,3 +198,35 @@ def test_an_overflowing_conformal_leaf_raises_without_a_warning():
                            match="matrix has a non-finite entry") as info:
             geodesic_integrate(spray, [0, 0], [1, 0.5], 5.0, 40)
     assert info.value.sample is not None
+
+
+def test_a_conformal_leaf_called_directly_far_out_warns():
+    # the integrator silences numpy, the leaf itself does not
+    L = get_example("conformal2").lagrangian.field
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert L([400.0, 0.0], [1.0, 0.5]) == np.inf
+
+
+@pytest.mark.parametrize("name", ["conformal2", "euclidean2"])
+def test_the_first_stage_of_a_step_is_not_checked_again(monkeypatch, name):
+    # the initial check, then three stages and the end of each step
+    spray = canonical_spray(get_example(name).lagrangian)
+    calls = []
+    contains = ConicDomain.contains
+
+    def counted(domain, x, y):
+        calls.append((x.tolist(), y.tolist()))
+        return contains(domain, x, y)
+
+    monkeypatch.setattr(ConicDomain, "contains", counted)
+    path = geodesic_integrate(spray, [0.1, 0.2], [1.0, 0.5], 0.01, 10)
+    assert path.completed and len(path) == 11
+    assert len(calls) == 4 * 10 + 1
+    ends = [(x.tolist(), y.tolist()) for x, y in path.points]
+    assert calls[::4] == ends
+
+
+def test_a_batch_of_initial_states_is_refused():
+    spray = canonical_spray(get_example("euclidean2").lagrangian)
+    with pytest.raises(ShapeError, match=r"one state of shape \(2,\)"):
+        geodesic_integrate(spray, [[0.1, 0.2]], [[1.0, 0.5]], 0.01, 10)
