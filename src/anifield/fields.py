@@ -20,11 +20,15 @@ its first call a field compiles the graph beneath it into a flat plan,
 its nodes in the order a depth-first walk would evaluate them, and every
 later call runs that plan on the batch (tape evaluation, as in Griewank
 and Walther, "Evaluating Derivatives", 2008).  Each call checks the shape
-of its input once and builds one memo key from the bytes of the batch;
-every node of the plan but a folded constant memoizes its values under
-that key, so a node shared by several fields runs once per batch across
-all of them.  A stencil node evaluates its child, with its own plan and
-key, on the perturbed batch.
+of its input once and builds one memo key from the bytes of the batch.
+On a batch of two or more samples every node of the plan but a folded
+constant memoizes its values under that key, so a node shared by several
+fields runs once per batch across all of them.  On a batch of one sample
+the plan memoizes nothing inside it, and only the field called, folded
+or not, stores the value it returns: one point, such as a stage of a
+geodesic, shares no inner value with another, and a repeated point is
+read back whole.  A stencil node evaluates its child, with its own plan
+and key, on the perturbed batch, which has 4 * dim rows.
 
 Differentiation is controlled by a DiffEngine.  Fields may carry attached
 derivative fields (built analytically, or assembled by the combinators in
@@ -198,11 +202,14 @@ class TensorField:
     one-dimensional x and y it evaluates a batch of one and returns the
     components alone.  The first call compiles the plan of the graph
     beneath the field; each call runs it under one memo key, the bytes of
-    the batch.  Every node of the plan but a folded one memoizes its
-    values per batch (at most `_MEMO_LIMIT` batches, then it starts
-    afresh), and every returned array is read-only.  A leaf's output is
-    checked for its shape on every batch, and copied when it shares
-    memory with the samples, which the caller still owns.
+    the batch.  On a batch of two or more samples every node of the plan
+    but a folded one memoizes its values per batch (at most `_MEMO_LIMIT`
+    batches, then it starts afresh).  On a batch of one sample no node
+    inside the plan is looked up or memoized, and the field called stores
+    the value it returns, also when it is folded.  Every returned or
+    memoized array is read-only.  A leaf's output is checked for its
+    shape on every batch, and copied when it shares memory with the
+    samples, which the caller still owns.
 
     `operands` is None for a hand-written leaf.  A combinator's node
     lists the nodes whose values its `fn(xs, ys, *values)` takes, in
@@ -210,12 +217,13 @@ class TensorField:
 
     `const` holds the read-only components of a node that is the same at
     every sample, and is None for a node that varies.  A folded node is
-    not memoized: it evaluates its guards, which are its operands, and
-    returns its constant stacked over the batch.  `guards` are the nodes
-    beneath this one that can raise: a folded node evaluates them on each
-    batch, an ordinary one reaches them through its operands.  `raises`
-    marks a node that can raise itself, so that a fold dropping it keeps
-    it as a guard; a node never lists itself.
+    memoized only as the field called on one sample: it evaluates its
+    guards, which are its operands, and returns its constant stacked over
+    the batch.  `guards` are the nodes beneath this one that can raise: a
+    folded node evaluates them on each batch, an ordinary one reaches
+    them through its operands.  `raises` marks a node that can raise
+    itself, so that a fold dropping it keeps it as a guard; a node never
+    lists itself.
     """
 
     __slots__ = ("domain", "r", "s", "alpha", "name", "const", "guards",
@@ -262,12 +270,20 @@ class TensorField:
                 f"(B, dim) with dim={dim}, got {np.shape(x)} and "
                 f"{np.shape(y)}")
         key = (xs.tobytes(), ys.tobytes())
-        val = self._memo.get(key)
+        memo = self._memo
+        val = memo.get(key)
         if val is None:
             plan = self._plan
             if plan is None:
                 plan = self._plan = _compile(self, {}, [])
-            val = _run(plan, key, xs, ys)
+            if len(xs) == 1:
+                val = _run(plan, None, xs, ys)
+                val.setflags(write=False)
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
+                memo[key] = val
+            else:
+                val = _run(plan, key, xs, ys)
         return val[0, ...] if single else val
 
     def chain(self, axis):
@@ -318,13 +334,16 @@ def _run(plan, key, xs, ys):
     A node whose memo holds `key` is read from there.  The nodes beneath
     it are looked up too; they were computed with it on that batch, so
     they hold `key` as well, unless their own memo has started afresh
-    since, and then they are computed again.  A folded node returns its
-    constant again.
+    since, and then they are computed again.  Every computed value is
+    made read-only and stored under `key`, except that a folded node
+    returns its constant again and stores nothing.  With `key` None the
+    plan memoizes nothing: no node is looked up, stored or made
+    read-only.
     """
     vals = []
     push = vals.append
     for memo, fn, slots, leaf in plan:
-        if memo is not None:
+        if key is not None and memo is not None:
             val = memo.get(key)
             if val is not None:
                 push(val)
@@ -332,11 +351,12 @@ def _run(plan, key, xs, ys):
         val = fn(xs, ys, *map(vals.__getitem__, slots))
         if leaf is not None:
             val = _checked(val, xs, ys, *leaf)
-        val.setflags(write=False)
-        if memo is not None:
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            memo[key] = val
+        if key is not None:
+            val.setflags(write=False)
+            if memo is not None:
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
+                memo[key] = val
         push(val)
     return val
 
@@ -439,7 +459,8 @@ def _folded(domain, r, s, alpha, values, operands, chains, name):
     """A node with the constant components `values`, folded from `operands`.
 
     Its operands are the operands' guards, which it evaluates on each
-    batch before it returns the constant; it memoizes nothing.
+    batch before it returns the constant; it memoizes only what any
+    field called on one sample does, the value it returns.
     Unguarded, its chains are zeros; guarded, they keep the combinator's
     rule, so that its derivatives keep the guards of the operands'
     derivatives too.

@@ -13,8 +13,9 @@ from anifield import (ConicDomain, DiffEngine, DomainError, DivisionError,
                       liouville_field, matrix_inverse, reindex, scalar_power,
                       scalar_reciprocal, scale, subtract, tensor_product,
                       vertical_derivative, x_derivative, zero_field)
+from anifield import fields
 from anifield.catalog import get_example
-from anifield.fields import X, Y, DegeneracyError, pivot_inverse
+from anifield.fields import X, Y, DegeneracyError, _is_zero, pivot_inverse
 
 EUC = get_example("euclidean2")
 QUARTIC = get_example("quartic2")
@@ -557,23 +558,28 @@ def test_a_node_shared_by_two_fields_runs_once_per_batch():
     assert calls == {"shared": 2, "first": 2, "second": 2}
 
 
-def test_a_leaf_of_the_wrong_shape_inside_a_plan_is_named():
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_leaf_of_the_wrong_shape_inside_a_plan_is_named(count):
     lopsided = TensorField(EUC.domain, 0, 1, 1.0,
                            lambda xs, ys: np.zeros((len(xs), 3)),
                            name="lopsided")
     top = scale(add(lopsided, _varying("fine")), 2.0, name="top")
-    xs, ys = EUC.domain.sample(3, seed=2)
-    with pytest.raises(ShapeError, match="'lopsided' returned shape"):
+    xs, ys = EUC.domain.sample(count, seed=2)
+    with pytest.raises(ShapeError) as info:
         top(xs, ys)
+    assert str(info.value) == (
+        f"field 'lopsided' returned shape ({count}, 3), declared type (0, 1) "
+        f"on {count} samples needs ({count}, 2)")
 
 
-def test_a_leaf_returning_its_input_is_copied_and_values_are_read_only():
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_leaf_returning_its_input_is_copied_and_values_are_read_only(count):
     echo = TensorField(EUC.domain, 1, 0, 1.0, lambda xs, ys: ys, name="echo")
     top = add(scale(echo, 2.0), _varying("other", r=1, s=0), name="top")
-    xs, ys = EUC.domain.sample(3, seed=2)
+    xs, ys = EUC.domain.sample(count, seed=2)
     kept = ys.copy()
     out = top(xs, ys)
-    held = echo(xs, ys)              # read back from the memo
+    held = echo(xs, ys)              # held in echo's memo
     assert not np.shares_memory(held, ys)
     ys[...] = 0.0
     assert_array_equal(held, kept)
@@ -585,18 +591,100 @@ def test_a_leaf_returning_its_input_is_copied_and_values_are_read_only():
             value[...] = 1.0
 
 
-def test_an_inner_inverse_names_the_first_degenerate_sample():
+@pytest.mark.parametrize("rows", [slice(None), slice(2, 3)],
+                         ids=["six", "one"])
+def test_an_inner_inverse_names_the_first_degenerate_sample(rows):
+    xs, ys = EUC.domain.sample(6, seed=2)
+    singular = xs[[2, 4], 0]
+
     def fn(xs, ys):
         mats = np.tile(np.eye(2), (len(xs), 1, 1))
-        mats[[2, 4]] = [[1.0, 1.0], [1.0, 1.0]]
+        mats[np.isin(xs[:, 0], singular)] = [[1.0, 1.0], [1.0, 1.0]]
         return mats
     mat = TensorField(EUC.domain, 0, 2, 0.0, fn, name="mat")
     top = scale(tensor_product(matrix_inverse(mat), _varying("v", r=0, s=1),
                                "ij,j->i", 1, 0), 2.0)
-    xs, ys = EUC.domain.sample(6, seed=2)
     with pytest.raises(DegeneracyError) as info:
-        top(xs, ys)
+        top(xs[rows], ys[rows])
+    assert str(info.value).startswith("scaled pivot 0.000e+00 below 1e-12 "
+                                      "in column 1")
     assert info.value.sample == (xs[2].tolist(), ys[2].tolist())
+
+
+def _plan_nodes(root):
+    """`root` and every node its plan evaluates, once each."""
+    nodes = [root]
+    for node in nodes:
+        nodes += [op for op in node.operands or () if op not in nodes]
+    return nodes
+
+
+def _with_a_folded_operand():
+    base = _varying("base")
+    inner = add(scale(base, 2.0), scale(base, 3.0))
+    folded = constant_field(EUC.domain, 1.5, 0, 0, name="folded")
+    return tensor_product(folded, inner, ",i->i", 0, 1, name="top")
+
+
+def test_a_one_sample_call_holds_only_the_value_it_returns():
+    top = _with_a_folded_operand()
+    nodes = _plan_nodes(top)
+    assert len(nodes) == 6
+    xs, ys = EUC.domain.sample(1, seed=2)
+    out = top(xs, ys)
+    assert [len(node._memo) for node in nodes[1:]] == [0] * 5
+    [(key, held)] = top._memo.items()
+    assert key == (xs.tobytes(), ys.tobytes()) and held is out
+    assert not held.flags.writeable
+    assert top(xs[0], ys[0]).base is held
+
+
+def test_a_batch_of_several_samples_is_held_by_every_node_but_a_folded_one():
+    top = _with_a_folded_operand()
+    xs, ys = EUC.domain.sample(3, seed=2)
+    top(xs, ys)
+    key = (xs.tobytes(), ys.tobytes())
+    for node in _plan_nodes(top):
+        assert list(node._memo) == ([] if node.const is not None else [key])
+        assert all(not v.flags.writeable for v in node._memo.values())
+
+
+def test_a_folded_root_holds_a_one_sample_value_and_skips_its_guards():
+    calls = {}
+    mat = _counted(TensorField(EUC.domain, 0, 2, 0.0,
+                               lambda xs, ys: np.tile(np.eye(2),
+                                                      (len(xs), 1, 1)),
+                               name="mat"), calls)
+    zero = zero_field(EUC.domain, 1, 0, 1.0)
+    root = tensor_product(matrix_inverse(mat), zero, "ij,k->k", 1, 0)
+    assert _is_zero(root) and root.guards
+    root(X0, Y0)
+    root(X0, Y0)
+    assert calls == {"mat": 1} and len(root._memo) == 1
+    assert [len(n._memo) for n in _plan_nodes(root)[1:]] == [0, 0]
+    root(X0, 2.0 * Y0)
+    assert calls == {"mat": 2} and len(root._memo) == 2
+
+
+def _diamond():
+    base = _varying("base")
+    left, right = scale(base, 2.0), tensor_product(base, base, "i,i->", 0, 0)
+    return base, left, tensor_product(right, left, ",i->i", 0, 1)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_memos_start_afresh_at_their_limit_and_keep_their_values(
+        monkeypatch, count):
+    monkeypatch.setattr(fields, "_MEMO_LIMIT", 3)
+    diamond = _diamond()
+    nodes = _plan_nodes(diamond[-1])
+    draws = [EUC.domain.sample(count, seed=seed) for seed in range(7)]
+    for i in [0, 1, 2, 3, 4, 5, 6, 0, 3, 6, 1, 1, 5]:
+        xs, ys = draws[i]
+        for k in (i % 3, 2):     # base, left or top, then top
+            value = diamond[k](xs, ys)
+            assert value.tobytes() == _diamond()[k](xs, ys).tobytes()
+            assert max(len(node._memo) for node in nodes) <= 3
 
 
 def test_subscripts_that_miss_the_declared_type_are_refused_when_built():

@@ -188,6 +188,20 @@ def test_a_guarded_constant_spray_is_called_at_every_stage(monkeypatch):
     assert info.value.sample[0][0] > 0.99
 
 
+def test_a_guarded_constant_spray_runs_its_guard_at_distinct_stages_only():
+    """Over these 5 steps of a zero spray k2 = k3, and each k1 after the
+    first is the k4 before it: 11 distinct stage points among 20 stages."""
+    spray = _guarded_zero()
+    [inverse] = spray.coefficients.guards
+    [diag] = inverse.operands
+    runs = []
+    fn = diag._fn
+    diag._fn = lambda xs, ys: runs.append(len(xs)) or fn(xs, ys)
+    x0, y0 = np.array([0.1, 0.2]), np.array([1.0, 0.5])
+    assert geodesic_integrate(spray, x0, y0, 0.1, 5).completed
+    assert runs == [1] * 11
+
+
 def test_an_overflowing_conformal_leaf_raises_without_a_warning():
     """Far out e^(2 x^1) overflows and phi is not finite: the integration
     stops on the typed error alone."""
