@@ -106,7 +106,7 @@ def _check(name, *needs, tolerance=None):
         def run(bundle, config):
             xs, ys = bundle.domain.sample(config.samples, config.seed)
             worst = _Worst()
-            used = body(bundle, DiffEngine(config.method, config.step_scale),
+            used = body(bundle, DiffEngine(config.method),
                         xs, ys, config, worst.feed)
             tol = config.tolerance if tolerance is None else tolerance
             return CheckReport(name, worst.value,

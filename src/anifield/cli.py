@@ -5,10 +5,10 @@ digits) so identical configs and seeds give byte-identical reports.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +19,10 @@ from .errors import AnifieldError, DomainError
 from .fields import DiffEngine, _require_inside
 from .ladder import decompose
 
-_CONFIG_KEYS = ("example", "checks", "samples", "seed", "tolerance",
-                "method", "step_scale")
 _SEED_ENV = "FINSLER_SEED"
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     example: str
     checks: list
@@ -32,18 +30,12 @@ class RunConfig:
     seed: int = 0
     tolerance: float = 1e-6
     method: str = "analytic"
-    step_scale: float = 1.0
 
     def as_dict(self):
-        return {
-            "example": self.example,
-            "checks": list(self.checks),
-            "samples": int(self.samples),
-            "seed": int(self.seed),
-            "tolerance": float(self.tolerance),
-            "method": self.method,
-            "step_scale": float(self.step_scale),
-        }
+        return dataclasses.asdict(self)
+
+
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
 def _env_seed(seed):
@@ -92,14 +84,10 @@ def _build_config(data):
     if method not in ("analytic", "fd4"):
         raise ValueError(f"method must be \"analytic\" or \"fd4\", "
                          f"got {method!r}")
-    step_scale = float(data.get("step_scale", 1.0))
-    if not 0.0 < step_scale < np.inf:
-        raise ValueError(f"step_scale must be positive and finite, "
-                         f"got {step_scale}")
     seed = _env_seed(int(data.get("seed", 0)))
     return RunConfig(example=str(data["example"]), checks=sorted(checks),
                      samples=samples, seed=seed, tolerance=tolerance,
-                     method=method, step_scale=step_scale)
+                     method=method)
 
 
 def parse_config(text):
@@ -294,7 +282,6 @@ def _cmd_report(args):
             "seed": args.seed,
             "tolerance": args.tolerance,
             "method": args.method,
-            "step_scale": args.step_scale,
         })
         suite = suite_report(config)
         ok = ok and all(r["pass"] for r in suite["reports"])
@@ -355,8 +342,6 @@ def build_parser():
     p_report.add_argument("--tolerance", type=float, default=1e-6)
     p_report.add_argument("--method", choices=("analytic", "fd4"),
                           default="analytic")
-    p_report.add_argument("--step-scale", type=float, default=1.0,
-                          dest="step_scale")
     p_report.set_defaults(handler=_cmd_report)
     return parser
 

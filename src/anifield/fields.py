@@ -59,7 +59,6 @@ import numpy as np
 from .errors import DegeneracyError, DivisionError, DomainError, RankError, ShapeError
 
 _EPS = float(np.finfo(float).eps)
-_CBRT_EPS = _EPS ** (1.0 / 3.0)
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _MEMO_LIMIT = 4096
 
@@ -160,29 +159,18 @@ class DiffEngine:
 
     method "analytic" uses a field's attached derivative when one exists and
     falls back to the stencil; "fd4" always uses the five-point stencil
-    (-f2 + 8 f1 - 8 f-1 + f-2) / (12 h) with
-    h = step_scale * eps**(1/3) * max(1, |v|_inf), the same rule in x and y;
-    step_scale must be positive and finite.  Under both, the derivative
-    of an unguarded constant is the exact zero, not a stencil.
+    (-f2 + 8 f1 - 8 f-1 + f-2) / (12 h), whose step follows from how deeply
+    it is nested (see `_step`), the same rule in x and y.  Under both, the
+    derivative of an unguarded constant is the exact zero, not a stencil.
     """
 
-    def __init__(self, method="analytic", step_scale=1.0):
+    def __init__(self, method="analytic"):
         if method not in ("analytic", "fd4"):
             raise ValueError(f"unknown differentiation method {method!r}")
-        step_scale = float(step_scale)
-        if not 0.0 < step_scale < np.inf:
-            raise ValueError(f"step_scale must be positive and finite, "
-                             f"got {step_scale}")
         self.method = method
-        self.step_scale = step_scale
-
-    def step(self, v):
-        """Stencil step for each sample (row) of `v`."""
-        return self.step_scale * _CBRT_EPS * np.maximum(
-            1.0, np.max(np.abs(v), axis=-1))
 
     def __repr__(self):
-        return f"DiffEngine(method={self.method!r}, step_scale={self.step_scale})"
+        return f"DiffEngine(method={self.method!r})"
 
 
 DEFAULT_ENGINE = DiffEngine()
@@ -224,14 +212,19 @@ class TensorField:
     them through its operands.  `raises` marks a node that can raise
     itself, so that a fold dropping it keeps it as a guard; a node never
     lists itself.
+
+    `depth` is the number of stencils nested beneath and at this node: 0
+    for a leaf and a folded node, the largest depth of its operands for a
+    combinator, and 1 + its child's for a stencil.
     """
 
     __slots__ = ("domain", "r", "s", "alpha", "name", "const", "guards",
-                 "raises", "operands", "_fn", "_chains", "_memo", "_plan",
-                 "__weakref__")
+                 "raises", "operands", "depth", "_fn", "_chains", "_memo",
+                 "_plan", "__weakref__")
 
     def __init__(self, domain, r, s, alpha, fn, dy=None, dx=None, name="",
-                 const=None, guards=(), raises=False, operands=None):
+                 const=None, guards=(), raises=False, operands=None,
+                 depth=0):
         self.domain = domain
         self.r = int(r)
         self.s = int(s)
@@ -241,6 +234,7 @@ class TensorField:
         self.guards = guards
         self.raises = raises
         self.operands = operands
+        self.depth = depth
         self._fn = fn
         self._chains = [dy, dx]
         self._memo = {}
@@ -450,9 +444,13 @@ def _guards_of(operands):
 def _node(domain, r, s, alpha, fn, chains, name, operands, raises=False):
     """An ordinary node over `operands`, whose values `fn(xs, ys, *values)`
     takes on each batch."""
+    depth = 0
+    for f in operands:  # a plain loop, as in `_along`
+        if f.depth > depth:
+            depth = f.depth
     return TensorField(domain, r, s, alpha, fn, *chains, name=name,
                        guards=_guards_of(operands), raises=raises,
-                       operands=operands)
+                       operands=operands, depth=depth)
 
 
 def _folded(domain, r, s, alpha, values, operands, chains, name):
@@ -880,25 +878,35 @@ _OFFSETS = np.array([2.0, 1.0, -1.0, -2.0])
 _OFFSET_FLOATS = tuple(_OFFSETS.tolist())
 
 
-def _stencil(field, x, y, wiggle_y, engine):
+def _step(depth, top):
+    """Step of a stencil nested `depth` deep at a sample whose largest
+    |coordinate|, at least 1, is `top` (a float or an array):
+    eps**(1/(4 + depth)) * top, where truncation h**p meets round-off
+    eps / h**k for a p = 4 stencil of a k-th derivative (Fornberg, Math.
+    Comp. 51, 1988)."""
+    return _EPS ** (1.0 / (4 + depth)) * top
+
+
+def _stencil(field, x, y, wiggle_y, depth):
     """Five-point derivative of `field` in y (or x) at the (B, dim) samples,
-    index appended last.  The child is evaluated once, on all 4 * dim
-    perturbed copies of the batch; each sample gets its own step.
+    index appended last, for a stencil node of nesting `depth`.  The child
+    is evaluated once, on all 4 * dim perturbed copies of the batch; each
+    sample gets its own step (`_step`).
 
     A batch of one sample takes its step, its perturbed rows and the
     combination of the child's values on Python floats, where numpy's
     per-call cost would outweigh the arithmetic.  Both forms take the same
     IEEE double operations in the same order, so they return the same
-    bits.  A sample with a non-finite coordinate, a step that is 0 or
-    makes 12 h or a perturbed coordinate overflow, or a combination that
-    is not finite goes to the array form, so NaN, inf and numpy's warnings
-    stay those of the array form."""
+    bits.  A sample with a non-finite coordinate, a step that makes 12 h
+    or a perturbed coordinate overflow, or a combination that is not
+    finite goes to the array form, so NaN, inf and numpy's warnings stay
+    those of the array form."""
     base, other = (y, x) if wiggle_y else (x, y)
     count, n = base.shape
-    rows = (_one_sample_rows(base, other, engine) if count == 1 and n
+    rows = (_one_sample_rows(base, other, depth) if count == 1 and n
             else None)
     if rows is None:
-        h = engine.step(base)
+        h = _step(depth, np.maximum(1.0, np.max(np.abs(base), axis=-1)))
         moved = np.empty((n, 4, count, n))
         moved[...] = base
         axis = np.arange(n)
@@ -919,19 +927,19 @@ def _stencil(field, x, y, wiggle_y, engine):
     return cols.transpose(tuple(range(1, cols.ndim)) + (0,))
 
 
-def _one_sample_rows(base, other, engine):
+def _one_sample_rows(base, other, depth):
     """(moved, fixed, h): the (4 * dim, dim) perturbed and fixed rows of
     the stencil of a one-sample batch, and its step, built on Python
     floats; None when a coordinate, 12 h or a perturbed coordinate is not
-    finite, or h is 0."""
+    finite."""
     b = base[0].tolist()
     total = sum(b) + sum(other[0].tolist())
     if total - total != 0.0:    # inf or NaN, or a sum that overflowed
         return None
     top = max(1.0, *map(abs, b))
-    h = engine.step_scale * _CBRT_EPS * top
+    h = _step(depth, top)
     # the combination divides by 12 h; top + 2 h bounds every |b + off h|
-    if not (0.0 < 12.0 * h < math.inf and top + 2.0 * h < math.inf):
+    if not (12.0 * h < math.inf and top + 2.0 * h < math.inf):
         return None
     moved = []
     for i, bi in enumerate(b):
@@ -985,11 +993,13 @@ def _fd(field, axis, engine):
     chains = list(_chains(
         lambda ch: _swap_last_two(_derivative(ch, axis, engine)), field))
     chains[axis] = None
+    depth = 1 + field.depth
     return TensorField(field.domain, field.r, field.s + 1, alpha,
                        lambda xs, ys: _stencil(field, xs, ys, axis == Y,
-                                               engine),
+                                               depth),
                        *chains, name=name, guards=_guards_of((field,)),
-                       raises=field.raises or bool(field.guards), operands=())
+                       raises=field.raises or bool(field.guards), operands=(),
+                       depth=depth)
 
 
 def _derivative(field, axis, engine):

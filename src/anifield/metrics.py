@@ -9,19 +9,22 @@ phi . y = (1/2) ell.
 import numpy as np
 
 from .errors import DegeneracyError, ShapeError
-from .fields import (DEFAULT_ENGINE, _first, _require_type, _sample_at, add,
-                     liouville_field, matrix_inverse, scalar_reciprocal,
-                     scale, subtract, tensor_product, vertical_derivative)
+from .fields import (_first, _require_type, _sample_at, add, liouville_field,
+                     matrix_inverse, scalar_reciprocal, scale, subtract,
+                     tensor_product, vertical_derivative)
 from .ladder import lower, project_kernel
 
 
 class Lagrangian:
-    """2-homogeneous scalar energy on a conic domain."""
+    """2-homogeneous scalar energy on a conic domain.
 
-    def __init__(self, field, engine=None, name=""):
+    ell and phi are read through the energy's attached chains, whatever
+    method the objects built on them differentiate with; a stencil stands
+    in only where a chain is missing."""
+
+    def __init__(self, field, name=""):
         _require_type(field, 0, 0, 2, "a Lagrangian")
         self.field = field
-        self.engine = engine or DEFAULT_ENGINE
         self.name = name or field.name
         self._ell = None
         self._phi = None
@@ -32,13 +35,13 @@ class Lagrangian:
 
     def ell_field(self):
         if self._ell is None:
-            self._ell = vertical_derivative(self.field, self.engine)
+            self._ell = vertical_derivative(self.field)
         return self._ell
 
     def phi_field(self):
         if self._phi is None:
             self._phi = scale(
-                vertical_derivative(self.ell_field(), self.engine), 0.5,
+                vertical_derivative(self.ell_field()), 0.5,
                 name=f"phi({self.name})")
         return self._phi
 
@@ -155,10 +158,10 @@ def wick_metric(L, kappa):
     return AnisotropicMetric(g, name=g.name)
 
 
-def lagrangian_of_metric(metric, engine=None):
+def lagrangian_of_metric(metric):
     """Ground-floor energy (1/2) g(y, y) of an anisotropic metric."""
     return Lagrangian(lower(lower(metric.field, 1), 2,
-                            name=f"energy({metric.name})"), engine=engine)
+                            name=f"energy({metric.name})"))
 
 
 def _symmetric(g, tol):

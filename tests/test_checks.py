@@ -25,7 +25,7 @@ _LAGRANGIAN = ["canonical_spray_oracle", "euler", "functional_laws",
 
 def _config(example, **overrides):
     base = dict(example=example, checks=["euler"], samples=6, seed=1,
-                tolerance=1e-6, method="analytic", step_scale=1.0)
+                tolerance=1e-6, method="analytic")
     base.update(overrides)
     return RunConfig(**base)
 

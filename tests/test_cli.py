@@ -28,7 +28,9 @@ def test_parse_config_fills_defaults():
     assert config.samples == 200
     assert config.tolerance == 1e-6
     assert config.method == "analytic"
-    assert config.step_scale == 1.0
+    assert config.as_dict() == {"example": "euclidean2", "checks": ["euler"],
+                                "samples": 200, "seed": 7,
+                                "tolerance": 1e-6, "method": "analytic"}
 
 
 def test_parse_config_defaults_to_applicable_checks():
@@ -51,7 +53,10 @@ def test_parse_config_sorts_the_checks():
     ('{"example": "euclidean2", "samples": 0}', "samples"),
     ('{"example": "euclidean2", "tolerance": 0}', "tolerance"),
     ('{"example": "euclidean2", "method": "secant"}', "method"),
+    # the stencil step follows from the nesting depth; no key sets it
     ('{"example": "euclidean2", "step_scale": -1}', "step_scale"),
+    ('{"example": "euclidean2", "step_scale": 2}',
+     "unknown config keys: step_scale;"),
     ('{"example": ', "line"),
 ])
 def test_parse_config_rejections(payload, fragment):
@@ -59,21 +64,33 @@ def test_parse_config_rejections(payload, fragment):
         parse_config(payload)
 
 
+_REFUSED = {"tolerance": "tolerance must be positive and finite",
+            "step_scale": "unknown config keys: step_scale; known keys: "
+                          "example, checks, samples, seed, tolerance, "
+                          "method\n"}
+
 
 @pytest.mark.parametrize("key", ["tolerance", "step_scale"])
 @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
 def test_config_refuses_a_non_finite_tolerance_or_step(tmp_path, capsys,
                                                        key, value):
     """json.loads reads these constants as floats; a tolerance of inf
-    passed every verdict and an infinite step scale made every stencil
-    pivot NaN."""
+    passed every verdict.  A step is no config key at all."""
     path = tmp_path / "config.json"
     path.write_text(f'{{"example": "euclidean2", "checks": ["euler"], '
                     f'"samples": 2, "{key}": {value}}}')
     assert main(["check", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: {key} must be positive and finite")
+    assert err.startswith(f"error: {_REFUSED[key]}")
+
+
+def _report_exit(argv):
+    """The exit code of `anifield report`, also when argparse exits."""
+    try:
+        return main(["report"] + argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.mark.parametrize("flag,key", [("--tolerance", "tolerance"),
@@ -82,10 +99,20 @@ def test_config_refuses_a_non_finite_tolerance_or_step(tmp_path, capsys,
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_report_refuses_a_non_finite_tolerance_or_step(capsys, flag, key,
                                                        value):
-    assert main(["report", "--samples", "2", flag, value]) == 2
+    assert _report_exit(["--samples", "2", flag, value]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: {key} must be positive and finite")
+    if key == "tolerance":
+        assert err.startswith("error: tolerance must be positive and finite")
+    else:
+        assert f"unrecognized arguments: --step-scale {value}" in err
+
+
+def test_report_has_no_step_scale_flag(capsys):
+    assert _report_exit(["--samples", "2", "--step-scale", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: unrecognized arguments: --step-scale 2\n")
 
 def test_environment_seed_wins(monkeypatch):
     monkeypatch.setenv("FINSLER_SEED", "99")
@@ -110,8 +137,7 @@ def test_canonical_json_keeps_float_precision():
 
 def test_run_suite_reports_are_sorted():
     config = RunConfig("wick(-1)", ["signature_table", "euler"], samples=4,
-                       seed=1, tolerance=1e-6, method="analytic",
-                       step_scale=1.0)
+                       seed=1, tolerance=1e-6, method="analytic")
     reports = run_suite(config)
     assert [r.check for r in reports] == ["euler", "signature_table"]
     assert all(r.passed for r in reports)
@@ -119,7 +145,7 @@ def test_run_suite_reports_are_sorted():
 
 def test_suite_report_embeds_the_config():
     config = RunConfig("handmadeN", ["euler"], samples=3, seed=2,
-                       tolerance=1e-6, method="analytic", step_scale=1.0)
+                       tolerance=1e-6, method="analytic")
     doc = suite_report(config)
     assert doc["config"]["example"] == "handmadeN"
     assert doc["reports"][0]["check"] == "euler"
@@ -277,18 +303,18 @@ _NEAR = ["--x0", "0.1", "0.2", "--dt", "0.01", "--steps", "40"]
 _GEODESIC_STDOUT = {
     "conformal2": (
         ["conformal2", "--y0", "1", "0.5"] + _NEAR,
-        '{"completed":true,"dt":0.01,"energy_final":1.5267534478492557,'
+        '{"completed":true,"dt":0.01,"energy_final":1.5267534478471403,'
         '"energy_initial":1.5267534477002123,"example":"conformal2",'
-        '"final_x":[0.44657359036494082,0.34189705440860946],'
-        '"final_y":[0.74999999994785294,0.25000000006604711],"steps":40,'
+        '"final_x":[0.44657359036490402,0.34189705440856988],'
+        '"final_y":[0.74999999994743094,0.25000000006567324],"steps":40,'
         '"steps_taken":40,"x0":[0.10000000000000001,0.20000000000000001],'
         '"y0":[1,0.5]}'),
     "conformal2_fd4": (
         ["conformal2", "--method", "fd4", "--y0", "1", "0.5"] + _NEAR,
-        '{"completed":true,"dt":0.01,"energy_final":1.5267534478492557,'
+        '{"completed":true,"dt":0.01,"energy_final":1.5267534478471403,'
         '"energy_initial":1.5267534477002123,"example":"conformal2",'
-        '"final_x":[0.44657359036494082,0.34189705440860946],'
-        '"final_y":[0.74999999994785294,0.25000000006604711],"steps":40,'
+        '"final_x":[0.44657359036490402,0.34189705440856988],'
+        '"final_y":[0.74999999994743094,0.25000000006567324],"steps":40,'
         '"steps_taken":40,"x0":[0.10000000000000001,0.20000000000000001],'
         '"y0":[1,0.5]}'),
     "quartic2": (
@@ -301,12 +327,12 @@ _GEODESIC_STDOUT = {
         '0.69999999999999996]}'),
     "quartic2_fd4": (
         ["quartic2", "--method", "fd4", "--y0", "1", "0.7"] + _NEAR,
-        '{"completed":true,"dt":0.01,"energy_final":1.1135977729862754,'
+        '{"completed":true,"dt":0.01,"energy_final":1.1135977729862789,'
         '"energy_initial":1.1135977729862789,"example":"quartic2",'
-        '"final_x":[0.49999999999995831,0.4800000000000807],'
-        '"final_y":[0.9999999999999506,0.70000000000013829],"steps":40,'
-        '"steps_taken":40,"x0":[0.10000000000000001,0.20000000000000001],'
-        '"y0":[1,0.69999999999999996]}'),
+        '"final_x":[0.50000000000000033,0.48000000000000026],"final_y":[1,'
+        '0.69999999999999996],"steps":40,"steps_taken":40,'
+        '"x0":[0.10000000000000001,0.20000000000000001],"y0":[1,'
+        '0.69999999999999996]}'),
     "euclidean2": (
         ["euclidean2", "--y0", "1", "0.5"] + _NEAR,
         '{"completed":true,"dt":0.01,"energy_final":1.25,'
@@ -344,6 +370,21 @@ def test_report_command_small_run(capsys):
         for report in suite["reports"]:
             assert report["pass"], (suite["config"]["example"],
                                     report["check"])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_fd4_report_passes_every_verdict(capsys, seed):
+    """Nested stencils take a step for their depth; one step for every
+    depth failed 8-9 of these 73 verdicts."""
+    code = main(["report", "--method", "fd4", "--samples", "4", "--seed",
+                 str(seed)])
+    doc = json.loads(capsys.readouterr().out)
+    failed = [(suite["config"]["example"], report["check"],
+               report["max_abs_defect"])
+              for suite in doc["suites"] for report in suite["reports"]
+              if not report["pass"]]
+    assert failed == [] and code == 0
+    assert sum(len(suite["reports"]) for suite in doc["suites"]) == 73
 
 
 def test_canonical_json_renders_non_finite_as_null():

@@ -469,15 +469,56 @@ def test_engine_rejects_unknown_method():
         DiffEngine("secant")
 
 
-@pytest.mark.parametrize("step_scale", [0.0, -1.0, np.inf, -np.inf, np.nan])
-def test_engine_rejects_a_bad_step_scale(step_scale):
-    with pytest.raises(ValueError, match="step_scale"):
-        DiffEngine("fd4", step_scale=step_scale)
-
-
 def test_step_scales_with_magnitude():
-    e = DiffEngine("fd4", step_scale=2.0)
-    assert e.step(np.array([100.0, 0.0])) > e.step(np.array([1.0, 0.0]))
+    eps = np.finfo(float).eps
+    assert fields._step(1, 1.0) == eps ** (1.0 / 5.0)
+    assert fields._step(2, 100.0) == eps ** (1.0 / 6.0) * 100.0
+    assert fields._step(2, 100.0) > fields._step(2, 1.0) > fields._step(1, 1.0)
+    tops = np.array([1.0, 100.0])
+    assert fields._step(3, tops).tolist() == [fields._step(3, 1.0),
+                                              fields._step(3, 100.0)]
+
+
+def _depths():
+    """Nodes over a leaf energy with no chains, by the depth they should
+    read."""
+    domain = EUC.domain
+    fd4 = DiffEngine("fd4")
+    energy = TensorField(domain, 0, 0, 2.0, lambda xs, ys: np.sum(
+        ys ** 4, axis=-1) ** 0.5, name="energy")
+    ell = TensorField(domain, 0, 1, 1.0, lambda xs, ys: 2.0 * ys, name="ell")
+    dv = vertical_derivative(energy, fd4)
+    dvdv = vertical_derivative(dv, fd4)
+    # a stencil over a reciprocal can raise, so a fold over it keeps it
+    guard = vertical_derivative(scalar_reciprocal(energy), fd4)
+    fold = tensor_product(zero_field(domain, 0, 0, 0.0), guard, ",i->i",
+                          0, 1)
+    assert fold.const is not None and fold.guards == (guard,)
+    return {0: [energy, constant_field(domain, np.eye(2), 0, 2), fold],
+            1: [dv, guard, vertical_derivative(ell, fd4)],
+            2: [dvdv, add(vertical_derivative(ell, fd4), dvdv),
+                add(dvdv, vertical_derivative(ell, fd4))]}
+
+
+def test_depth_counts_nested_stencils():
+    for depth, nodes in _depths().items():
+        assert [node.depth for node in nodes] == [depth] * len(nodes)
+
+
+def test_a_nested_stencil_steps_by_its_depth(monkeypatch):
+    """The stencil node passes its own depth, and calls `_stencil` through
+    the module, where a tracer can replace it."""
+    taken = []
+    stencil = fields._stencil
+
+    def recorded(field, xs, ys, wiggle_y, depth):
+        taken.append(depth)
+        return stencil(field, xs, ys, wiggle_y, depth)
+
+    monkeypatch.setattr(fields, "_stencil", recorded)
+    dvdv = _depths()[2][0]
+    dvdv(X0, Y0)
+    assert taken == [2, 1]
 
 
 @given(y1=st.floats(0.5, 2.0), y2=st.floats(-2.0, -0.5))

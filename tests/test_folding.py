@@ -110,7 +110,7 @@ def test_fd4_derivative_of_a_constant_is_an_exact_zero():
 @pytest.mark.parametrize("check", ["linear_roundtrip", "landsberg_kernel"])
 def test_fd4_flat_defects_stay_exactly_zero(check):
     config = RunConfig(example="euclidean2", checks=[check], samples=4,
-                       seed=0, tolerance=1e-6, method="fd4", step_scale=1.0)
+                       seed=0, tolerance=1e-6, method="fd4")
     report = CHECKS[check](get_example("euclidean2"), config)
     assert report.max_abs_defect == 0.0 and report.passed
 
@@ -138,7 +138,7 @@ def _degenerate_lagrangian(domain, xs, bad):
         domain, 0, 0, 2.0,
         lambda bx, by: by[:, 0] ** 2 + c(bx) * by[:, 1] ** 2,
         dy=ell, dx=lambda: zero_field(domain, 0, 1, 2.0), name="flat_at")
-    return Lagrangian(L, engine=ANALYTIC)
+    return Lagrangian(L)
 
 
 def test_folded_spray_and_berwald_still_name_a_degenerate_sample():

@@ -3,7 +3,9 @@
 Its step, perturbed rows and combination must give the bits the array form
 gives the same sample inside a batch; a non-finite sample or step, and a
 combination that is not finite, go to the array form, so NaN, inf, warnings
-and typed errors stay the same."""
+and typed errors stay the same.  Both forms are checked at nesting depth 1
+and 2, whose steps differ, so a form that regrouped eps**(1/(4 + k)) * |v|
+or missed the depth would be seen."""
 
 import warnings
 
@@ -26,13 +28,8 @@ def _signs(xs, ys):
     return (20.0 + s) * (1.0 + np.sum(xs * xs + ys * ys, axis=-1))
 
 
-# a step_scale of 1 would hide a regrouped step (s eps^(1/3)) |v|
-_ENGINES = {"analytic": DiffEngine("analytic", step_scale=0.7),
-            "fd4": DiffEngine("fd4", step_scale=1.3)}
-
-
 def _children(method):
-    engine = _ENGINES[method]
+    engine = DiffEngine(method)
     return {
         "quartic2_energy": QUARTIC.lagrangian.field,
         "quartic2_ell": QUARTIC.lagrangian.ell_field(),
@@ -75,12 +72,12 @@ def float_path(monkeypatch):
     return taken
 
 
-def _outcome(child, xs, ys, wiggle_y, engine):
+def _outcome(child, xs, ys, wiggle_y, depth):
     """(values or (error type, message, sample), warning messages)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            out = fields._stencil(child, xs, ys, wiggle_y, engine)
+            out = fields._stencil(child, xs, ys, wiggle_y, depth)
         except Exception as exc:  # noqa: BLE001 - compared as it is
             out = (type(exc), str(exc), getattr(exc, "sample", None))
     return out, sorted({str(w.message) for w in caught})
@@ -91,18 +88,20 @@ def _outcome(child, xs, ys, wiggle_y, engine):
 @pytest.mark.parametrize("name", sorted(_children("analytic")))
 def test_one_sample_has_the_bits_of_the_batch(float_path, name, method,
                                               wiggle_y):
+    # under fd4, nested_dv_phi is a stencil, so depth 2 is a stencil of it
     child = _children(method)[name]
-    engine = _ENGINES[method]
     xs, ys = _batch()
-    batch = fields._stencil(child, xs, ys, wiggle_y, engine)
-    float_path["rows"].clear()
-    for i in range(len(xs)):
-        one = fields._stencil(child, xs[i:i + 1], ys[i:i + 1], wiggle_y,
-                              engine)
-        assert one.shape == batch[i:i + 1].shape
-        assert one.tobytes() == batch[i:i + 1].tobytes(), (name, i)
-    assert float_path == {"rows": [True] * len(xs),
-                          "combination": [True] * len(xs)}
+    for depth in (1, 2):
+        batch = fields._stencil(child, xs, ys, wiggle_y, depth)
+        float_path["rows"].clear()
+        float_path["combination"].clear()
+        for i in range(len(xs)):
+            one = fields._stencil(child, xs[i:i + 1], ys[i:i + 1], wiggle_y,
+                                  depth)
+            assert one.shape == batch[i:i + 1].shape
+            assert one.tobytes() == batch[i:i + 1].tobytes(), (name, depth, i)
+        assert float_path == {"rows": [True] * len(xs),
+                              "combination": [True] * len(xs)}
 
 
 @pytest.mark.parametrize("wiggle_y", [True, False], ids=["y", "x"])
@@ -115,12 +114,11 @@ def test_one_sample_has_the_bits_of_the_batch(float_path, name, method,
 def test_a_non_finite_sample_gets_the_array_form(float_path, x, y, rows,
                                                  wiggle_y):
     child = CONFORMAL.lagrangian.phi_field()
-    engine = DiffEngine()
     xs, ys = _batch()
     xs, ys = np.vstack([xs, [x]]), np.vstack([ys, [y]])
-    batch, batch_warned = _outcome(child, xs, ys, wiggle_y, engine)
+    batch, batch_warned = _outcome(child, xs, ys, wiggle_y, 1)
     float_path["rows"].clear()
-    one, one_warned = _outcome(child, xs[-1:], ys[-1:], wiggle_y, engine)
+    one, one_warned = _outcome(child, xs[-1:], ys[-1:], wiggle_y, 1)
     nan = np.isnan(one)
     assert (nan == np.isnan(batch[-1:])).all()
     assert one[~nan].tobytes() == batch[-1:][~nan].tobytes()
@@ -147,11 +145,10 @@ def _singular_from_one():
 @pytest.mark.parametrize("wiggle_y", [True, False], ids=["y", "x"])
 def test_a_raising_guard_names_the_same_sample(float_path, wiggle_y):
     child = _singular_from_one()
-    engine = DiffEngine()
     xs = np.array([[0.1, 0.2], [1.5, -0.3], [0.3, 0.0]])
     ys = np.array([[1.0, 0.5], [0.7, 1.1], [-1.0, 0.2]])
-    batch, _ = _outcome(child, xs, ys, wiggle_y, engine)
-    one, _ = _outcome(child, xs[1:2], ys[1:2], wiggle_y, engine)
+    batch, _ = _outcome(child, xs, ys, wiggle_y, 1)
+    one, _ = _outcome(child, xs[1:2], ys[1:2], wiggle_y, 1)
     assert batch[0] is fields.DegeneracyError
     assert one == batch
     assert batch[2][0][0] > 1.0
@@ -159,33 +156,32 @@ def test_a_raising_guard_names_the_same_sample(float_path, wiggle_y):
 
 
 @pytest.mark.parametrize("wiggle_y", [True, False], ids=["y", "x"])
-@pytest.mark.parametrize("step_scale,top", [
-    (5e-324, 1.0),      # h underflows to 0
-    (1e307, 1e6),       # h is finite, 12 h overflows
-    (1e4, 1.7e308),     # 12 h is finite, top + 2 h overflows
-], ids=["h_zero", "twelve_h_inf", "row_inf"])
-def test_a_step_out_of_range_gets_the_array_form(float_path, step_scale, top,
-                                                 wiggle_y):
+@pytest.mark.parametrize("depth,top,overflows", [
+    # eps**(1/16) > 1/10, so 12 h overflows before top + 2 h does
+    (12, 1.45e308, (True, False)),
+    (1, 1.797e308, (False, True)),
+], ids=["twelve_h_inf", "row_inf"])
+def test_a_step_out_of_range_gets_the_array_form(float_path, depth, top,
+                                                 overflows, wiggle_y):
     # the warnings of one sample are compared with those of a batch of two
     # copies of it, as other samples may warn differently; the child is
     # bounded, so that only the stencil itself can warn
     child = TensorField(QUARTIC.domain, 0, 0, 0.0, lambda xs, ys: np.sum(
         np.arctan(xs) + np.arctan(ys), axis=-1), name="bounded")
-    engine = DiffEngine("fd4", step_scale=step_scale)
+    h = fields._step(depth, top)
+    assert (12.0 * h == np.inf, top + 2.0 * h == np.inf) == overflows
     xs, ys = _batch()
     (ys if wiggle_y else xs)[0, 0] = top
-    batch, _ = _outcome(child, xs, ys, wiggle_y, engine)
+    batch, _ = _outcome(child, xs, ys, wiggle_y, depth)
     float_path["rows"].clear()
     for i in range(len(xs)):
         one, one_warned = _outcome(child, xs[i:i + 1], ys[i:i + 1], wiggle_y,
-                                   engine)
+                                   depth)
         _, pair_warned = _outcome(child, xs[[i, i]], ys[[i, i]], wiggle_y,
-                                  engine)
+                                  depth)
         nan = np.isnan(one)
         assert (nan == np.isnan(batch[i:i + 1])).all()
         assert one[~nan].tobytes() == batch[i:i + 1][~nan].tobytes()
         assert one_warned == pair_warned
         assert one_warned or i  # the first sample's step warns
     assert float_path["rows"][0] is False
-    if step_scale < 1.0:
-        assert float_path == {"rows": [False] * len(xs), "combination": []}
