@@ -357,8 +357,13 @@ def _at_sample(exc):
 
 
 def main(argv=None):
+    """Run the command `argv` names; its exit code.  A usage error exits
+    with 2 and `--help` with 0, as argparse exits, but returned."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         with np.errstate(all="ignore"):
             return args.handler(args)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, LevelError, ShapeError
-from .fields import (_require_inside, _require_type, add, liouville_field,
-                     reindex, scale, subtract, tensor_product,
-                     vertical_derivative, x_derivative)
+from .fields import (DEFAULT_ENGINE, _require_inside, _require_type, add,
+                     liouville_field, reindex, scale, subtract,
+                     tensor_product, vertical_derivative, x_derivative)
 from .ladder import lower, project_kernel
 from .metrics import fundamental_tensor
 
@@ -94,7 +94,15 @@ def canonical_spray(L, engine=None):
     G^i = (1/4) phi^{ic} (2 dphi_cb/dx^a - dphi_ab/dx^c) y^a y^b using the
     symmetry of phi; reduces to the Christoffel quadratic form in the
     Riemannian case.  Degenerate phi raises at evaluation, naming the sample.
+
+    The coefficients are built once per differentiation method and kept on
+    `L`; each call wraps them in a new Spray, so the objects built on it
+    share the spray's nodes, its chains and their memos across calls.
     """
+    method = (engine or DEFAULT_ENGINE).method
+    G = L._sprays.get(method)
+    if G is not None:
+        return Spray(G)
     metric = fundamental_tensor(L)
     H = x_derivative(metric.field, engine)          # H[c, b, a] = dphi_cb/dx^a
     C = liouville_field(L.domain)
@@ -104,8 +112,9 @@ def canonical_spray(L, engine=None):
     t3 = tensor_product(tensor_product(H, C, "abc,a->bc", 0, 2), C,
                         "bc,b->c", 0, 1)
     rhs = subtract(scale(t1, 2.0), t3)
-    G = scale(tensor_product(metric.inverse_field(), rhs, "ic,c->i", 1, 0),
-              0.25, name=f"spray({L.name})")
+    G = L._sprays[method] = scale(
+        tensor_product(metric.inverse_field(), rhs, "ic,c->i", 1, 0), 0.25,
+        name=f"spray({L.name})")
     return Spray(G)
 
 

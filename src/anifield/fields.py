@@ -28,14 +28,18 @@ the plan memoizes nothing inside it, and only the field called, folded
 or not, stores the value it returns: one point, such as a stage of a
 geodesic, shares no inner value with another, and a repeated point is
 read back whole.  A stencil node evaluates its child, with its own plan
-and key, on the perturbed batch, which has 4 * dim rows.
+and key, on the perturbed batch, which has 4 * dim rows; for a one-sample
+batch it runs the child's plan with no key, as no other call shares those
+rows.
 
 Differentiation is controlled by a DiffEngine.  Fields may carry attached
 derivative fields (built analytically, or assembled by the combinators in
 this module through sum/product rules); the "analytic" method uses them
 when present and falls back to the five-point stencil, while "fd4" always
 uses the stencil.  Under either method the derivative of an unguarded
-constant is an unguarded structural zero, with no stencil.
+constant is an unguarded structural zero, with no stencil.  A field
+remembers the stencils taken of it, weakly and per axis and method, so
+graphs built apart share one stencil node, its plan and its memo.
 
 The combinators fold constants while they build the graph: a node whose
 components are the same at every sample carries them as `const`, and a
@@ -220,7 +224,7 @@ class TensorField:
 
     __slots__ = ("domain", "r", "s", "alpha", "name", "const", "guards",
                  "raises", "operands", "depth", "_fn", "_chains", "_memo",
-                 "_plan", "__weakref__")
+                 "_plan", "_stencils", "__weakref__")
 
     def __init__(self, domain, r, s, alpha, fn, dy=None, dx=None, name="",
                  const=None, guards=(), raises=False, operands=None,
@@ -239,6 +243,7 @@ class TensorField:
         self._chains = [dy, dx]
         self._memo = {}
         self._plan = None
+        self._stencils = None
 
     @property
     def dim(self):
@@ -895,12 +900,13 @@ def _stencil(field, x, y, wiggle_y, depth):
 
     A batch of one sample takes its step, its perturbed rows and the
     combination of the child's values on Python floats, where numpy's
-    per-call cost would outweigh the arithmetic.  Both forms take the same
-    IEEE double operations in the same order, so they return the same
-    bits.  A sample with a non-finite coordinate, a step that makes 12 h
-    or a perturbed coordinate overflow, or a combination that is not
-    finite goes to the array form, so NaN, inf and numpy's warnings stay
-    those of the array form."""
+    per-call cost would outweigh the arithmetic, and runs the child's plan
+    with no memo key: no other call shares its perturbed rows.  Both forms
+    take the same IEEE double operations in the same order, so they return
+    the same bits.  A sample with a non-finite coordinate, a step that
+    makes 12 h or a perturbed coordinate overflow, or a combination that
+    is not finite goes to the array form, so NaN, inf and numpy's warnings
+    stay those of the array form."""
     base, other = (y, x) if wiggle_y else (x, y)
     count, n = base.shape
     rows = (_one_sample_rows(base, other, depth) if count == 1 and n
@@ -914,9 +920,14 @@ def _stencil(field, x, y, wiggle_y, depth):
         fixed = np.empty((4 * n, count, n))
         fixed[...] = other
         moved, fixed = moved.reshape(-1, n), fixed.reshape(-1, n)
+        vals = field(fixed, moved) if wiggle_y else field(moved, fixed)
     else:
         moved, fixed, h = rows
-    vals = field(fixed, moved) if wiggle_y else field(moved, fixed)
+        plan = field._plan
+        if plan is None:
+            plan = field._plan = _compile(field, {}, [])
+        vals = (_run(plan, None, fixed, moved) if wiggle_y
+                else _run(plan, None, moved, fixed))
     comp = vals.shape[1:]
     cols = None if rows is None else _one_sample_combination(vals, h, n)
     if cols is None:
@@ -1004,13 +1015,29 @@ def _fd(field, axis, engine):
 
 def _derivative(field, axis, engine):
     """The attached chain along `axis` under the "analytic" method when
-    there is one, else the stencil."""
+    there is one, else the stencil.
+
+    `field` remembers the stencil `_fd` builds for it, per axis and method,
+    as `chain` remembers a resolved chain, so callers under that method
+    get the same node, with its plan and its memo.  The key is the method,
+    not the engine: each check makes its own engine, and the stencil's
+    chain along the other axis follows the method.  The stencil is held
+    weakly, since its closure holds `field`: it lives as long as a graph
+    that uses it, and is built again after.  The holder is made on the
+    first stencil, so a field never differentiated by one has none."""
     engine = engine or DEFAULT_ENGINE
     if engine.method == "analytic":
         chain = field.chain(axis)
         if chain is not None:
             return chain
-    return _fd(field, axis, engine)
+    held = field._stencils
+    if held is None:
+        held = field._stencils = weakref.WeakValueDictionary()
+    key = (axis, engine.method)
+    stencil = held.get(key)
+    if stencil is None:
+        stencil = held[key] = _fd(field, axis, engine)
+    return stencil
 
 
 def vertical_derivative(field, engine=None):

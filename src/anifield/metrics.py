@@ -20,7 +20,9 @@ class Lagrangian:
 
     ell and phi are read through the energy's attached chains, whatever
     method the objects built on them differentiate with; a stencil stands
-    in only where a chain is missing."""
+    in only where a chain is missing.  Each derived field is built once
+    and kept here: ell, phi, the inverse of phi (`fundamental_tensor`) and
+    the spray coefficients per method (`connections.canonical_spray`)."""
 
     def __init__(self, field, name=""):
         _require_type(field, 0, 0, 2, "a Lagrangian")
@@ -28,6 +30,8 @@ class Lagrangian:
         self.name = name or field.name
         self._ell = None
         self._phi = None
+        self._phi_inverse = None
+        self._sprays = {}
 
     @property
     def domain(self):
@@ -109,10 +113,16 @@ def legendre_of(L):
 def fundamental_tensor(L, validate_at=None):
     """phi = (1/2) dv dv L as an AnisotropicMetric.
 
-    `validate_at` may give (xs, ys) sample arrays; degeneracy at any of them
-    raises DegeneracyError carrying the offending sample.
+    Each call returns a new metric, whose `inverse_field()` is the one
+    inverse node of phi that `L` keeps, so every object built on it shares
+    that node.  `validate_at` may give (xs, ys) sample arrays; degeneracy
+    at any of them raises DegeneracyError carrying the offending sample,
+    on every call.
     """
     metric = AnisotropicMetric(L.phi_field(), name=f"phi({L.name})")
+    if L._phi_inverse is None:
+        L._phi_inverse = metric.inverse_field()
+    metric._inv = L._phi_inverse
     if validate_at is not None:
         metric.check_at(*validate_at)
     return metric

@@ -15,7 +15,7 @@ from anifield.catalog import get_example
 from anifield.checks import (CHECKS, applicable_checks,
                              check_cocycle_coherence, check_euler,
                              euclidean_energy_field, kernel_shift)
-from anifield.cli import RunConfig, parse_config
+from anifield.cli import RunConfig, canonical_json, parse_config
 from anifield.fields import Y
 
 _LAGRANGIAN = ["canonical_spray_oracle", "euler", "functional_laws",
@@ -66,6 +66,24 @@ def test_tiny_tolerance_fails_honestly():
     report = check_euler(get_example("quartic2"), config)
     assert not report.passed
     assert report.max_abs_defect > 1e-14
+
+
+def test_a_cold_cache_and_a_warm_cache_give_the_same_numbers():
+    """Every applicable check, run on one bundle per example under both
+    methods in turn, reads exactly what it reads on a bundle of its own."""
+    def run(fresh):
+        out = []
+        for name in ("conformal2", "quartic2", "handmadeN", "wick(-1)"):
+            shared = get_example(name)
+            for method in ("analytic", "fd4"):
+                for check in applicable_checks(shared):
+                    bundle = get_example(name) if fresh else shared
+                    config = _config(name, checks=[check], samples=4,
+                                     method=method)
+                    out.append(CHECKS[check](bundle, config).as_dict())
+        return canonical_json(out)
+
+    assert run(fresh=False) == run(fresh=True)
 
 
 def test_kernel_shift_ranks_and_kernel_property():

@@ -85,21 +85,13 @@ def test_config_refuses_a_non_finite_tolerance_or_step(tmp_path, capsys,
     assert err.startswith(f"error: {_REFUSED[key]}")
 
 
-def _report_exit(argv):
-    """The exit code of `anifield report`, also when argparse exits."""
-    try:
-        return main(["report"] + argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 @pytest.mark.parametrize("flag,key", [("--tolerance", "tolerance"),
                                       ("--step-scale", "step_scale")],
                          ids=["tolerance", "step_scale"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_report_refuses_a_non_finite_tolerance_or_step(capsys, flag, key,
                                                        value):
-    assert _report_exit(["--samples", "2", flag, value]) == 2
+    assert main(["report", "--samples", "2", flag, value]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     if key == "tolerance":
@@ -109,10 +101,41 @@ def test_report_refuses_a_non_finite_tolerance_or_step(capsys, flag, key,
 
 
 def test_report_has_no_step_scale_flag(capsys):
-    assert _report_exit(["--samples", "2", "--step-scale", "2"]) == 2
+    assert main(["report", "--samples", "2", "--step-scale", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.endswith("error: unrecognized arguments: --step-scale 2\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["report", "--bogus"], 2),
+    (["report", "--samples", "many"], 2),
+    ([], 2),
+    (["--help"], 0),
+    (["report", "--help"], 0),
+], ids=["unknown_flag", "bad_value", "no_command", "help", "report_help"])
+def test_main_returns_argparse_exit_code(capsys, argv, code):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert ("usage: anifield" in out) == (code == 0)
+    assert ("error:" in err) == (code == 2)
+
+
+def _python_dash_m(*argv):
+    """`python -W error::RuntimeWarning -m anifield *argv`, run on `src/`."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "anifield",
+         *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_dash_m_keeps_argparse_exit_codes():
+    assert _python_dash_m("report", "--bogus").returncode == 2
+    assert _python_dash_m("--help").returncode == 0
+
 
 def test_environment_seed_wins(monkeypatch):
     monkeypatch.setenv("FINSLER_SEED", "99")
@@ -398,14 +421,7 @@ def test_canonical_json_renders_non_finite_as_null():
 
 
 def test_python_dash_m_runs_the_cli():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "anifield",
-         "eval", "euclidean2", "L"],
-        capture_output=True, text=True, env=env, timeout=120)
+    done = _python_dash_m("eval", "euclidean2", "L")
     assert done.returncode == 0, done.stderr
     data = json.loads(done.stdout)
     assert data["example"] == "euclidean2"

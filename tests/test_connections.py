@@ -1,19 +1,23 @@
 """Connection ladder: sprays, torsion residues, named connections, geodesics."""
 
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from anifield import (AnisotropicConnection, ConicDomain, Connection,
-                      DiffEngine, DomainError, LevelError,
-                      NonlinearConnection, ShapeError, Spray,
+from anifield import (AnisotropicConnection, AnisotropicMetric, ConicDomain,
+                      Connection, DegeneracyError, DiffEngine, DomainError,
+                      LevelError, NonlinearConnection, ShapeError, Spray,
                       TensorField, berwald_connection, canonical_spray,
-                      chern_connection, classical_linear, geodesic_integrate,
-                      landsberg_tensor, liouville_contract, lower_connection,
+                      chern_connection, classical_linear, constant_field,
+                      fundamental_tensor, geodesic_integrate,
+                      lagrangian_of_metric, landsberg_tensor,
+                      liouville_contract, lower_connection,
                       nonlinear_residue, project_kernel, raise_connection,
-                      torsion, zero_field)
+                      torsion, vertical_derivative, x_derivative, zero_field)
 from anifield.catalog import get_example
 
 ANALYTIC = DiffEngine("analytic")
@@ -233,3 +237,78 @@ def test_trajectory_is_iterable():
     pts = list(tr)
     assert len(pts) == len(tr)
     assert_allclose(pts[0][0], np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# objects derived from a Lagrangian are built once
+
+
+@pytest.mark.parametrize("method", ["analytic", "fd4"])
+def test_canonical_spray_wraps_one_coefficients_field_per_method(method):
+    L = get_example("conformal2").lagrangian
+    first = canonical_spray(L, DiffEngine(method))
+    second = canonical_spray(L, DiffEngine(method))
+    assert first is not second
+    assert first.coefficients is second.coefficients
+
+
+def test_the_sprays_of_the_two_methods_differ():
+    L = get_example("conformal2").lagrangian
+    assert (canonical_spray(L, DiffEngine("analytic")).coefficients
+            is not canonical_spray(L, DiffEngine("fd4")).coefficients)
+
+
+def test_renaming_a_spray_does_not_rename_the_next_one():
+    L = get_example("conformal2").lagrangian
+    canonical_spray(L, ANALYTIC).name = "renamed"
+    assert canonical_spray(L, ANALYTIC).name == "spray(conformal2)"
+
+
+def test_fd4_derivatives_of_a_field_are_one_node():
+    phi = get_example("conformal2").lagrangian.phi_field()
+    for derivative in (vertical_derivative, x_derivative):
+        assert (derivative(phi, DiffEngine("fd4"))
+                is derivative(phi, DiffEngine("fd4")))
+
+
+def test_a_stencil_taken_under_analytic_is_not_returned_under_fd4():
+    phi = get_example("conformal2").lagrangian.phi_field()
+    analytic = x_derivative(phi, ANALYTIC)      # phi has no x-chain
+    assert analytic.name == "fd_dx(phi(conformal2))"
+    assert x_derivative(phi, DiffEngine("analytic")) is analytic
+    assert x_derivative(phi, DiffEngine("fd4")) is not analytic
+
+
+def test_the_inverse_of_phi_is_one_node_and_validation_runs_every_call():
+    L = get_example("quartic2").lagrangian
+    first, second = fundamental_tensor(L), fundamental_tensor(L)
+    assert first is not second
+    assert first.inverse_field() is second.inverse_field()
+    flat = lagrangian_of_metric(AnisotropicMetric(constant_field(
+        EUC.domain, [[1.0, 0.0], [0.0, 0.0]], 0, 2)))
+    for _ in range(2):
+        with pytest.raises(DegeneracyError):
+            fundamental_tensor(flat, validate_at=(X0, Y0))
+
+
+@pytest.mark.parametrize("method", ["analytic", "fd4"])
+@pytest.mark.parametrize("name", ["conformal2", "quartic2"])
+def test_the_caches_add_no_reference_cycle(name, method):
+    """Everything a bundle caches dies with it by reference counting
+    alone, without the cyclic collector."""
+    engine = DiffEngine(method)
+    gc.collect()
+    gc.disable()
+    try:
+        bundle = get_example(name)
+        L = bundle.lagrangian
+        spray = canonical_spray(L, engine)
+        phi = L.phi_field()
+        stencil = x_derivative(phi, engine)
+        spray(*bundle.domain.sample(3, 0))
+        refs = [weakref.ref(obj) for obj in (L, spray.coefficients, phi,
+                                             stencil, bundle.domain)]
+        del bundle, L, spray, phi, stencil
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
