@@ -351,14 +351,12 @@ def check_geodesic_conservation(bundle, engine, xs, ys, config, feed):
     L = bundle.lagrangian
     spray = canonical_spray(L, engine)
     path = geodesic_integrate(spray, xs[0], ys[0], 1e-3, 200)
-    px = np.array([x for x, _ in path.points])
-    py = np.array([y for _, y in path.points])
-    energy = L.field(px, py)
+    energy = L.field(path.xs, path.ys)
     e0 = float(energy[0])
-    feed(np.abs(energy - e0) / max(1e-12, abs(e0)), px, py)
+    feed(np.abs(energy - e0) / max(1e-12, abs(e0)), path.xs, path.ys)
     if not path.completed:
         feed(1.0, xs[0], ys[0])
-    return len(path.points)
+    return len(path)
 
 
 def applicable_checks(bundle):

@@ -251,16 +251,16 @@ def _cmd_geodesic(args):
     spray = canonical_spray(bundle.lagrangian, DiffEngine(args.method))
     path = geodesic_integrate(spray, x0, y0, args.dt, args.steps)
     L = bundle.lagrangian.field
-    e0 = float(L(*path.points[0]))
-    ef = float(L(*path.points[-1]))
-    xf, yf = path.points[-1]
+    e0 = float(L(path.xs[0], path.ys[0]))
+    xf, yf = path.xs[-1], path.ys[-1]
+    ef = float(L(xf, yf))
     print(canonical_json({
         "example": bundle.name,
         "x0": x0.tolist(),
         "y0": y0.tolist(),
         "dt": args.dt,
         "steps": args.steps,
-        "steps_taken": len(path.points) - 1,
+        "steps_taken": len(path) - 1,
         "completed": path.completed,
         "final_x": xf.tolist(),
         "final_y": yf.tolist(),

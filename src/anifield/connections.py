@@ -9,8 +9,6 @@ contraction, and lowering after raising is the identity.  The canonical
 spray of a Lagrangian feeds the Berwald and Chern constructions.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, LevelError, ShapeError
@@ -88,6 +86,17 @@ def torsion(N, engine=None):
     return subtract(dN, reindex(dN, "ijk->ikj"), name=f"torsion({N.name})")
 
 
+def _kept(L, engine, kind, build):
+    """The node `build()` makes of `L`, built once per differentiation
+    method and kept in `L._by_method`.  `build` must not capture `L` in a
+    node it makes, so that nothing kept refers back to `L`."""
+    kept = L._by_method.setdefault((engine or DEFAULT_ENGINE).method, {})
+    node = kept.get(kind)
+    if node is None:
+        node = kept[kind] = build()
+    return node
+
+
 def canonical_spray(L, engine=None):
     """Geodesic spray of a Lagrangian.
 
@@ -99,31 +108,39 @@ def canonical_spray(L, engine=None):
     `L`; each call wraps them in a new Spray, so the objects built on it
     share the spray's nodes, its chains and their memos across calls.
     """
-    method = (engine or DEFAULT_ENGINE).method
-    G = L._sprays.get(method)
-    if G is not None:
-        return Spray(G)
-    metric = fundamental_tensor(L)
-    H = x_derivative(metric.field, engine)          # H[c, b, a] = dphi_cb/dx^a
-    C = liouville_field(L.domain)
-    # t1_c = dphi_cb/dx^a y^a y^b and t3_c = dphi_ab/dx^c y^a y^b
-    t1 = tensor_product(tensor_product(H, C, "cba,a->cb", 0, 2), C,
-                        "cb,b->c", 0, 1)
-    t3 = tensor_product(tensor_product(H, C, "abc,a->bc", 0, 2), C,
-                        "bc,b->c", 0, 1)
-    rhs = subtract(scale(t1, 2.0), t3)
-    G = L._sprays[method] = scale(
-        tensor_product(metric.inverse_field(), rhs, "ic,c->i", 1, 0), 0.25,
-        name=f"spray({L.name})")
-    return Spray(G)
+    def build():
+        metric = fundamental_tensor(L)
+        H = x_derivative(metric.field, engine)      # H[c, b, a] = dphi_cb/dx^a
+        C = liouville_field(L.domain)
+        # t1_c = dphi_cb/dx^a y^a y^b and t3_c = dphi_ab/dx^c y^a y^b
+        t1 = tensor_product(tensor_product(H, C, "cba,a->cb", 0, 2), C,
+                            "cb,b->c", 0, 1)
+        t3 = tensor_product(tensor_product(H, C, "abc,a->bc", 0, 2), C,
+                            "bc,b->c", 0, 1)
+        rhs = subtract(scale(t1, 2.0), t3)
+        return scale(
+            tensor_product(metric.inverse_field(), rhs, "ic,c->i", 1, 0),
+            0.25, name=f"spray({L.name})")
+
+    return Spray(_kept(L, engine, "spray", build))
+
+
+def _canonical_nonlinear(L, engine):
+    """N = dv G of the canonical spray, kept on `L` per method."""
+    return _kept(L, engine, "nonlinear", lambda: raise_connection(
+        canonical_spray(L, engine), engine).coefficients)
 
 
 def berwald_connection(L, engine=None):
-    """Twice the vertical derivative of the canonical spray."""
-    N = raise_connection(canonical_spray(L, engine), engine)
-    gamma = raise_connection(N, engine)
-    gamma.name = f"berwald({L.name})"
-    return gamma
+    """Twice the vertical derivative of the canonical spray.
+
+    The coefficients, and N = dv G beneath them, are built once per
+    differentiation method and kept on `L`; each call wraps them in a new
+    connection, so renaming one renames no other.
+    """
+    gamma = _kept(L, engine, "berwald", lambda: vertical_derivative(
+        _canonical_nonlinear(L, engine), engine))
+    return AnisotropicConnection(gamma, name=f"berwald({L.name})")
 
 
 def chern_connection(L, engine=None):
@@ -132,19 +149,26 @@ def chern_connection(L, engine=None):
     Gamma^i_jk = (1/2) phi^{il} (delta_j phi_lk + delta_k phi_lj
     - delta_l phi_jk) with delta_j = d/dx^j - N^a_j d/dy^a taken along the
     canonical nonlinear connection.
+
+    The coefficients, and dv phi beneath them, are built once per
+    differentiation method and kept on `L`; each call wraps them in a new
+    connection, so renaming one renames no other.
     """
-    metric = fundamental_tensor(L)
-    N = raise_connection(canonical_spray(L, engine), engine)
-    Hx = x_derivative(metric.field, engine)
-    dphi = vertical_derivative(metric.field, engine)
-    slanted = tensor_product(N.coefficients, dphi, "aj,lka->lkj", 0, 3)
-    delta_phi = reindex(subtract(Hx, slanted), "lkj->ljk")   # delta_j phi_lk
-    sym = add(delta_phi, reindex(delta_phi, "lkj->ljk"))
-    full = subtract(sym, reindex(delta_phi, "jlk->ljk"))
-    gamma = scale(tensor_product(metric.inverse_field(), full,
-                                 "il,ljk->ijk", 1, 2),
-                  0.5, name=f"chern({L.name})")
-    return AnisotropicConnection(gamma)
+    def build():
+        metric = fundamental_tensor(L)
+        Hx = x_derivative(metric.field, engine)
+        dphi = _kept(L, engine, "dphi",
+                     lambda: vertical_derivative(metric.field, engine))
+        slanted = tensor_product(_canonical_nonlinear(L, engine), dphi,
+                                 "aj,lka->lkj", 0, 3)
+        delta_phi = reindex(subtract(Hx, slanted), "lkj->ljk")  # delta_j phi_lk
+        sym = add(delta_phi, reindex(delta_phi, "lkj->ljk"))
+        full = subtract(sym, reindex(delta_phi, "jlk->ljk"))
+        return scale(tensor_product(metric.inverse_field(), full,
+                                    "il,ljk->ijk", 1, 2),
+                     0.5, name=f"chern({L.name})")
+
+    return AnisotropicConnection(_kept(L, engine, "chern", build))
 
 
 def landsberg_tensor(L, engine=None):
@@ -155,38 +179,61 @@ def landsberg_tensor(L, engine=None):
                     name=f"landsberg({L.name})")
 
 
-@dataclass
 class Trajectory:
-    """Integrated geodesic samples; `completed` is False if the curve left
-    the domain and was truncated."""
+    """Integrated geodesic samples.
 
-    points: list
-    completed: bool
+    `xs` and `ys` are the states as two read-only (n, dim) arrays, the
+    initial state first; `points` is a new list of the same rows as
+    (x, y) pairs on each access, so `len`, iteration and `points[-1]` read
+    one state at a time.  Writing to an array or to a point raises
+    ValueError.  `completed` is False if the curve left the domain and
+    was truncated.
+    """
+
+    def __init__(self, xs, ys, completed):
+        self.xs = xs
+        self.ys = ys
+        self.completed = completed
+
+    @property
+    def points(self):
+        return list(zip(self.xs, self.ys))
 
     def __iter__(self):
-        return iter(self.points)
+        return zip(self.xs, self.ys)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.xs)
+
+
+def _frozen(rows):
+    """The (n, dim) read-only array of n lists of dim floats."""
+    out = np.array(rows)
+    out.setflags(write=False)
+    return out
 
 
 def geodesic_integrate(spray, x0, y0, dt, steps):
     """Classical fourth-order Runge-Kutta on x' = y, y' = -2 G(x, y).
 
-    Returns a Trajectory of (x, y) pairs including the initial state.  If a
+    Returns a Trajectory of the states, the initial one included.  If a
     stage or a step lands outside the spray's domain the curve is truncated
     there and flagged.
 
     The state is stepped on lists of Python floats, with the IEEE double
     operations of the array form in the same order, so every point has the
-    bits numpy arithmetic on (dim,) arrays would give.  A spray whose
-    coefficients are an unguarded constant is never called: its -2 G is
-    taken once.  Any other spray, a guarded constant included, is called
-    at every stage, so a guard still raises and names its sample.  Every
-    step and the three later stages of each step are checked with
-    `domain.contains`; the first stage of a step is the point the previous
+    bits numpy arithmetic on (dim,) arrays would give.  Every step and the
+    three later stages of each step are checked on that float state by
+    `domain.admits`; the first stage of a step is the point the previous
     step accepted, or the initial state, and is not checked again.  A
-    state of any other shape than (dim,) raises ShapeError.
+    spray whose coefficients are an unguarded constant is never called:
+    its -2 G is taken once.  Any other spray, a guarded constant included,
+    is called at every stage, so a guard still raises and names its
+    sample.  A stage builds (dim,) arrays only for a spray call or a
+    membership predicate, once for both; an unguarded constant spray on a
+    domain with no predicate builds none.  The trajectory's arrays are
+    built once, at the end.  A state of any other shape than (dim,) raises
+    ShapeError.
 
     numpy does not warn while the curve is stepped: far out a spray's
     arithmetic may overflow, and the typed error that follows names the
@@ -200,23 +247,26 @@ def geodesic_integrate(spray, x0, y0, dt, steps):
     if x.ndim != 1:
         raise ShapeError(f"geodesic_integrate takes one state of shape "
                          f"({domain.dim},), got {x.shape}")
-    point = (x.copy(), y.copy())
-    points = [point]
     x, y, dt = x.tolist(), y.tolist(), float(dt)
+    xs, ys = [x], [y]
     half, sixth = 0.5 * dt, dt / 6.0
     fixed = (-2.0 * G.const).tolist() if (
         G.const is not None and not G.guards) else None
 
-    def accel(xa, ya):
+    def arrays(xc, yc):
+        # a spray call needs the state as arrays, and `admits` shares them
+        return None if fixed is not None else (np.array(xc), np.array(yc))
+
+    def accel(state):
         if fixed is not None:
             return fixed
-        return [-2.0 * g for g in G(xa, ya).tolist()]
+        return [-2.0 * g for g in G(*state).tolist()]
 
     def rhs(xc, yc):
-        xa, ya = np.array(xc), np.array(yc)
-        if not domain.contains(xa, ya):
+        state = arrays(xc, yc)
+        if not domain.admits(xc, yc, state):
             raise DomainError("stage point left the admissible cone")
-        return yc, accel(xa, ya)
+        return yc, accel(state)
 
     def stage(a, h, b):
         return [ai + h * bi for ai, bi in zip(a, b)]
@@ -225,20 +275,25 @@ def geodesic_integrate(spray, x0, y0, dt, steps):
         return [ai + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
                 for ai, p, q, r, s in zip(a, k1, k2, k3, k4)]
 
+    completed = True
     with np.errstate(over="ignore", invalid="ignore"):
+        here = arrays(x, y)
         for _ in range(int(steps)):
             try:
                 # the first stage is the point accepted last, checked then
-                k1x, k1y = y, accel(*point)
+                k1x, k1y = y, accel(here)
                 k2x, k2y = rhs(stage(x, half, k1x), stage(y, half, k1y))
                 k3x, k3y = rhs(stage(x, half, k2x), stage(y, half, k2y))
                 k4x, k4y = rhs(stage(x, dt, k3x), stage(y, dt, k3y))
             except DomainError:
-                return Trajectory(points, completed=False)
+                completed = False
+                break
             x = combine(x, k1x, k2x, k3x, k4x)
             y = combine(y, k1y, k2y, k3y, k4y)
-            point = (np.array(x), np.array(y))
-            if not domain.contains(*point):
-                return Trajectory(points, completed=False)
-            points.append(point)
-    return Trajectory(points, completed=True)
+            here = arrays(x, y)
+            if not domain.admits(x, y, here):
+                completed = False
+                break
+            xs.append(x)
+            ys.append(y)
+    return Trajectory(_frozen(xs), _frozen(ys), completed)

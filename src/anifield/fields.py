@@ -39,7 +39,10 @@ when present and falls back to the five-point stencil, while "fd4" always
 uses the stencil.  Under either method the derivative of an unguarded
 constant is an unguarded structural zero, with no stencil.  A field
 remembers the stencils taken of it, weakly and per axis and method, so
-graphs built apart share one stencil node, its plan and its memo.
+graphs built apart share one stencil node, its plan and its memo.  It
+remembers a resolved chain too, strongly, except where the chain would
+hold the field itself (an inverse, a reciprocal, and what their chains
+build): such a chain is held weakly, so no graph is a reference cycle.
 
 The combinators fold constants while they build the graph: a node whose
 components are the same at every sample carries them as `const`, and a
@@ -80,8 +83,9 @@ class ConicDomain:
     dim : int
         Dimension of the chart (x and y both live in R^dim).
     membership : callable
-        Predicate (x, y) -> bool.  Must be invariant under y -> lambda*y
-        for lambda > 0.  The slit condition y != 0 is enforced separately.
+        Predicate (x, y) -> bool, called with two (dim,) float64 arrays
+        of a finite state.  Must be invariant under y -> lambda*y for
+        lambda > 0.  The slit condition y != 0 is enforced separately.
     x_box : array_like, optional
         Pairs (lo, hi) per coordinate bounding the sampling box in x.
         Defaults to [-1, 1] in every coordinate.
@@ -106,18 +110,28 @@ class ConicDomain:
         self._drawn = {}
 
     def contains(self, x, y):
-        """Whether (x, y) is an admissible pair: finite, y != 0, and
-        accepted by the membership predicate."""
+        """Whether (x, y) is an admissible pair: two (dim,) states that
+        `admits`."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             return False
-        xl, yl = x.tolist(), y.tolist()
-        if not all(map(math.isfinite, xl + yl)) or not any(yl):
+        return self.admits(x.tolist(), y.tolist(), (x, y))
+
+    def admits(self, x, y, arrays=None):
+        """The admissibility rule on a float state: x and y are lists of
+        dim Python floats, all finite, y is not zero, and the membership
+        predicate accepts the pair.  The predicate gets (dim,) float64
+        arrays: `arrays`, the same state as a pair of arrays, when the
+        caller has them, else arrays built here, only when the predicate
+        runs."""
+        if not all(map(math.isfinite, x + y)) or not any(y):
             return False
         if self.membership is None:
             return True
-        return bool(self.membership(x, y))
+        if arrays is None:
+            arrays = (np.array(x), np.array(y))
+        return bool(self.membership(*arrays))
 
     def sample(self, count, seed):
         """Draw `count` admissible (x, y) pairs; reproducible for a given seed.
@@ -288,6 +302,11 @@ class TensorField:
     def chain(self, axis):
         """Attached exact derivative along `axis` (Y or X), or None."""
         chain = self._chains[axis]
+        if isinstance(chain, _HeldWeakly):
+            built = chain()
+            if built is None:
+                self._chains[axis] = None
+            return built
         if callable(chain) and not isinstance(chain, TensorField):
             chain = self._chains[axis] = chain()
         return chain
@@ -532,11 +551,48 @@ def _along(axis, rule, operands):
     return None if None in chains else rule(*chains)
 
 
-def _chains(rule, *operands):
+def _chains(rule, *operands, weak=False):
     """The (dy, dx) thunks of a combinator's result, whose derivative along
-    either axis follows from `rule` and the operands' chains along it."""
-    return (functools.partial(_along, Y, rule, operands),
-            functools.partial(_along, X, rule, operands))
+    either axis follows from `rule` and the operands' chains along it.
+    They hold what they build weakly when `weak` is set, and for every
+    node built while such a chain is being built (see `_HeldWeakly`)."""
+    thunks = (functools.partial(_along, Y, rule, operands),
+              functools.partial(_along, X, rule, operands))
+    if weak or _HeldWeakly.building:
+        return (_HeldWeakly(thunks[0]), _HeldWeakly(thunks[1]))
+    return thunks
+
+
+class _HeldWeakly:
+    """A chain thunk that holds the chain it builds weakly.
+
+    The derivative of an inverse or a reciprocal takes the node itself as
+    an operand, and the derivative of each node inside that derivative
+    takes the derivative again.  A node holding such a chain strongly
+    would make a reference cycle, and the node and everything beneath it
+    would outlive their last user until the cyclic collector ran.  So
+    those chains, and the chains of every node built while one is being
+    built, are held weakly: each lives as long as a graph that uses it,
+    and is built again after.  A missing chain is remembered for good."""
+
+    __slots__ = ("_build", "_ref")
+    building = 0    # how many of these are building their chain right now
+
+    def __init__(self, build):
+        self._build = build
+        self._ref = None
+
+    def __call__(self):
+        chain = None if self._ref is None else self._ref()
+        if chain is None:
+            _HeldWeakly.building += 1
+            try:
+                chain = self._build()
+            finally:
+                _HeldWeakly.building -= 1
+            if chain is not None:
+                self._ref = weakref.ref(chain)
+        return chain
 
 
 def _fresh_letter(used):
@@ -807,7 +863,7 @@ def matrix_inverse(a, name=""):
         return scale(full, -1.0)
 
     name = name or f"inv({a.name})"
-    chains = _chains(rule, a)
+    chains = _chains(rule, a, weak=True)
     try:
         values = None if a.const is None else pivot_inverse(a.const)
     except DegeneracyError:
@@ -869,7 +925,8 @@ def scalar_reciprocal(a, name=""):
         sq = tensor_product(rec, rec, ",->", 0, 0)
         return scale(tensor_product(sq, da, ",z->z", 0, 1), -1.0)
 
-    rec_field = _node(a.domain, 0, 0, -a.alpha, fn, _chains(rule, a),
+    chains = _chains(rule, a, weak=True)
+    rec_field = _node(a.domain, 0, 0, -a.alpha, fn, chains,
                       name or f"1/({a.name})", (a,), raises=True)
     this = weakref.ref(rec_field)
     return rec_field

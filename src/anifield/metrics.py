@@ -21,8 +21,12 @@ class Lagrangian:
     ell and phi are read through the energy's attached chains, whatever
     method the objects built on them differentiate with; a stencil stands
     in only where a chain is missing.  Each derived field is built once
-    and kept here: ell, phi, the inverse of phi (`fundamental_tensor`) and
-    the spray coefficients per method (`connections.canonical_spray`)."""
+    and kept here: ell, phi and the inverse of phi (`fundamental_tensor`),
+    and per differentiation method, in `_by_method`, the coefficients of
+    the canonical spray, of its nonlinear connection N = dv G and of the
+    Berwald and Chern connections, and dv phi (`connections`).  No kept
+    node refers back to the Lagrangian, so all of them die with it by
+    reference counting alone."""
 
     def __init__(self, field, name=""):
         _require_type(field, 0, 0, 2, "a Lagrangian")
@@ -31,7 +35,7 @@ class Lagrangian:
         self._ell = None
         self._phi = None
         self._phi_inverse = None
-        self._sprays = {}
+        self._by_method = {}
 
     @property
     def domain(self):

@@ -1,7 +1,9 @@
 """The named check suite and its report shape."""
 
+import gc
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -218,3 +220,79 @@ def test_readme_lists_every_check():
                       re.DOTALL)
     assert block is not None
     assert block.group(1).split() == sorted(CHECKS)
+
+
+# geodesic_conservation at --samples 4 --seed 0: example, method,
+# max_abs_defect, samples_used, and the worst sample's x and y
+_GEODESIC_PINS = [
+    ("conformal2", "analytic", 1.2499619526027126e-14, 201,
+     [0.49992713196046723, -0.42737609449348885], [1.3605405480138832, 0.17691319382303758]),
+    ("euclidean2", "analytic", 0.0, 201,
+     [0.2739233746429086, -0.4604265724722594], [1.6972870697854452, 0.2780126723181865]),
+    ("minkowski2", "analytic", 0.0, 201,
+     [-0.648688758794882, 0.7263578446997732], [-0.6909658409001123, 0.8992175121594524]),
+    ("quadchart", "analytic", 0.0, 201,
+     [0.2739233746429086, -0.4604265724722594], [1.6972870697854452, 0.2780126723181865]),
+    ("quartic2", "analytic", 0.0, 201,
+     [0.8255111545554434, 0.21327155153435973], [1.5271611855478908, -1.1347679647956048]),
+    ("wick(-2)", "analytic", 0.0, 201,
+     [0.2739233746429086, -0.4604265724722594], [1.6972870697854452, 0.2780126723181865]),
+    ("wick(-1)", "analytic", 0.0, 201,
+     [0.2739233746429086, -0.4604265724722594], [1.6972870697854452, 0.2780126723181865]),
+    ("wick(0.5)", "analytic", 0.0, 201,
+     [0.2739233746429086, -0.4604265724722594], [1.6972870697854452, 0.2780126723181865]),
+    ("conformal2", "fd4", 1.2499619526027126e-14, 201,
+     [0.49992713196046723, -0.42737609449348885], [1.3605405480138832, 0.17691319382303758]),
+    ("euclidean2", "fd4", 0.0, 201,
+     [0.2739233746429086, -0.4604265724722594], [1.6972870697854452, 0.2780126723181865]),
+    ("minkowski2", "fd4", 0.0, 201,
+     [-0.648688758794882, 0.7263578446997732], [-0.6909658409001123, 0.8992175121594524]),
+    ("quadchart", "fd4", 0.0, 201,
+     [0.2739233746429086, -0.4604265724722594], [1.6972870697854452, 0.2780126723181865]),
+    ("quartic2", "fd4", 1.666939632818696e-16, 201,
+     [0.8270383157409913, 0.2121367835695641], [1.5271611855478908, -1.134767964795605]),
+    ("wick(-2)", "fd4", 0.0, 201,
+     [0.2739233746429086, -0.4604265724722594], [1.6972870697854452, 0.2780126723181865]),
+    ("wick(-1)", "fd4", 0.0, 201,
+     [0.2739233746429086, -0.4604265724722594], [1.6972870697854452, 0.2780126723181865]),
+    ("wick(0.5)", "fd4", 0.0, 201,
+     [0.2739233746429086, -0.4604265724722594], [1.6972870697854452, 0.2780126723181865]),
+]
+
+
+@pytest.mark.parametrize("name,method,defect,used,x,y", _GEODESIC_PINS,
+                         ids=[f"{pin[0]}-{pin[1]}" for pin in _GEODESIC_PINS])
+def test_the_geodesic_check_reads_its_pinned_numbers(name, method, defect,
+                                                     used, x, y):
+    """The check's own path (dt = 1e-3, 200 steps from the first sample)
+    on every example with an energy; the quadratic energies keep it
+    exactly, and their worst sample is the first one fed."""
+    config = _config(name, checks=["geodesic_conservation"], samples=4,
+                     seed=0, method=method)
+    report = CHECKS["geodesic_conservation"](get_example(name), config)
+    assert report.as_dict() == {
+        "check": "geodesic_conservation", "max_abs_defect": defect,
+        "pass": True, "samples_used": used, "worst_sample": {"x": x, "y": y}}
+
+
+@pytest.mark.parametrize("method", ["analytic", "fd4"])
+def test_a_checked_bundle_dies_by_reference_counting_alone(method):
+    """Every applicable check of every example, then `del`: the bundle and
+    everything it built and kept (analytic derivatives of inverses and
+    reciprocals included) leave nothing for the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        for name in sorted(_PARENT_APPLICABLE):
+            bundle = get_example(name)
+            config = _config(name, samples=4, seed=0, method=method)
+            for check in applicable_checks(bundle):
+                CHECKS[check](bundle, config)
+            held = [weakref.ref(bundle.domain)]
+            if bundle.lagrangian is not None:
+                held.append(weakref.ref(bundle.lagrangian))
+            del bundle
+            assert [ref() for ref in held] == [None] * len(held), name
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -264,6 +264,50 @@ def test_renaming_a_spray_does_not_rename_the_next_one():
     assert canonical_spray(L, ANALYTIC).name == "spray(conformal2)"
 
 
+@pytest.mark.parametrize("method", ["analytic", "fd4"])
+@pytest.mark.parametrize("build", [berwald_connection, chern_connection],
+                         ids=["berwald", "chern"])
+def test_a_named_connection_wraps_one_coefficients_field_per_method(
+        build, method):
+    L = get_example("conformal2").lagrangian
+    first = build(L, DiffEngine(method))
+    second = build(L, DiffEngine(method))
+    assert first is not second
+    assert first.coefficients is second.coefficients
+    other = "fd4" if method == "analytic" else "analytic"
+    assert build(L, DiffEngine(other)).coefficients is not first.coefficients
+
+
+@pytest.mark.parametrize("build,name", [(berwald_connection, "berwald"),
+                                        (chern_connection, "chern")])
+def test_renaming_a_named_connection_does_not_rename_the_next_one(build,
+                                                                  name):
+    L = get_example("conformal2").lagrangian
+    build(L, ANALYTIC).name = "renamed"
+    assert build(L, ANALYTIC).name == f"{name}(conformal2)"
+
+
+@pytest.mark.parametrize("method", ["analytic", "fd4"])
+def test_n_and_dv_phi_outlive_the_graphs_that_built_them(method):
+    """Under fd4 N = dv G and dv phi are stencils, which the field they
+    differentiate holds only weakly; the Lagrangian keeps them, so every
+    later check gets the same nodes, with their memos."""
+    engine = DiffEngine(method)
+    L = get_example("conformal2").lagrangian
+    kept = [weakref.ref(field) for field in (
+        raise_connection(canonical_spray(L, engine), engine).coefficients,
+        vertical_derivative(L.phi_field(), engine),
+        berwald_connection(L, engine).coefficients,
+        chern_connection(L, engine).coefficients)]
+    gc.collect()
+    N, dphi, berwald, chern = [ref() for ref in kept]
+    assert None not in (N, dphi, berwald, chern)
+    assert raise_connection(canonical_spray(L, engine),
+                            engine).coefficients is N
+    assert vertical_derivative(L.phi_field(), engine) is dphi
+    assert vertical_derivative(N, engine) is berwald
+
+
 def test_fd4_derivatives_of_a_field_are_one_node():
     phi = get_example("conformal2").lagrangian.phi_field()
     for derivative in (vertical_derivative, x_derivative):
@@ -305,10 +349,16 @@ def test_the_caches_add_no_reference_cycle(name, method):
         spray = canonical_spray(L, engine)
         phi = L.phi_field()
         stencil = x_derivative(phi, engine)
-        spray(*bundle.domain.sample(3, 0))
-        refs = [weakref.ref(obj) for obj in (L, spray.coefficients, phi,
-                                             stencil, bundle.domain)]
-        del bundle, L, spray, phi, stencil
+        berwald = berwald_connection(L, engine).coefficients
+        chern = chern_connection(L, engine).coefficients
+        dphi = vertical_derivative(phi, engine)
+        samples = bundle.domain.sample(3, 0)
+        for field in (spray, berwald, chern):
+            field(*samples)
+        refs = [weakref.ref(obj) for obj in (
+            L, spray.coefficients, phi, stencil, berwald, chern, dphi,
+            bundle.domain)]
+        del bundle, L, spray, phi, stencil, berwald, chern, dphi, field
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()

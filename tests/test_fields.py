@@ -1,6 +1,8 @@
 """Core field algebra: domains, chains, combinators, derivative fallbacks."""
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -740,3 +742,32 @@ def test_subscripts_that_miss_the_declared_type_are_refused_when_built():
         tensor_product(phi, v, "i,j->ij", 0, 2)
     with pytest.raises(ShapeError, match="do not permute"):
         reindex(phi, "ij->i")
+
+
+@pytest.mark.parametrize("invert", [
+    lambda: matrix_inverse(get_example("quartic2").lagrangian.phi_field()),
+    lambda: scalar_reciprocal(get_example("quartic2").lagrangian.field),
+], ids=["inverse", "reciprocal"])
+def test_derivatives_of_an_inverse_make_no_reference_cycle(invert):
+    """The chain of an inverse takes the inverse itself, and the chain of
+    every node inside it takes that chain again; two vertical derivatives
+    are one node each while a graph holds them, and all of it dies with
+    its last user by reference counting alone."""
+    xs, ys = QUARTIC.domain.sample(3, 0)
+    gc.collect()
+    gc.disable()
+    try:
+        inv = invert()
+        first = vertical_derivative(inv)
+        second = vertical_derivative(first)
+        assert vertical_derivative(inv) is first
+        assert vertical_derivative(first) is second
+        values = second(xs, ys)
+        held = [weakref.ref(f) for f in (inv, first, second)]
+        del inv, first, second
+        assert [ref() for ref in held] == [None] * 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    again = vertical_derivative(vertical_derivative(invert()))
+    assert_array_equal(again(xs, ys), values)

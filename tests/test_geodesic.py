@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from anifield import (ConicDomain, DiffEngine, Spray, TensorField,
-                      canonical_spray, geodesic_integrate, matrix_inverse,
-                      tensor_product, zero_field)
+                      canonical_spray, connections, fields,
+                      geodesic_integrate, matrix_inverse, tensor_product,
+                      zero_field)
 from anifield.catalog import get_example
 from anifield.errors import DegeneracyError, DomainError, ShapeError
 from anifield.fields import _folded
@@ -243,18 +244,126 @@ def test_the_first_stage_of_a_step_is_not_checked_again(monkeypatch, name):
     # the initial check, then three stages and the end of each step
     spray = canonical_spray(get_example(name).lagrangian)
     calls = []
-    contains = ConicDomain.contains
+    admits = ConicDomain.admits
 
-    def counted(domain, x, y):
-        calls.append((x.tolist(), y.tolist()))
-        return contains(domain, x, y)
+    def counted(domain, x, y, arrays=None):
+        calls.append((list(x), list(y)))
+        return admits(domain, x, y, arrays)
 
-    monkeypatch.setattr(ConicDomain, "contains", counted)
+    monkeypatch.setattr(ConicDomain, "admits", counted)
     path = geodesic_integrate(spray, [0.1, 0.2], [1.0, 0.5], 0.01, 10)
     assert path.completed and len(path) == 11
     assert len(calls) == 4 * 10 + 1
     ends = [(x.tolist(), y.tolist()) for x, y in path.points]
     assert calls[::4] == ends
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("x,y,admitted", [
+    ([0.1, 0.2], [1.0, 0.5], True),
+    ([_NAN, 0.2], [1.0, 0.5], False),
+    ([0.1, 0.2], [1.0, _NAN], False),
+    ([_INF, 0.2], [1.0, 0.5], False),
+    ([0.1, 0.2], [1.0, -_INF], False),
+    ([0.1, 0.2], [0.0, 0.0], False),
+    ([0.1, 0.2], [-0.0, -0.0], False),
+    ([0.1, 0.2], [0.0, -0.5], False),
+], ids=["inside", "nan_x", "nan_y", "inf_x", "minus_inf_y", "zero_y",
+        "minus_zero_y", "refused"])
+def test_contains_and_the_stage_check_agree(x, y, admitted):
+    """`contains` on arrays and `admits` on the float state a stage is
+    checked on give one answer; the upper half plane refuses y^2 <= 0."""
+    upper = ConicDomain(2, membership=lambda x, y: y[1] > 0.0, name="upper")
+    assert upper.contains(np.array(x), np.array(y)) is admitted
+    assert upper.admits(x, y) is admitted
+    assert upper.admits(x, y, (np.array(x), np.array(y))) is admitted
+
+
+@pytest.mark.parametrize("build", [_upper_push, _constant_push],
+                         ids=["varying", "constant"])
+def test_a_membership_predicate_gets_float64_state_arrays(build):
+    spray = build()
+    domain = spray.coefficients.domain
+    seen = []
+    inside = domain.membership
+
+    def recorded(x, y):
+        seen.append((type(x), x.dtype, x.shape, type(y), y.dtype, y.shape))
+        return inside(x, y)
+
+    domain.membership = recorded
+    path = geodesic_integrate(spray, [0, 0], [1, 1], 0.01, 5)
+    assert path.completed
+    assert len(seen) == 4 * 5 + 1
+    assert set(seen) == {(np.ndarray, np.dtype(np.float64), (2,)) * 2}
+
+
+class _CountedNumpy:
+    """numpy, counting the calls of `np.array`."""
+
+    def __init__(self):
+        self.arrays = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array(self, *args, **kwargs):
+        self.arrays += 1
+        return np.array(*args, **kwargs)
+
+
+def _plane_push():
+    """The varying push of `_upper_push` over a domain with no predicate."""
+    plane = ConicDomain(2, None, name="plane")
+    return Spray(TensorField(plane, 1, 0, 2.0, lambda xs, ys: np.stack(
+        [np.zeros(len(ys)), np.sum(ys * ys, axis=-1)], axis=-1)))
+
+
+@pytest.mark.parametrize("build,per_step", [
+    (_euclidean, 0), (_constant_push, 8), (_plane_push, 8),
+    (_upper_push, 8),
+], ids=["constant_no_predicate", "constant_predicate", "varying",
+        "varying_predicate"])
+def test_a_stage_builds_arrays_only_for_a_spray_call_or_a_predicate(
+        monkeypatch, build, per_step):
+    """Two arrays per checked stage and step end when a spray call or a
+    predicate needs them, shared when both do, and two per run for the
+    trajectory; the initial state's arrays come before the loop."""
+    spray = build()
+    counted = _CountedNumpy()
+    monkeypatch.setattr(connections, "np", counted)
+    monkeypatch.setattr(fields, "np", counted)
+    path = geodesic_integrate(spray, [0, 0], [1, 1], 0.01, 5)
+    assert path.completed
+    called = spray.coefficients.const is None
+    assert counted.arrays == 5 * per_step + 2 * called + 2
+
+
+def _raises_on_write(array):
+    with pytest.raises(ValueError, match="read-only"):
+        array[...] = 0.0
+
+
+@pytest.mark.parametrize("build,dt,steps,length", [
+    (_euclidean, 0.01, 10, 11),
+    (_euclidean, 0.01, 0, 1),
+    (_constant_over_a_gap, 0.05, 400, 1),
+], ids=["completed", "no_steps", "cut_at_first_stage"])
+def test_a_trajectory_is_read_only(build, dt, steps, length):
+    path = geodesic_integrate(build(), [0, 0], [1, 1], dt, steps)
+    assert path.completed is (build is _euclidean)
+    assert path.xs.shape == path.ys.shape == (length, 2)
+    assert len(path) == len(path.points) == length
+    for array in (path.xs, path.ys, *(a for point in path for a in point)):
+        _raises_on_write(array)
+    points = path.points
+    points[0] = None
+    points.append(None)
+    assert path.points is not points and len(path.points) == length
+    assert path.points[0][0].tolist() == path.xs[0].tolist() == [0.0, 0.0]
+    assert path.ys[0].tolist() == [1.0, 1.0]
 
 
 def test_a_batch_of_initial_states_is_refused():
