@@ -12,7 +12,7 @@ from .cli import RunConfig, canonical_json, parse_config, run_suite
 from .connections import (AnisotropicConnection, Connection,
                           NonlinearConnection, Spray, Trajectory,
                           berwald_connection, canonical_spray,
-                          chern_connection, geodesic_integrate,
+                          chern_connection, dv_phi, geodesic_integrate,
                           landsberg_tensor, lower_connection,
                           nonlinear_residue, raise_connection, torsion)
 from .errors import (AnifieldError, DegeneracyError, DivisionError,
@@ -35,7 +35,8 @@ from .linear import (LinearConnection, b_matrix, cartan_tensor,
                      linear_from_pair, project_intrinsic, project_with_N)
 from .metrics import (AnisotropicMetric, Lagrangian, fundamental_tensor,
                       kernel_residue, lagrangian_of_metric, legendre_of,
-                      legendre_residue, signature_at, wick_metric)
+                      legendre_residue, quadratic_energy, signature_at,
+                      wick_metric)
 
 __version__ = "0.1.0"
 
@@ -50,7 +51,7 @@ __all__ = [
     "berwald_connection", "canonical_json", "canonical_spray",
     "cartan_tensor", "chern_connection", "classical_linear",
     "coherence_defect", "constant_field", "covariant_derivative",
-    "decompose", "destroy_residues", "embed_trivial", "evaluate",
+    "decompose", "destroy_residues", "dv_phi", "embed_trivial", "evaluate",
     "evaluate_action", "example_names", "extend_functional",
     "fundamental_tensor", "gauge_symmetrize", "geodesic_integrate",
     "get_example", "homogeneity_defect", "induced_nonlinear",
@@ -59,9 +60,9 @@ __all__ = [
     "linear_from_pair", "liouville_contract", "liouville_field",
     "lower", "lower_connection", "matrix_inverse", "nonlinear_residue",
     "parse_config", "project_image", "project_intrinsic", "project_kernel",
-    "project_with_N", "raise_connection", "reconstruct", "reindex",
-    "restrict_functional", "run_suite", "scalar_power", "scalar_reciprocal",
-    "scale", "signature_at", "subtract", "tensor_product", "torsion",
-    "transform_connection", "transform_tensor", "vertical_derivative",
-    "wick_metric", "x_derivative", "zero_field",
+    "project_with_N", "quadratic_energy", "raise_connection", "reconstruct",
+    "reindex", "restrict_functional", "run_suite", "scalar_power",
+    "scalar_reciprocal", "scale", "signature_at", "subtract", "tensor_product",
+    "torsion", "transform_connection", "transform_tensor",
+    "vertical_derivative", "wick_metric", "x_derivative", "zero_field",
 ]

@@ -17,15 +17,16 @@ from .connections import NonlinearConnection
 from .errors import DomainError
 from .fields import (ConicDomain, TensorField, _identity, _row_dot,
                      constant_field, liouville_field, zero_field)
-from .metrics import Lagrangian, wick_metric
+from .metrics import Lagrangian, quadratic_energy, wick_metric
 
 
 class ExampleBundle:
-    """A named domain plus whatever objects the example provides."""
+    """A named domain plus whatever objects the example provides; whether
+    an energy is Riemannian is read off its analytic dv phi, not declared."""
 
     def __init__(self, name, domain, lagrangian=None, metric=None,
                  nonlinear=None, transition=None, kappa=None, fields=None,
-                 spray_oracle=None, riemannian=False):
+                 spray_oracle=None):
         self.name = name
         self.domain = domain
         self.lagrangian = lagrangian
@@ -35,27 +36,23 @@ class ExampleBundle:
         self.kappa = kappa
         self.fields = fields or {}
         self.spray_oracle = spray_oracle  # closed form, None means zero
-        self.riemannian = riemannian  # quadratic in y, so Landsberg-free
+
+
+def _energy_bundle(name, domain, L, **extra):
+    """The bundle of the energy field `L`: its Lagrangian, and its energy,
+    gradient, fundamental tensor and the Liouville field as bundle fields."""
+    lagr = Lagrangian(L, name=name)
+    fields = {"energy": L, "gradient": lagr.ell_field(),
+              "fundamental": lagr.phi_field(),
+              "liouville": liouville_field(domain)}
+    return ExampleBundle(name, domain, lagrangian=lagr, fields=fields,
+                         **extra)
 
 
 def _quadratic_bundle(name, diag, membership=None, excluded=()):
     """Energy y^T D y for a constant diagonal D, with exact chains."""
     domain = ConicDomain(2, membership, excluded=excluded, name=name)
-    D = np.asarray(diag, dtype=float)
-
-    ddell = constant_field(domain, 2.0 * np.diag(D), 0, 2, name="dv_ell")
-    ell = TensorField(domain, 0, 1, 1.0, lambda xs, ys: 2.0 * D * ys,
-                      dy=ddell, dx=lambda: zero_field(domain, 0, 2, 1.0),
-                      name="ell")
-    L = TensorField(domain, 0, 0, 2.0,
-                    lambda xs, ys: (ys * ys) @ D,
-                    dy=ell, dx=lambda: zero_field(domain, 0, 1, 2.0),
-                    name=name)
-    lagr = Lagrangian(L, name=name)
-    fields = {"energy": L, "gradient": ell, "fundamental": lagr.phi_field(),
-              "liouville": liouville_field(domain)}
-    return ExampleBundle(name, domain, lagrangian=lagr, fields=fields,
-                         riemannian=True)
+    return _energy_bundle(name, domain, quadratic_energy(domain, diag, name))
 
 
 def _euclidean():
@@ -93,17 +90,13 @@ def _conformal():
     L = TensorField(domain, 0, 0, 2.0,
                     scaled(lambda f, ys: f * _row_dot(ys, ys)),
                     dy=ell, name="conformal2")
-    lagr = Lagrangian(L, name="conformal2")
-    fields = {"energy": L, "gradient": ell, "fundamental": lagr.phi_field(),
-              "liouville": liouville_field(domain)}
 
     def spray_oracle(xs, ys):
         # The conformal factor cancels: G does not depend on x at all.
         y1, y2 = ys[..., 0], ys[..., 1]
         return np.stack([0.5 * (y1 ** 2 - y2 ** 2), y1 * y2], axis=-1)
 
-    return ExampleBundle("conformal2", domain, lagrangian=lagr, fields=fields,
-                         spray_oracle=spray_oracle, riemannian=True)
+    return _energy_bundle("conformal2", domain, L, spray_oracle=spray_oracle)
 
 
 def _quartic():
@@ -147,10 +140,9 @@ def _quartic():
                     lambda xs, ys: np.sqrt(ys[:, 0] ** 4 + ys[:, 1] ** 4),
                     dy=ell, dx=lambda: zero_field(domain, 0, 1, 2.0),
                     name="quartic2")
-    lagr = Lagrangian(L, name="quartic2")
-    fields = {"energy": L, "gradient": ell, "fundamental": lagr.phi_field(),
-              "third": d3, "liouville": liouville_field(domain)}
-    return ExampleBundle("quartic2", domain, lagrangian=lagr, fields=fields)
+    bundle = _energy_bundle("quartic2", domain, L)
+    bundle.fields["third"] = d3
+    return bundle
 
 
 def _wick(kappa, name=None):
@@ -160,7 +152,7 @@ def _wick(kappa, name=None):
     fields["wick"] = metric.field
     return ExampleBundle(name or f"wick({kappa:g})", base.domain,
                          lagrangian=base.lagrangian, metric=metric,
-                         kappa=float(kappa), fields=fields, riemannian=True)
+                         kappa=float(kappa), fields=fields)
 
 
 def _handmade_nonlinear():
@@ -210,8 +202,7 @@ def _quadchart():
         name="quadchart")
     return ExampleBundle("quadchart", base.domain,
                          lagrangian=base.lagrangian,
-                         transition=transition, fields=base.fields,
-                         riemannian=True)
+                         transition=transition, fields=base.fields)
 
 
 _BUILDERS = {

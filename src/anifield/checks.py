@@ -21,22 +21,20 @@ import numpy as np
 from .atlas import coherence_defect, transform_connection
 from .connections import (AnisotropicConnection, NonlinearConnection, Spray,
                           berwald_connection, canonical_spray,
-                          chern_connection, geodesic_integrate,
+                          chern_connection, dv_phi, geodesic_integrate,
                           landsberg_tensor, nonlinear_residue,
                           raise_connection, torsion)
 from .errors import LevelError
-from .fields import (DiffEngine, TensorField, _first, _row_dot, _row_max_abs,
-                     add, constant_field, homogeneity_defect,
-                     liouville_contract, scalar_power, scale, tensor_product,
-                     zero_field)
+from .fields import (DiffEngine, _first, _is_zero, _row_dot, _row_max_abs, add,
+                     constant_field, homogeneity_defect, liouville_contract,
+                     scalar_power, scale, tensor_product, zero_field)
 from .functionals import (ActionFunctional, evaluate_action,
                           extend_functional, gauge_symmetrize,
                           restrict_functional)
 from .ladder import decompose, destroy_residues, reconstruct
-from .linear import (classical_linear, induced_nonlinear,
-                     is_strongly_regular, project_intrinsic)
+from .linear import classical_linear, induced_nonlinear, project_intrinsic
 from .metrics import (lagrangian_of_metric, legendre_of, legendre_residue,
-                      signature_at)
+                      quadratic_energy, signature_at)
 
 _ANALYTIC = DiffEngine("analytic")
 
@@ -119,17 +117,6 @@ def _check(name, *needs, tolerance=None):
     return register
 
 
-def euclidean_energy_field(domain):
-    """<y, y> with its full chain, on any domain; handy shift ingredient."""
-    ddell = constant_field(domain, 2.0 * np.eye(domain.dim), 0, 2)
-    ell = TensorField(domain, 0, 1, 1.0, lambda xs, ys: 2.0 * ys, dy=ddell,
-                      dx=lambda: zero_field(domain, 0, 2, 1.0), name="2y")
-    return TensorField(domain, 0, 0, 2.0,
-                       lambda xs, ys: _row_dot(ys, ys),
-                       dy=ell, dx=lambda: zero_field(domain, 0, 1, 2.0),
-                       name="<y,y>")
-
-
 def kernel_shift(domain, coeffs, rank=2):
     """An exactly in-kernel shift of covariant rank 1 or 2 at the matching
     connection-ladder homogeneity (2 - rank), from constant seed coefficients.
@@ -142,7 +129,8 @@ def kernel_shift(domain, coeffs, rank=2):
     W = liouville_contract(
         constant_field(domain, coeffs, 1, coeffs.ndim - 1, name="c"))
     if rank == 2:
-        W = tensor_product(W, scalar_power(euclidean_energy_field(domain), -0.5),
+        energy = quadratic_energy(domain, np.ones(domain.dim))
+        W = tensor_product(W, scalar_power(energy, -0.5),
                            "ijk,->ijk", 1, 2, name="shift_raw")
     elif rank != 1:
         raise LevelError(f"kernel shifts come in ranks 1 and 2, not {rank}")
@@ -233,11 +221,12 @@ def check_canonical_spray_oracle(bundle, engine, xs, ys, config, feed):
 
 @_check("landsberg_kernel", "lagrangian")
 def check_landsberg_kernel(bundle, engine, xs, ys, config, feed):
-    """iota kills the Landsberg tensor; Riemannian energies kill it outright."""
+    """iota kills the Landsberg tensor; Riemannian energies, whose analytic
+    dv phi is a structural zero (Deicke), kill it outright."""
     lan = landsberg_tensor(bundle.lagrangian, engine)
     hooked = liouville_contract(lan)
     compared = [hooked(xs, ys)]
-    if bundle.riemannian:
+    if _is_zero(dv_phi(bundle.lagrangian, _ANALYTIC)):
         compared.append(lan(xs, ys))
     feed(_columns(*compared), xs, ys)
 
@@ -281,8 +270,8 @@ def check_cocycle_coherence(bundle, engine, xs, ys, config, feed):
 
 @_check("linear_roundtrip", "lagrangian")
 def check_linear_roundtrip(bundle, engine, xs, ys, config, feed):
-    """The four classical linear connections are strongly regular, induce
-    the canonical N, and project back onto their source connections."""
+    """Each classical linear connection is strongly regular, |Gamma2 . y| = 0,
+    induces the canonical N and projects back onto its source connection."""
     L = bundle.lagrangian
     Nhat = raise_connection(canonical_spray(L, engine), engine).coefficients
     sources = {"berwald": berwald_connection(L, engine).coefficients,
@@ -293,13 +282,9 @@ def check_linear_roundtrip(bundle, engine, xs, ys, config, feed):
         back = project_intrinsic(conn).coefficients
         source = sources["berwald" if kind in ("berwald", "hashiguchi")
                          else "chern"]
-        # An irregular sample scores 1; a regular one scores 0 there,
-        # which never beats the (non-negative) defects fed beside it.
-        irregular = ~is_strongly_regular(conn, xs, ys, tol=1e-9)
-        feed(np.column_stack([
-            irregular.astype(float),
-            _columns(induced(xs, ys) - Nhat(xs, ys),
-                     back(xs, ys) - source(xs, ys))]), xs, ys)
+        feed(_columns(liouville_contract(conn.gamma2)(xs, ys),
+                      induced(xs, ys) - Nhat(xs, ys),
+                      back(xs, ys) - source(xs, ys)), xs, ys)
 
 
 @_check("functional_laws", "lagrangian")

@@ -12,9 +12,9 @@ spray of a Lagrangian feeds the Berwald and Chern constructions.
 import numpy as np
 
 from .errors import DomainError, LevelError, ShapeError
-from .fields import (DEFAULT_ENGINE, _require_inside, _require_type, add,
-                     liouville_field, reindex, scale, subtract,
-                     tensor_product, vertical_derivative, x_derivative)
+from .fields import (_require_inside, _require_type, add, liouville_field,
+                     reindex, scale, subtract, tensor_product,
+                     vertical_derivative, x_derivative)
 from .ladder import lower, project_kernel
 from .metrics import fundamental_tensor
 
@@ -86,17 +86,6 @@ def torsion(N, engine=None):
     return subtract(dN, reindex(dN, "ijk->ikj"), name=f"torsion({N.name})")
 
 
-def _kept(L, engine, kind, build):
-    """The node `build()` makes of `L`, built once per differentiation
-    method and kept in `L._by_method`.  `build` must not capture `L` in a
-    node it makes, so that nothing kept refers back to `L`."""
-    kept = L._by_method.setdefault((engine or DEFAULT_ENGINE).method, {})
-    node = kept.get(kind)
-    if node is None:
-        node = kept[kind] = build()
-    return node
-
-
 def canonical_spray(L, engine=None):
     """Geodesic spray of a Lagrangian.
 
@@ -104,9 +93,9 @@ def canonical_spray(L, engine=None):
     symmetry of phi; reduces to the Christoffel quadratic form in the
     Riemannian case.  Degenerate phi raises at evaluation, naming the sample.
 
-    The coefficients are built once per differentiation method and kept on
-    `L`; each call wraps them in a new Spray, so the objects built on it
-    share the spray's nodes, its chains and their memos across calls.
+    The coefficients are built once per differentiation method and kept in
+    `L`'s store; each call wraps them in a new Spray, so the objects built
+    on it share the spray's nodes, its chains and their memos across calls.
     """
     def build():
         metric = fundamental_tensor(L)
@@ -122,24 +111,33 @@ def canonical_spray(L, engine=None):
             tensor_product(metric.inverse_field(), rhs, "ic,c->i", 1, 0),
             0.25, name=f"spray({L.name})")
 
-    return Spray(_kept(L, engine, "spray", build))
+    return Spray(L.kept("spray", build, engine))
 
 
 def _canonical_nonlinear(L, engine):
-    """N = dv G of the canonical spray, kept on `L` per method."""
-    return _kept(L, engine, "nonlinear", lambda: raise_connection(
-        canonical_spray(L, engine), engine).coefficients)
+    """N = dv G of the canonical spray, kept by `L` per method."""
+    return L.kept("nonlinear", lambda: raise_connection(
+        canonical_spray(L, engine), engine).coefficients, engine)
+
+
+def dv_phi(L, engine=None):
+    """dv phi, the vertical derivative of the fundamental tensor, kept by
+    `L` per method; the Chern connection and the Cartan tensor share it.
+    Under "analytic" it is a structural zero exactly when the energy's
+    chains make phi independent of y."""
+    return L.kept("dphi", lambda: vertical_derivative(L.phi_field(), engine),
+                  engine)
 
 
 def berwald_connection(L, engine=None):
     """Twice the vertical derivative of the canonical spray.
 
     The coefficients, and N = dv G beneath them, are built once per
-    differentiation method and kept on `L`; each call wraps them in a new
-    connection, so renaming one renames no other.
+    differentiation method and kept in `L`'s store; each call wraps them in
+    a new connection, so renaming one renames no other.
     """
-    gamma = _kept(L, engine, "berwald", lambda: vertical_derivative(
-        _canonical_nonlinear(L, engine), engine))
+    gamma = L.kept("berwald", lambda: vertical_derivative(
+        _canonical_nonlinear(L, engine), engine), engine)
     return AnisotropicConnection(gamma, name=f"berwald({L.name})")
 
 
@@ -150,15 +148,14 @@ def chern_connection(L, engine=None):
     - delta_l phi_jk) with delta_j = d/dx^j - N^a_j d/dy^a taken along the
     canonical nonlinear connection.
 
-    The coefficients, and dv phi beneath them, are built once per
-    differentiation method and kept on `L`; each call wraps them in a new
-    connection, so renaming one renames no other.
+    The coefficients, and N and `dv_phi` beneath them, are built once per
+    differentiation method and kept in `L`'s store; each call wraps them in
+    a new connection, so renaming one renames no other.
     """
     def build():
         metric = fundamental_tensor(L)
         Hx = x_derivative(metric.field, engine)
-        dphi = _kept(L, engine, "dphi",
-                     lambda: vertical_derivative(metric.field, engine))
+        dphi = dv_phi(L, engine)
         slanted = tensor_product(_canonical_nonlinear(L, engine), dphi,
                                  "aj,lka->lkj", 0, 3)
         delta_phi = reindex(subtract(Hx, slanted), "lkj->ljk")  # delta_j phi_lk
@@ -168,7 +165,7 @@ def chern_connection(L, engine=None):
                                     "il,ljk->ijk", 1, 2),
                      0.5, name=f"chern({L.name})")
 
-    return AnisotropicConnection(_kept(L, engine, "chern", build))
+    return AnisotropicConnection(L.kept("chern", build, engine))
 
 
 def landsberg_tensor(L, engine=None):

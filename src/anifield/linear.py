@@ -15,7 +15,7 @@ pair (quotient, Gamma2) determines the connection.
 import numpy as np
 
 from .connections import (AnisotropicConnection, NonlinearConnection,
-                          berwald_connection, chern_connection)
+                          berwald_connection, chern_connection, dv_phi)
 from .errors import DegeneracyError, ShapeError
 from .fields import (_require_type, add, constant_field, liouville_contract,
                      matrix_inverse, pivot_inverse, scale, subtract,
@@ -164,11 +164,11 @@ _CLASSICAL = ("berwald", "chern", "hashiguchi", "cartan")
 
 def cartan_tensor(L, engine=None):
     """C^i_jk = (1/2) phi^{il} dphi_lj/dy^k; totally symmetric when lowered,
-    killed by hooking y into any slot."""
-    metric = fundamental_tensor(L)
-    dphi = vertical_derivative(metric.field, engine)
-    return tensor_product(metric.inverse_field(), scale(dphi, 0.5),
-                          "il,ljk->ijk", 1, 2, name=f"cartan({L.name})")
+    killed by hooking y into any slot.  Kept in `L`'s store per method, on
+    the `dv_phi` Chern shares: each call returns that one node."""
+    return L.kept("cartan", lambda: tensor_product(
+        fundamental_tensor(L).inverse_field(), scale(dv_phi(L, engine), 0.5),
+        "il,ljk->ijk", 1, 2, name=f"cartan({L.name})"), engine)
 
 
 def classical_linear(L, kind, engine=None):

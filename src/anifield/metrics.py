@@ -9,52 +9,67 @@ phi . y = (1/2) ell.
 import numpy as np
 
 from .errors import DegeneracyError, ShapeError
-from .fields import (_first, _require_type, _sample_at, add, liouville_field,
+from .fields import (DEFAULT_ENGINE, TensorField, _first, _require_type,
+                     _sample_at, add, constant_field, liouville_field,
                      matrix_inverse, scalar_reciprocal, scale, subtract,
-                     tensor_product, vertical_derivative)
+                     tensor_product, vertical_derivative, zero_field)
 from .ladder import lower, project_kernel
 
 
 class Lagrangian:
     """2-homogeneous scalar energy on a conic domain.
 
-    ell and phi are read through the energy's attached chains, whatever
-    method the objects built on them differentiate with; a stencil stands
-    in only where a chain is missing.  Each derived field is built once
-    and kept here: ell, phi and the inverse of phi (`fundamental_tensor`),
-    and per differentiation method, in `_by_method`, the coefficients of
-    the canonical spray, of its nonlinear connection N = dv G and of the
-    Berwald and Chern connections, and dv phi (`connections`).  No kept
-    node refers back to the Lagrangian, so all of them die with it by
-    reference counting alone."""
+    Every field derived from the energy is built once per (kind,
+    differentiation method) and kept in one store, through `kept`: ell, phi
+    and the inverse of phi (`fundamental_tensor`), read through the
+    energy's chains and so kept under "analytic", and per method the
+    canonical spray, N = dv G, the Berwald and Chern coefficients, dv phi
+    and the Cartan tensor.  No kept node refers back to the Lagrangian, so
+    all of them die with it by reference counting alone."""
 
     def __init__(self, field, name=""):
         _require_type(field, 0, 0, 2, "a Lagrangian")
         self.field = field
         self.name = name or field.name
-        self._ell = None
-        self._phi = None
-        self._phi_inverse = None
-        self._by_method = {}
+        self._store = {}
 
     @property
     def domain(self):
         return self.field.domain
 
+    def kept(self, kind, build, engine=None):
+        """The node `build()` makes, built once per `kind` and `engine`'s
+        differentiation method (the default engine's when None) and kept
+        here.  No node `build` makes may capture the Lagrangian."""
+        key = (kind, (engine or DEFAULT_ENGINE).method)
+        node = self._store.get(key)
+        if node is None:
+            node = self._store[key] = build()
+        return node
+
     def ell_field(self):
-        if self._ell is None:
-            self._ell = vertical_derivative(self.field)
-        return self._ell
+        return self.kept("ell", lambda: vertical_derivative(self.field))
 
     def phi_field(self):
-        if self._phi is None:
-            self._phi = scale(
-                vertical_derivative(self.ell_field()), 0.5,
-                name=f"phi({self.name})")
-        return self._phi
+        return self.kept("phi", lambda: scale(
+            vertical_derivative(self.ell_field()), 0.5,
+            name=f"phi({self.name})"))
 
     def __call__(self, x, y):
         return self.field(x, y)
+
+
+def quadratic_energy(domain, diag, name="yDy"):
+    """The energy y^T D y of a constant diagonal D, with exact chains:
+    ell = 2 D y, dv ell = 2 D, and zero x-derivatives."""
+    D = np.asarray(diag, dtype=float)
+    ddell = constant_field(domain, 2.0 * np.diag(D), 0, 2, name="dv_ell")
+    ell = TensorField(domain, 0, 1, 1.0, lambda xs, ys: 2.0 * D * ys,
+                      dy=ddell, dx=lambda: zero_field(domain, 0, 2, 1.0),
+                      name="ell")
+    return TensorField(domain, 0, 0, 2.0, lambda xs, ys: (ys * ys) @ D,
+                       dy=ell, dx=lambda: zero_field(domain, 0, 1, 2.0),
+                       name=name)
 
 
 class LegendreField:
@@ -118,15 +133,13 @@ def fundamental_tensor(L, validate_at=None):
     """phi = (1/2) dv dv L as an AnisotropicMetric.
 
     Each call returns a new metric, whose `inverse_field()` is the one
-    inverse node of phi that `L` keeps, so every object built on it shares
-    that node.  `validate_at` may give (xs, ys) sample arrays; degeneracy
+    inverse node of phi kept in `L`'s store, so every object built on it
+    shares that node.  `validate_at` may give (xs, ys) sample arrays; degeneracy
     at any of them raises DegeneracyError carrying the offending sample,
     on every call.
     """
     metric = AnisotropicMetric(L.phi_field(), name=f"phi({L.name})")
-    if L._phi_inverse is None:
-        L._phi_inverse = metric.inverse_field()
-    metric._inv = L._phi_inverse
+    metric._inv = L.kept("phi_inverse", metric.inverse_field)
     if validate_at is not None:
         metric.check_at(*validate_at)
     return metric

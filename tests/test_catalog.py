@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from anifield import DomainError, homogeneity_defect
+from anifield import DiffEngine, DomainError, dv_phi, homogeneity_defect
 from anifield.catalog import example_names, get_example
+from anifield.fields import _is_zero
 
 X0 = np.array([0.1, -0.2])
 
@@ -72,7 +73,6 @@ def test_quadchart_carries_a_transition():
 
 def test_conformal_oracle_matches_markers():
     c = get_example("conformal2")
-    assert c.riemannian
     assert c.spray_oracle is not None
     assert_allclose(c.spray_oracle(X0, np.array([1.0, 2.0])), [-1.5, 2.0])
 
@@ -80,7 +80,20 @@ def test_conformal_oracle_matches_markers():
 def test_flat_markers():
     assert get_example("euclidean2").spray_oracle is None
     assert get_example("quartic2").spray_oracle is None
-    assert not get_example("quartic2").riemannian
+
+
+def test_riemannian_is_read_off_the_analytic_dv_phi():
+    """An energy is Riemannian, quadratic in y, exactly when its analytic
+    dv phi is a structural zero: every energy of the catalog but quartic2."""
+    names = [n for n in example_names() if "(" not in n]
+    bundles = {n: get_example(n)
+               for n in names + ["wick(-2)", "wick(-1)", "wick(0.5)"]}
+    riemannian = {n: _is_zero(dv_phi(b.lagrangian, DiffEngine("analytic")))
+                  for n, b in bundles.items() if b.lagrangian is not None}
+    assert riemannian == {"conformal2": True, "euclidean2": True,
+                          "minkowski2": True, "quadchart": True,
+                          "quartic2": False, "wick(-2)": True,
+                          "wick(-1)": True, "wick(0.5)": True}
 
 
 @pytest.mark.parametrize("name", ["euclidean2", "minkowski2", "conformal2",

@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import anifield.checks
 from anifield import (AnisotropicConnection, DiffEngine, LevelError,
-                      NonlinearConnection, Spray, coherence_defect,
-                      liouville_contract, zero_field)
+                      LinearConnection, NonlinearConnection, Spray,
+                      TensorField, classical_linear, coherence_defect,
+                      liouville_contract, quadratic_energy, zero_field)
 from anifield.catalog import get_example
 from anifield.checks import (CHECKS, applicable_checks,
                              check_cocycle_coherence, check_euler,
-                             euclidean_energy_field, kernel_shift)
+                             kernel_shift)
 from anifield.cli import RunConfig, canonical_json, parse_config
-from anifield.fields import Y
+from anifield.fields import Y, _row_dot
 
 _LAGRANGIAN = ["canonical_spray_oracle", "euler", "functional_laws",
                "geodesic_conservation", "ladder_roundtrip", "landsberg_kernel",
@@ -105,9 +107,43 @@ def test_kernel_shift_ranks_and_kernel_property():
 
 
 def test_energy_helper_has_a_full_chain():
-    E = euclidean_energy_field(get_example("handmadeN").domain)
-    assert E.chain(Y) is not None
+    """kernel_shift's |y|^2 is the catalog's quadratic energy builder."""
+    domain = get_example("handmadeN").domain
+    E = quadratic_energy(domain, np.ones(2))
+    assert E.chain(Y).chain(Y).const.tolist() == [[2.0, 0.0], [0.0, 2.0]]
     assert E(np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(25.0)
+    lorentz = quadratic_energy(domain, (-1.0, 1.0))
+    assert lorentz(np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(7.0)
+    assert_allclose(lorentz.chain(Y)(np.zeros(2), np.array([3.0, 4.0])),
+                    [-6.0, 8.0])
+
+
+def test_linear_roundtrip_reports_the_size_of_gamma2_y(monkeypatch):
+    """A vertical block with |Gamma2 . y| = 1e-8 at one sample reads as a
+    defect of 1e-8 there, not as a 0/1 regularity score."""
+    bundle = get_example("euclidean2")
+    config = _config("euclidean2", checks=["linear_roundtrip"])
+    xs, ys = bundle.domain.sample(config.samples, config.seed)
+    target = ys[2]
+
+    def bump(xs, ys):
+        out = np.zeros((len(ys), 2, 2, 2))
+        hit = np.all(ys == target, axis=1)
+        y = ys[hit]
+        out[hit, 0, 0, :] = 1e-8 * y / _row_dot(y, y)[:, None]
+        return out
+
+    gamma2 = TensorField(bundle.domain, 1, 2, -1.0, bump, name="bump")
+
+    def bumped(L, kind, engine=None):
+        conn = classical_linear(L, kind, engine)
+        return LinearConnection(conn.gamma1, gamma2, name=conn.name)
+
+    monkeypatch.setattr(anifield.checks, "classical_linear", bumped)
+    report = CHECKS["linear_roundtrip"](bundle, config)
+    assert report.max_abs_defect == pytest.approx(1e-8, rel=1e-12)
+    assert report.worst_sample["y"] == target.tolist()
+    assert report.passed
 
 
 @pytest.mark.parametrize("name", ["euclidean2", "wick(-1)", "handmadeN"])

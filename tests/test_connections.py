@@ -12,13 +12,15 @@ from anifield import (AnisotropicConnection, AnisotropicMetric, ConicDomain,
                       Connection, DegeneracyError, DiffEngine, DomainError,
                       LevelError, NonlinearConnection, ShapeError, Spray,
                       TensorField, berwald_connection, canonical_spray,
-                      chern_connection, classical_linear, constant_field,
-                      fundamental_tensor, geodesic_integrate,
-                      lagrangian_of_metric, landsberg_tensor,
-                      liouville_contract, lower_connection,
+                      cartan_tensor, chern_connection, classical_linear,
+                      constant_field, dv_phi, fundamental_tensor,
+                      geodesic_integrate, lagrangian_of_metric,
+                      landsberg_tensor, liouville_contract, lower_connection,
                       nonlinear_residue, project_kernel, raise_connection,
                       torsion, vertical_derivative, x_derivative, zero_field)
+from anifield import cli
 from anifield.catalog import get_example
+from anifield.checks import applicable_checks
 
 ANALYTIC = DiffEngine("analytic")
 EUC = get_example("euclidean2")
@@ -351,14 +353,81 @@ def test_the_caches_add_no_reference_cycle(name, method):
         stencil = x_derivative(phi, engine)
         berwald = berwald_connection(L, engine).coefficients
         chern = chern_connection(L, engine).coefficients
+        cartan = cartan_tensor(L, engine)
         dphi = vertical_derivative(phi, engine)
         samples = bundle.domain.sample(3, 0)
-        for field in (spray, berwald, chern):
+        for field in (spray, berwald, chern, cartan):
             field(*samples)
         refs = [weakref.ref(obj) for obj in (
-            L, spray.coefficients, phi, stencil, berwald, chern, dphi,
-            bundle.domain)]
-        del bundle, L, spray, phi, stencil, berwald, chern, dphi, field
+            L, spray.coefficients, phi, stencil, berwald, chern, cartan,
+            dphi, bundle.domain)]
+        del (bundle, L, spray, phi, stencil, berwald, chern, cartan, dphi,
+             field)
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# one store per Lagrangian
+
+_KINDS = {
+    "ell": lambda L, e: L.ell_field(),
+    "phi": lambda L, e: L.phi_field(),
+    "phi_inverse": lambda L, e: fundamental_tensor(L).inverse_field(),
+    "spray": lambda L, e: canonical_spray(L, e).coefficients,
+    "nonlinear": lambda L, e: raise_connection(
+        canonical_spray(L, e), e).coefficients,
+    "dphi": dv_phi,
+    "berwald": lambda L, e: berwald_connection(L, e).coefficients,
+    "chern": lambda L, e: chern_connection(L, e).coefficients,
+    "cartan": cartan_tensor,
+}
+
+
+@pytest.mark.parametrize("method", ["analytic", "fd4"])
+@pytest.mark.parametrize("name", ["conformal2", "quartic2"])
+def test_the_store_holds_one_node_per_kind_and_method(name, method):
+    engine = DiffEngine(method)
+    L = get_example(name).lagrangian
+    first = {kind: get(L, engine) for kind, get in _KINDS.items()}
+    again = {kind: get(L, DiffEngine(method)) for kind, get in _KINDS.items()}
+    assert all(again[kind] is first[kind] for kind in _KINDS)
+    assert sorted(kind for kind, _ in L._store) == sorted(_KINDS)
+    assert all(node is first[kind] for (kind, _), node in L._store.items())
+    assert L.kept("spray", lambda: pytest.fail("built twice"),
+                  engine) is first["spray"]
+
+
+@pytest.mark.parametrize("method", ["analytic", "fd4"])
+def test_chern_and_cartan_share_one_dv_phi(method):
+    engine = DiffEngine(method)
+    L = get_example("quartic2").lagrangian
+    chern_connection(L, engine)
+    cartan = cartan_tensor(L, engine)
+    assert cartan_tensor(L, DiffEngine(method)) is cartan
+    dphi = dv_phi(L, engine)
+    assert vertical_derivative(L.phi_field(), engine) is dphi
+    assert any(op is dphi for op in cartan.operands[1].operands)
+    assert sum(kind == "dphi" for kind, _ in L._store) == 1
+
+
+_CORE = {"ell", "phi", "phi_inverse"}
+_PER_METHOD = {"spray", "nonlinear", "dphi", "berwald", "chern", "cartan"}
+
+
+@pytest.mark.parametrize("method", ["analytic", "fd4"])
+@pytest.mark.parametrize("name", ["conformal2", "quartic2"])
+def test_the_store_after_a_report(monkeypatch, name, method):
+    """What a report keeps on its energy.  ell, phi and its inverse are read
+    through chains, so they sit under "analytic"; landsberg_kernel reads the
+    analytic dv phi under either method.  A new kept kind shows here."""
+    built = []
+    monkeypatch.setattr(cli, "get_example",
+                        lambda n: built.append(get_example(n)) or built[-1])
+    cli.run_suite(cli.RunConfig(
+        example=name, checks=applicable_checks(get_example(name)),
+        samples=4, seed=0, tolerance=1e-6, method=method))
+    expected = ({(kind, "analytic") for kind in _CORE | {"dphi"}}
+                | {(kind, method) for kind in _PER_METHOD})
+    assert set(built[0].lagrangian._store) == expected
