@@ -282,7 +282,7 @@ def check_linear_roundtrip(bundle, engine, xs, ys, config, feed):
         back = project_intrinsic(conn).coefficients
         source = sources["berwald" if kind in ("berwald", "hashiguchi")
                          else "chern"]
-        feed(_columns(liouville_contract(conn.gamma2)(xs, ys),
+        feed(_columns(conn.hooked_vertical_field()(xs, ys),
                       induced(xs, ys) - Nhat(xs, ys),
                       back(xs, ys) - source(xs, ys)), xs, ys)
 

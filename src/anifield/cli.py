@@ -6,6 +6,7 @@ digits) so identical configs and seeds give byte-identical reports.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -346,6 +347,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser `main` uses, built once per process: parsing changes no
+    state of it."""
+    return build_parser()
+
+
 def _at_sample(exc):
     """The suffix ' at x=[...], y=[...]' naming the sample a typed error
     carries; empty when it carries none."""
@@ -359,9 +367,8 @@ def _at_sample(exc):
 def main(argv=None):
     """Run the command `argv` names; its exit code.  A usage error exits
     with 2 and `--help` with 0, as argparse exits, but returned."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
     try:

@@ -210,6 +210,11 @@ def _frozen(rows):
     return out
 
 
+# Points per guard call of a guarded constant spray: a multiple of the four
+# points a step adds, so every block but the last holds exactly this many.
+_BLOCK = 256
+
+
 def geodesic_integrate(spray, x0, y0, dt, steps):
     """Classical fourth-order Runge-Kutta on x' = y, y' = -2 G(x, y).
 
@@ -222,15 +227,22 @@ def geodesic_integrate(spray, x0, y0, dt, steps):
     bits numpy arithmetic on (dim,) arrays would give.  Every step and the
     three later stages of each step are checked on that float state by
     `domain.admits`; the first stage of a step is the point the previous
-    step accepted, or the initial state, and is not checked again.  A
-    spray whose coefficients are an unguarded constant is never called:
-    its -2 G is taken once.  Any other spray, a guarded constant included,
-    is called at every stage, so a guard still raises and names its
-    sample.  A stage builds (dim,) arrays only for a spray call or a
-    membership predicate, once for both; an unguarded constant spray on a
-    domain with no predicate builds none.  The trajectory's arrays are
-    built once, at the end.  A state of any other shape than (dim,) raises
-    ShapeError.
+    step accepted, or the initial state, and is not checked again.
+
+    A spray whose coefficients are a constant, guarded or not, is stepped
+    by one loop that takes its -2 G once (`_constant_rk4`).  An unguarded
+    constant is never called.  A guarded one is called once per block of
+    `_BLOCK` points where any other spray would be called: each step's
+    start and each admitted stage.  Its value is not needed, only that its
+    guards hold there.  If a block raises anything, the curve is stepped
+    again by the one-point loop, so an error names the same sample and a
+    `DomainError` truncates at the same state as for any other spray.
+
+    Any other spray is called at every stage (`_rk4`).  Such a stage
+    builds (dim,) arrays once, for the spray call and a membership
+    predicate both; the constant loop builds them only for a predicate.
+    The trajectory's arrays are built once, at the end.  A state of any
+    other shape than (dim,) raises ShapeError.
 
     numpy does not warn while the curve is stepped: far out a spray's
     arithmetic may overflow, and the typed error that follows names the
@@ -244,23 +256,28 @@ def geodesic_integrate(spray, x0, y0, dt, steps):
     if x.ndim != 1:
         raise ShapeError(f"geodesic_integrate takes one state of shape "
                          f"({domain.dim},), got {x.shape}")
-    x, y, dt = x.tolist(), y.tolist(), float(dt)
-    xs, ys = [x], [y]
-    half, sixth = 0.5 * dt, dt / 6.0
-    fixed = (-2.0 * G.const).tolist() if (
-        G.const is not None and not G.guards) else None
+    x, y, dt, steps = x.tolist(), y.tolist(), float(dt), int(steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = None if G.const is None else _constant_rk4(G, x, y, dt, steps)
+        if run is None:
+            run = _rk4(G, x, y, dt, steps)
+    xs, ys, completed = run
+    return Trajectory(_frozen(xs), _frozen(ys), completed)
 
-    def arrays(xc, yc):
-        # a spray call needs the state as arrays, and `admits` shares them
-        return None if fixed is not None else (np.array(xc), np.array(yc))
+
+def _rk4(G, x, y, dt, steps):
+    """The one-point loop: RK4 from the float state (x, y), calling G at
+    the start and at each admitted stage of every step.  Returns the
+    states as lists of floats and whether the curve completed."""
+    domain = G.domain
+    half, sixth = 0.5 * dt, dt / 6.0
 
     def accel(state):
-        if fixed is not None:
-            return fixed
         return [-2.0 * g for g in G(*state).tolist()]
 
     def rhs(xc, yc):
-        state = arrays(xc, yc)
+        # a spray call needs the state as arrays, and `admits` shares them
+        state = (np.array(xc), np.array(yc))
         if not domain.admits(xc, yc, state):
             raise DomainError("stage point left the admissible cone")
         return yc, accel(state)
@@ -272,25 +289,87 @@ def geodesic_integrate(spray, x0, y0, dt, steps):
         return [ai + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
                 for ai, p, q, r, s in zip(a, k1, k2, k3, k4)]
 
+    xs, ys = [x], [y]
+    here = (np.array(x), np.array(y))
+    for _ in range(steps):
+        try:
+            # the first stage is the point accepted last, checked then
+            k1x, k1y = y, accel(here)
+            k2x, k2y = rhs(stage(x, half, k1x), stage(y, half, k1y))
+            k3x, k3y = rhs(stage(x, half, k2x), stage(y, half, k2y))
+            k4x, k4y = rhs(stage(x, dt, k3x), stage(y, dt, k3y))
+        except DomainError:
+            return xs, ys, False
+        x = combine(x, k1x, k2x, k3x, k4x)
+        y = combine(y, k1y, k2y, k3y, k4y)
+        here = (np.array(x), np.array(y))
+        if not domain.admits(x, y, here):
+            return xs, ys, False
+        xs.append(x)
+        ys.append(y)
+    return xs, ys, True
+
+
+def _constant_rk4(G, x, y, dt, steps):
+    """RK4 for coefficients G folded to a constant, as `_rk4` steps them.
+
+    With a = -2 G the same at every stage, k1y = k2y = k3y = k4y = a: the
+    third stage's y is the second's, k3x = k2x, and the products half * a
+    and dt * a and the step's change of y, sixth * (((a + 2a) + 2a) + a),
+    are taken once.  Every other float operation is `_rk4`'s, in its
+    order, so every point keeps its bits.  A guarded G is called once per
+    `_BLOCK` of the points `_rk4` would call it at, and once on the rest
+    when the loop ends.  Returns what `_rk4` returns, or None when a call
+    raised."""
+    admits = G.domain.admits
+    half, sixth = 0.5 * dt, dt / 6.0
+    a = (-2.0 * G.const).tolist()
+    half_a = [half * ai for ai in a]
+    dt_a = [dt * ai for ai in a]
+    step_y = [sixth * (((ai + 2.0 * ai) + 2.0 * ai) + ai) for ai in a]
+    guarded = bool(G.guards)
+    px, py = [], []     # points G is not called at yet
+    xs, ys = [x], [y]
     completed = True
-    with np.errstate(over="ignore", invalid="ignore"):
-        here = arrays(x, y)
-        for _ in range(int(steps)):
-            try:
-                # the first stage is the point accepted last, checked then
-                k1x, k1y = y, accel(here)
-                k2x, k2y = rhs(stage(x, half, k1x), stage(y, half, k1y))
-                k3x, k3y = rhs(stage(x, half, k2x), stage(y, half, k2y))
-                k4x, k4y = rhs(stage(x, dt, k3x), stage(y, dt, k3y))
-            except DomainError:
-                completed = False
-                break
-            x = combine(x, k1x, k2x, k3x, k4x)
-            y = combine(y, k1y, k2y, k3y, k4y)
-            here = arrays(x, y)
-            if not domain.admits(x, y, here):
-                completed = False
-                break
-            xs.append(x)
-            ys.append(y)
-    return Trajectory(_frozen(xs), _frozen(ys), completed)
+    for _ in range(steps):
+        x2 = [xi + half * yi for xi, yi in zip(x, y)]
+        y2 = [yi + h for yi, h in zip(y, half_a)]
+        x3 = [xi + half * vi for xi, vi in zip(x, y2)]
+        x4 = [xi + dt * vi for xi, vi in zip(x, y2)]
+        y4 = [yi + h for yi, h in zip(y, dt_a)]
+        # how many of the step's four calls `_rk4` would make
+        calls = (1 if not admits(x2, y2) else 2 if not admits(x3, y2)
+                 else 3 if not admits(x4, y4) else 4)
+        if guarded:
+            px += (x, x2, x3, x4)[:calls]
+            py += (y, y2, y2, y4)[:calls]
+            if len(px) >= _BLOCK:
+                if not _guards_hold(G, px, py):
+                    return None
+                px, py = [], []
+        if calls < 4:
+            completed = False
+            break
+        x = [xi + sixth * (((p + 2.0 * q) + 2.0 * q) + s)
+             for xi, p, q, s in zip(x, y, y2, y4)]
+        y = [yi + h for yi, h in zip(y, step_y)]
+        if not admits(x, y):
+            completed = False
+            break
+        xs.append(x)
+        ys.append(y)
+    if px and not _guards_hold(G, px, py):
+        return None
+    return xs, ys, completed
+
+
+def _guards_hold(G, xs, ys):
+    """Whether G evaluates at the points (xs[i], ys[i]) without raising:
+    one call on their (n, dim) batch.  Any error counts, as the caller
+    then steps the curve again by the one-point loop, which raises it, or
+    truncates on it, at its own sample."""
+    try:
+        G(np.array(xs), np.array(ys))
+    except Exception:
+        return False
+    return True

@@ -23,14 +23,18 @@ and Walther, "Evaluating Derivatives", 2008).  Each call checks the shape
 of its input once and builds one memo key from the bytes of the batch.
 On a batch of two or more samples every node of the plan but a folded
 constant memoizes its values under that key, so a node shared by several
-fields runs once per batch across all of them.  On a batch of one sample
-the plan memoizes nothing inside it, and only the field called, folded
-or not, stores the value it returns: one point, such as a stage of a
-geodesic, shares no inner value with another, and a repeated point is
-read back whole.  A stencil node evaluates its child, with its own plan
-and key, on the perturbed batch, which has 4 * dim rows; for a one-sample
-batch it runs the child's plan with no key, as no other call shares those
-rows.
+fields runs once per batch across all of them.  A folded field called on
+such a batch is the exception: its plan reads the memos but stores
+nothing, so its guards are checked, or read back where another call
+computed them on the batch, and none of their values is kept (a
+geodesic checks a guarded constant spray on blocks of stage points that
+no other call shares).  On a batch of one sample the plan memoizes
+nothing inside it, and only the field called, folded or not, stores the
+value it returns: one point, such as a stage of a geodesic, shares no
+inner value with another, and a repeated point is read back whole.  A
+stencil node evaluates its child, with its own plan and key, on the
+perturbed batch, which has 4 * dim rows; for a one-sample batch it runs
+the child's plan with no key, as no other call shares those rows.
 
 Differentiation is controlled by a DiffEngine.  Fields may carry attached
 derivative fields (built analytically, or assembled by the combinators in
@@ -210,10 +214,12 @@ class TensorField:
     beneath the field; each call runs it under one memo key, the bytes of
     the batch.  On a batch of two or more samples every node of the plan
     but a folded one memoizes its values per batch (at most `_MEMO_LIMIT`
-    batches, then it starts afresh).  On a batch of one sample no node
-    inside the plan is looked up or memoized, and the field called stores
-    the value it returns, also when it is folded.  Every returned or
-    memoized array is read-only.  A leaf's output is checked for its
+    batches, then it starts afresh), unless the field called is folded:
+    then its nodes are looked up but none is memoized, its guards
+    included, and the field stores nothing.  On a batch of one sample no
+    node inside the plan is looked up or memoized, and the field called
+    stores the value it returns, also when it is folded.  Every returned
+    or memoized array is read-only.  A leaf's output is checked for its
     shape on every batch, and copied when it shares memory with the
     samples, which the caller still owns.
 
@@ -226,8 +232,9 @@ class TensorField:
     memoized only as the field called on one sample: it evaluates its
     guards, which are its operands, and returns its constant stacked over
     the batch.  `guards` are the nodes beneath this one that can raise: a
-    folded node evaluates them on each batch, an ordinary one reaches
-    them through its operands.  `raises` marks a node that can raise
+    folded node evaluates them on each batch, and keeps none of their
+    values when it is the field called; an ordinary one reaches them
+    through its operands.  `raises` marks a node that can raise
     itself, so that a fold dropping it keeps it as a guard; a node never
     lists itself.
 
@@ -295,6 +302,8 @@ class TensorField:
                 if len(memo) >= _MEMO_LIMIT:
                     memo.clear()
                 memo[key] = val
+            elif self.const is not None:
+                val = _run(plan, key, xs, ys, keep=False)
             else:
                 val = _run(plan, key, xs, ys)
         return val[0, ...] if single else val
@@ -345,7 +354,7 @@ def _compile(node, index, entries):
     return entries
 
 
-def _run(plan, key, xs, ys):
+def _run(plan, key, xs, ys, keep=True):
     """Run `plan` on the (B, dim) batch (xs, ys) under memo `key`; the
     value of its last node.
 
@@ -354,7 +363,9 @@ def _run(plan, key, xs, ys):
     they hold `key` as well, unless their own memo has started afresh
     since, and then they are computed again.  Every computed value is
     made read-only and stored under `key`, except that a folded node
-    returns its constant again and stores nothing.  With `key` None the
+    returns its constant again and stores nothing.  With `keep` False,
+    for a folded field called on a batch, nodes are looked up but
+    nothing is stored.  With `key` None, for a batch of one sample, the
     plan memoizes nothing: no node is looked up, stored or made
     read-only.
     """
@@ -371,7 +382,7 @@ def _run(plan, key, xs, ys):
             val = _checked(val, xs, ys, *leaf)
         if key is not None:
             val.setflags(write=False)
-            if memo is not None:
+            if keep and memo is not None:
                 if len(memo) >= _MEMO_LIMIT:
                     memo.clear()
                 memo[key] = val

@@ -25,7 +25,10 @@ from .metrics import fundamental_tensor
 
 
 class LinearConnection:
-    """Blocks (Gamma1, Gamma2) of a vertically trivial linear connection."""
+    """Blocks (Gamma1, Gamma2) of a vertically trivial linear connection.
+
+    Gamma2 . y, M and the induced N are built once per connection, on
+    first use, and named after the connection's name at that time."""
 
     def __init__(self, gamma1, gamma2, name=""):
         _require_type(gamma1, 1, 2, 0, "Gamma1")
@@ -35,20 +38,27 @@ class LinearConnection:
         self.gamma1 = gamma1
         self.gamma2 = gamma2
         self.name = name
+        self._hooked = None
         self._regular_field = None
+        self._induced = None
 
     @property
     def domain(self):
         return self.gamma1.domain
 
+    def hooked_vertical_field(self):
+        """The field Gamma2 . y (contraction on the last slot)."""
+        if self._hooked is None:
+            self._hooked = liouville_contract(self.gamma2)
+        return self._hooked
+
     def regularity_matrix_field(self):
-        """The field M = id + Gamma2 . y (contraction on the last slot)."""
+        """The field M = id + Gamma2 . y."""
         if self._regular_field is None:
             eye = constant_field(self.domain, np.eye(self.domain.dim), 1, 1,
                                  name="id")
-            self._regular_field = add(
-                eye, liouville_contract(self.gamma2),
-                name=f"M({self.name})")
+            self._regular_field = add(eye, self.hooked_vertical_field(),
+                                      name=f"M({self.name})")
         return self._regular_field
 
 
@@ -78,22 +88,26 @@ def is_strongly_regular(conn, x, y, tol=1e-12):
     At a (B, dim) batch of samples the answer is a boolean array, one
     entry per sample.
     """
-    hooked = liouville_contract(conn.gamma2)(x, y)
+    hooked = conn.hooked_vertical_field()(x, y)
     lead = np.shape(x)[:-1]
     regular = np.max(np.abs(hooked).reshape(lead + (-1,)), axis=-1) <= tol
     return regular if lead else bool(regular)
 
 
 def induced_nonlinear(conn):
-    """The nonlinear connection N^a_i = B^a_b Gamma1^b_ic y^c."""
-    hooked = liouville_contract(conn.gamma1)
-    coeff = tensor_product(b_matrix_field(conn), hooked, "ab,bi->ai", 1, 1,
-                           name=f"N({conn.name})")
-    return NonlinearConnection(coeff)
+    """The nonlinear connection N^a_i = B^a_b Gamma1^b_ic y^c.  Its
+    coefficients are built once and kept on `conn`, as M is; each call
+    wraps them in a new connection."""
+    if conn._induced is None:
+        conn._induced = tensor_product(
+            b_matrix_field(conn), liouville_contract(conn.gamma1),
+            "ab,bi->ai", 1, 1, name=f"N({conn.name})")
+    return NonlinearConnection(conn._induced)
 
 
 def project_intrinsic(conn):
-    """Anisotropic quotient along the connection's own induced N."""
+    """Anisotropic quotient along the connection's own induced N, the one
+    `induced_nonlinear` keeps."""
     N = induced_nonlinear(conn)
     slanted = tensor_product(N.coefficients, conn.gamma2, "bj,ibk->ijk", 1, 2)
     return AnisotropicConnection(

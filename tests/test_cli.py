@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from anifield import cli
 from anifield.cli import (RunConfig, canonical_json, main, parse_config,
                           run_suite, suite_report)
 
@@ -426,3 +427,27 @@ def test_python_dash_m_runs_the_cli():
     data = json.loads(done.stdout)
     assert data["example"] == "euclidean2"
     assert data["object"] == "L"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--help"], 0),
+    (["report", "--samples", "many"], 2),
+    (["geodesic", "quartic2", "--x0", "0.1", "0.2", "--y0", "1", "0.5",
+      "--steps", "0"], 0),
+], ids=["help", "usage_error", "geodesic"])
+def test_main_parses_with_one_parser_and_repeats_its_output(capsys, argv,
+                                                            code):
+    """`main` builds its parser once per process; a call after another
+    prints what the first printed, and what a new `build_parser` prints."""
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == code
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert cli._parser() is cli._parser()
+    if code == 2:
+        with pytest.raises(SystemExit) as info:
+            cli.build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err == outputs[0].err
+        assert outputs[0].err.startswith("usage: anifield report")

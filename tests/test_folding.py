@@ -251,3 +251,33 @@ def test_a_folded_constant_memoizes_nothing():
     value = G(np.array([0.1, 0.2]), np.array([1.0, 0.5]))
     assert_array_equal(value, np.zeros(2))
     assert not value.flags.writeable
+
+
+def test_a_folded_field_on_a_batch_checks_its_guards_and_keeps_nothing():
+    """quartic2's analytic spray folds to zero over the inverse of phi.  On
+    a batch of 16 it runs that guard, and no memo of its plan, its own
+    included, holds the batch after; the guard called alone keeps it, and
+    the spray then reads it back."""
+    L = get_example("quartic2").lagrangian
+    G = canonical_spray(L, ANALYTIC).coefficients
+    assert _is_zero(G) and G.guards
+    xs, ys = L.domain.sample(16, seed=3)
+    runs = []
+    [inverse] = G.guards
+    fn = inverse._fn
+    inverse._fn = lambda *args: runs.append(len(args[0])) or fn(*args)
+    value = G(xs, ys)
+    assert runs == [16]
+    assert_array_equal(value, np.zeros((16, 2)))
+    assert not value.flags.writeable
+    key = (xs.tobytes(), ys.tobytes())
+    memos = [memo for memo, *_ in G._plan if memo is not None]
+    assert len(memos) == len(G._plan) - 1
+    assert G._memo == {} and not any(key in memo for memo in memos)
+    inverse(xs, ys)
+    assert key in inverse._memo and runs == [16, 16]
+    G(xs, ys)
+    assert runs == [16, 16]
+    with pytest.raises(DegeneracyError):
+        G(np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([[1.0, 0.5],
+                                                        [1.0, 0.0]]))

@@ -2,19 +2,21 @@
 
 Every point has the bits of the array form of the loop, kept here as the
 reference; a spray folded to an unguarded constant is never called, and a
-guarded one is called at every stage."""
+guarded one is called once per block of the points the array form calls
+it at."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from anifield import (ConicDomain, DiffEngine, Spray, TensorField,
+from anifield import (ConicDomain, DiffEngine, Spray, TensorField, add,
                       canonical_spray, connections, fields,
-                      geodesic_integrate, matrix_inverse, tensor_product,
-                      zero_field)
+                      geodesic_integrate, matrix_inverse, scalar_reciprocal,
+                      tensor_product, zero_field)
 from anifield.catalog import get_example
-from anifield.errors import DegeneracyError, DomainError, ShapeError
+from anifield.errors import (DegeneracyError, DivisionError, DomainError,
+                             ShapeError)
 from anifield.fields import _folded
 
 
@@ -165,37 +167,65 @@ def test_an_unguarded_constant_spray_is_never_called(monkeypatch, build):
     _assert_same_bits(geodesic_integrate(spray, x0, y0, 0.01, 50), reference)
 
 
-def _guarded_zero():
-    """A spray folded to zero over the inverse of diag(max(0, 1 - x^1), 1),
-    which is singular from x^1 = 1 on."""
-    plane = ConicDomain(2, None, name="plane")
+def _singular_from(edge, plane=None):
+    """The inverse of diag(max(0, edge - x^1), 1), which is singular from
+    x^1 = edge on."""
+    plane = plane or ConicDomain(2, None, name="plane")
 
     def diag(xs, ys):
         out = np.zeros((len(xs), 2, 2))
-        out[:, 0, 0] = np.maximum(0.0, 1.0 - xs[:, 0])
+        out[:, 0, 0] = np.maximum(0.0, edge - xs[:, 0])
         out[:, 1, 1] = 1.0
         return out
 
-    inverse = matrix_inverse(TensorField(plane, 0, 2, 0.0, diag, name="M"))
-    return Spray(tensor_product(inverse, zero_field(plane, 1, 0, 2.0),
-                                "ij,k->k", 1, 0))
+    return matrix_inverse(TensorField(plane, 0, 2, 0.0, diag, name="M"))
 
 
-def test_a_guarded_constant_spray_is_called_at_every_stage(monkeypatch):
-    spray = _guarded_zero()
-    G = spray.coefficients
-    assert G.const is not None and not G.const.any() and G.guards
+def _zero_over(guard):
+    """A spray coefficient folded to zero over the node `guard`."""
+    zero = zero_field(guard.domain, 1, 0, 2.0)
+    if guard.r + guard.s == 0:
+        return tensor_product(guard, zero, ",k->k", 1, 0)
+    return tensor_product(guard, zero, "ij,k->k", 1, 0)
+
+
+def _guarded_zero():
+    """A spray folded to zero over the inverse of diag(max(0, 1 - x^1), 1),
+    which is singular from x^1 = 1 on."""
+    return Spray(_zero_over(_singular_from(1.0)))
+
+
+def _guarded_push():
+    """The constant push (0, 3/4) of `_constant_push`, guarded as
+    `_guarded_zero` is."""
+    G = _zero_over(_singular_from(1.0))
+    return Spray(add(G, _folded(G.domain, 1, 0, 2.0, [0.0, 0.75], (), None,
+                                "push")))
+
+
+def _recorded_calls(monkeypatch):
+    """The (field, x shape) of every TensorField call from now on."""
     calls = []
     call = TensorField.__call__
 
-    def counted(field, x, y):
-        calls.append(field is G)
+    def recorded(field, x, y):
+        calls.append((field, np.shape(x)))
         return call(field, x, y)
 
-    monkeypatch.setattr(TensorField, "__call__", counted)
+    monkeypatch.setattr(TensorField, "__call__", recorded)
+    return calls
+
+
+def test_a_guarded_constant_spray_is_called_once_per_block(monkeypatch):
+    """Over 5 steps the array form calls G at 20 points: the start and the
+    three later stages of each step.  The loop calls G once, on all 20."""
+    spray = _guarded_zero()
+    G = spray.coefficients
+    assert G.const is not None and not G.const.any() and G.guards
+    calls = _recorded_calls(monkeypatch)
     x0, y0 = np.array([0.1, 0.2]), np.array([1.0, 0.5])
     path = geodesic_integrate(spray, x0, y0, 0.1, 5)
-    assert path.completed and calls == [True] * 20
+    assert path.completed and calls == [(G, (20, 2))]
 
     with pytest.raises(DegeneracyError) as info:
         geodesic_integrate(spray, x0, y0, 0.1, 20)
@@ -206,9 +236,8 @@ def test_a_guarded_constant_spray_is_called_at_every_stage(monkeypatch):
     assert info.value.sample[0][0] > 0.99
 
 
-def test_a_guarded_constant_spray_runs_its_guard_at_distinct_stages_only():
-    """Over these 5 steps of a zero spray k2 = k3, and each k1 after the
-    first is the k4 before it: 11 distinct stage points among 20 stages."""
+def test_a_guarded_constant_spray_runs_its_guard_once_per_block():
+    """The guard's leaf runs once, on the 20 points of 5 steps."""
     spray = _guarded_zero()
     [inverse] = spray.coefficients.guards
     [diag] = inverse.operands
@@ -217,7 +246,118 @@ def test_a_guarded_constant_spray_runs_its_guard_at_distinct_stages_only():
     diag._fn = lambda xs, ys: runs.append(len(xs)) or fn(xs, ys)
     x0, y0 = np.array([0.1, 0.2]), np.array([1.0, 0.5])
     assert geodesic_integrate(spray, x0, y0, 0.1, 5).completed
-    assert runs == [1] * 11
+    assert runs == [20]
+
+
+@pytest.mark.parametrize("build", [_guarded_zero, _guarded_push],
+                         ids=["zero", "push"])
+def test_a_guarded_constant_longer_than_a_block_keeps_every_bit(
+        monkeypatch, build):
+    """300 steps make 1200 guard points: four full blocks of 256 and 176
+    more."""
+    x0, y0 = np.array([0.1, 0.2]), np.array([1.0, 0.5])
+    reference = _array_rk4(build(), x0, y0, 1e-3, 300)
+    spray = build()
+    calls = _recorded_calls(monkeypatch)
+    path = geodesic_integrate(spray, x0, y0, 1e-3, 300)
+    _assert_same_bits(path, reference)
+    assert path.completed and len(path) == 301
+    assert [shape for _, shape in calls] == [(256, 2)] * 4 + [(176, 2)]
+
+
+def _two_guards(first):
+    """A spray folded to zero over two guards: the inverse of
+    `_singular_from(1)`, which fails first along the curve from x = (0.1,
+    0.2), y = (1, 0.5), and 1 / max(0, 0.8 - x^2), which fails later.
+    `first` names the guard a batch call evaluates first."""
+    inverse = _singular_from(1.0)
+    reciprocal = scalar_reciprocal(TensorField(
+        inverse.domain, 0, 0, 0.0,
+        lambda xs, ys: np.maximum(0.0, 0.8 - xs[:, 1]), name="gap"))
+    guards = [_zero_over(inverse), _zero_over(reciprocal)]
+    if first == "later":
+        guards.reverse()
+    return Spray(add(*guards))
+
+
+@pytest.mark.parametrize("first", ["earlier", "later"])
+def test_of_two_failing_guards_the_one_point_form_names_the_first(first):
+    spray = _two_guards(first)
+    x0, y0 = np.array([0.1, 0.2]), np.array([1.0, 0.5])
+    assert len(spray.coefficients.guards) == 2
+    with pytest.raises((DegeneracyError, DivisionError)) as block:
+        spray.coefficients(np.array([[0.1, 0.9], [1.2, 0.2]]),
+                           np.ones((2, 2)))
+    assert block.type is (DegeneracyError if first == "earlier"
+                          else DivisionError)
+    with pytest.raises(DegeneracyError) as info:
+        geodesic_integrate(spray, x0, y0, 0.1, 20)
+    with pytest.raises(DegeneracyError) as expected:
+        _array_rk4(_two_guards(first), x0, y0, 0.1, 20)
+    assert str(info.value) == str(expected.value)
+    assert info.value.sample == expected.value.sample
+    assert 0.99 < info.value.sample[0][0] and info.value.sample[0][1] < 0.8
+
+
+def _domain_error_guard():
+    """A spray folded to zero over a leaf that raises DomainError from
+    x^1 = 0.5 on."""
+    plane = ConicDomain(2, None, name="plane")
+
+    def refuse(xs, ys):
+        if np.any(xs[:, 0] >= 0.5):
+            raise DomainError("x^1 reached 0.5")
+        return np.ones(len(xs))
+
+    leaf = TensorField(plane, 0, 0, 0.0, refuse, name="edge", raises=True)
+    return Spray(_zero_over(leaf))
+
+
+def test_a_guard_raising_domain_error_truncates_at_the_same_state():
+    x0, y0 = np.array([0.1, 0.2]), np.array([1.0, 0.5])
+    reference = _array_rk4(_domain_error_guard(), x0, y0, 0.01, 100)
+    assert reference[1:] == (False, "stage") and len(reference[0]) == 40
+    _assert_same_bits(geodesic_integrate(_domain_error_guard(), x0, y0,
+                                         0.01, 100), reference)
+
+
+def _singular_near_the_edge(edge):
+    """`_guarded_zero` on the domain x^1 < 0.9, with its inverse singular
+    from x^1 = `edge` on."""
+    left = ConicDomain(2, membership=lambda x, y: x[0] < 0.9, name="left")
+    return Spray(_zero_over(_singular_from(edge, left)))
+
+
+def test_a_curve_that_leaves_the_domain_first_truncates_and_does_not_raise():
+    """With the edge of the guard at the domain's, every point the domain
+    admits passes the guard."""
+    x0, y0 = np.array([0.1, 0.2]), np.array([1.0, 0.5])
+    reference = _array_rk4(_singular_near_the_edge(0.9), x0, y0, 0.1, 20)
+    assert reference[1:] == (False, "stage")
+    path = geodesic_integrate(_singular_near_the_edge(0.9), x0, y0, 0.1, 20)
+    assert not path.completed
+    _assert_same_bits(path, reference)
+
+
+def test_a_guard_failing_before_the_curve_leaves_the_domain_raises():
+    """The last block, cut short by the domain, is checked too."""
+    x0, y0 = np.array([0.1, 0.2]), np.array([1.0, 0.5])
+    with pytest.raises(DegeneracyError) as info:
+        geodesic_integrate(_singular_near_the_edge(0.85), x0, y0, 0.1, 20)
+    with pytest.raises(DegeneracyError) as expected:
+        _array_rk4(_singular_near_the_edge(0.85), x0, y0, 0.1, 20)
+    assert str(info.value) == str(expected.value)
+    assert info.value.sample == expected.value.sample
+
+
+def test_no_steps_never_call_a_guarded_spray(monkeypatch):
+    def refuse(field, x, y):
+        raise AssertionError(f"field {field.name!r} was called")
+
+    spray = _guarded_zero()
+    monkeypatch.setattr(TensorField, "__call__", refuse)
+    path = geodesic_integrate(spray, [0.1, 0.2], [1.0, 0.5], 0.1, 0)
+    assert path.completed and len(path) == 1
 
 
 def test_an_overflowing_conformal_leaf_raises_without_a_warning():

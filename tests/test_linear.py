@@ -214,3 +214,39 @@ def test_covariant_derivative_of_a_batch_matches_its_rows():
         row = covariant_derivative(conn, (Xh[i], Xv[i]), Z, xs[i], ys[i],
                                    ANALYTIC)
         assert_allclose(batch[i], row, rtol=1e-12)
+
+
+def test_a_linear_connection_keeps_its_hook_and_induced_n():
+    conn = classical_linear(QUARTIC.lagrangian, "cartan", ANALYTIC)
+    N = induced_nonlinear(conn)
+    assert induced_nonlinear(conn) is not N
+    assert induced_nonlinear(conn).coefficients is N.coefficients
+    assert conn.hooked_vertical_field() is conn.hooked_vertical_field()
+    M = conn.regularity_matrix_field()
+    assert conn.hooked_vertical_field() in M.operands
+
+
+def test_linear_roundtrip_builds_each_block_once_per_connection(monkeypatch):
+    """Counted by name during one quartic2 check: each connection's N, B
+    and M once, and the Cartan tensor hooked with y once for each of the
+    two connections that carry it."""
+    from collections import Counter
+
+    from anifield.checks import CHECKS
+    from anifield.cli import RunConfig
+
+    bundle = get_example("quartic2")
+    config = RunConfig("quartic2", ["linear_roundtrip"], samples=16, seed=3)
+    built = Counter()
+    init = TensorField.__init__
+
+    def counted(field, *args, **kwargs):
+        init(field, *args, **kwargs)
+        built[field.name] += 1
+
+    monkeypatch.setattr(TensorField, "__init__", counted)
+    assert CHECKS["linear_roundtrip"](bundle, config).passed
+    for kind in ("berwald", "chern", "hashiguchi", "cartan"):
+        for block in ("N", "B", "M"):
+            assert built[f"{block}({kind}(quartic2))"] == 1, (block, kind)
+    assert built["iota(cartan(quartic2))"] == 2
