@@ -203,15 +203,9 @@ class Trajectory:
         return len(self.xs)
 
 
-def _frozen(rows):
-    """The (n, dim) read-only array of n lists of dim floats."""
-    out = np.array(rows)
-    out.setflags(write=False)
-    return out
-
-
-# Points per guard call of a guarded constant spray: a multiple of the four
-# points a step adds, so every block but the last holds exactly this many.
+# Points per guard call of a guarded constant spray, and four times the
+# steps a constant spray takes per block: every block but the last holds
+# exactly this many of the points where any other spray would be called.
 _BLOCK = 256
 
 
@@ -222,27 +216,29 @@ def geodesic_integrate(spray, x0, y0, dt, steps):
     stage or a step lands outside the spray's domain the curve is truncated
     there and flagged.
 
-    The state is stepped on lists of Python floats, with the IEEE double
-    operations of the array form in the same order, so every point has the
-    bits numpy arithmetic on (dim,) arrays would give.  Every step and the
-    three later stages of each step are checked on that float state by
-    `domain.admits`; the first stage of a step is the point the previous
-    step accepted, or the initial state, and is not checked again.
+    Every point has the bits numpy arithmetic on (dim,) arrays would give:
+    each loop makes the IEEE double operations of that array form, in its
+    order.  Every step and the three later stages of each step are checked
+    by the domain's admissibility rule; the first stage of a step is the
+    point the previous step accepted, or the initial state, and is not
+    checked again.
 
-    A spray whose coefficients are a constant, guarded or not, is stepped
-    by one loop that takes its -2 G once (`_constant_rk4`).  An unguarded
-    constant is never called.  A guarded one is called once per block of
-    `_BLOCK` points where any other spray would be called: each step's
-    start and each admitted stage.  Its value is not needed, only that its
-    guards hold there.  If a block raises anything, the curve is stepped
-    again by the one-point loop, so an error names the same sample and a
-    `DomainError` truncates at the same state as for any other spray.
+    A spray whose coefficients are a constant, guarded or not, takes its
+    -2 G once and is stepped `_BLOCK // 4` steps at a time on arrays
+    (`_constant_rk4`); each block's stage points and step ends are checked
+    in one call of `domain.first_refused`.  An unguarded constant is never
+    called.  A guarded one is called once per block, on the points where
+    any other spray would be called: each step's start and each admitted
+    stage.  Its value is not needed, only that its guards hold there.  If
+    a block raises anything, the curve is stepped again by the one-point
+    loop, so an error names the same sample and a `DomainError` truncates
+    at the same state as for any other spray.
 
-    Any other spray is called at every stage (`_rk4`).  Such a stage
+    Any other spray is stepped on lists of Python floats and called at
+    every stage (`_rk4`), which `domain.admits` checks.  Such a stage
     builds (dim,) arrays once, for the spray call and a membership
-    predicate both; the constant loop builds them only for a predicate.
-    The trajectory's arrays are built once, at the end.  A state of any
-    other shape than (dim,) raises ShapeError.
+    predicate both.  The trajectory's arrays are built once, at the end.
+    A state of any other shape than (dim,) raises ShapeError.
 
     numpy does not warn while the curve is stepped: far out a spray's
     arithmetic may overflow, and the typed error that follows names the
@@ -256,19 +252,21 @@ def geodesic_integrate(spray, x0, y0, dt, steps):
     if x.ndim != 1:
         raise ShapeError(f"geodesic_integrate takes one state of shape "
                          f"({domain.dim},), got {x.shape}")
-    x, y, dt, steps = x.tolist(), y.tolist(), float(dt), int(steps)
+    dt, steps = float(dt), int(steps)
     with np.errstate(over="ignore", invalid="ignore"):
         run = None if G.const is None else _constant_rk4(G, x, y, dt, steps)
         if run is None:
-            run = _rk4(G, x, y, dt, steps)
+            run = _rk4(G, x.tolist(), y.tolist(), dt, steps)
     xs, ys, completed = run
-    return Trajectory(_frozen(xs), _frozen(ys), completed)
+    xs.setflags(write=False)
+    ys.setflags(write=False)
+    return Trajectory(xs, ys, completed)
 
 
 def _rk4(G, x, y, dt, steps):
     """The one-point loop: RK4 from the float state (x, y), calling G at
     the start and at each admitted stage of every step.  Returns the
-    states as lists of floats and whether the curve completed."""
+    states as two (n, dim) arrays and whether the curve completed."""
     domain = G.domain
     half, sixth = 0.5 * dt, dt / 6.0
 
@@ -299,77 +297,89 @@ def _rk4(G, x, y, dt, steps):
             k3x, k3y = rhs(stage(x, half, k2x), stage(y, half, k2y))
             k4x, k4y = rhs(stage(x, dt, k3x), stage(y, dt, k3y))
         except DomainError:
-            return xs, ys, False
+            break
         x = combine(x, k1x, k2x, k3x, k4x)
         y = combine(y, k1y, k2y, k3y, k4y)
         here = (np.array(x), np.array(y))
         if not domain.admits(x, y, here):
-            return xs, ys, False
+            break
         xs.append(x)
         ys.append(y)
-    return xs, ys, True
+    return np.array(xs), np.array(ys), len(xs) > steps
 
 
 def _constant_rk4(G, x, y, dt, steps):
-    """RK4 for coefficients G folded to a constant, as `_rk4` steps them.
+    """RK4 for coefficients G folded to a constant, with `_rk4`'s bits,
+    from the (dim,) state (x, y) and `_BLOCK // 4` steps at a time.
 
     With a = -2 G the same at every stage, k1y = k2y = k3y = k4y = a: the
     third stage's y is the second's, k3x = k2x, and the products half * a
     and dt * a and the step's change of y, sixth * (((a + 2a) + 2a) + a),
-    are taken once.  Every other float operation is `_rk4`'s, in its
-    order, so every point keeps its bits.  A guarded G is called once per
-    `_BLOCK` of the points `_rk4` would call it at, and once on the rest
-    when the loop ends.  Returns what `_rk4` returns, or None when a call
-    raised."""
-    admits = G.domain.admits
+    are taken once.  A block's states y are the running sum of its first
+    y and that change, step after step, the additions `_rk4` makes (see
+    `_running_sum`).  Each stage's y, each step's change of x and each
+    stage's x follow elementwise, with `_rk4`'s operations in its order,
+    and the states x are the running sum of those changes, so every point
+    keeps `_rk4`'s bits.
+
+    The 4 * k points the loop checks in a block of k steps (x2, x3, x4
+    and the step's end, step by step) go to `domain.first_refused` in
+    that order; the first refused point truncates the curve where `_rk4`
+    would.  A guarded G is called once per block, on the points `_rk4`
+    would call it at: the start of each step and each admitted stage, up
+    to the truncation.  Returns what `_rk4` returns, the states as the
+    concatenated blocks, or None when a call raised."""
+    first_refused = G.domain.first_refused
+    dim = len(x)
     half, sixth = 0.5 * dt, dt / 6.0
-    a = (-2.0 * G.const).tolist()
-    half_a = [half * ai for ai in a]
-    dt_a = [dt * ai for ai in a]
-    step_y = [sixth * (((ai + 2.0 * ai) + 2.0 * ai) + ai) for ai in a]
-    guarded = bool(G.guards)
-    px, py = [], []     # points G is not called at yet
-    xs, ys = [x], [y]
-    completed = True
-    for _ in range(steps):
-        x2 = [xi + half * yi for xi, yi in zip(x, y)]
-        y2 = [yi + h for yi, h in zip(y, half_a)]
-        x3 = [xi + half * vi for xi, vi in zip(x, y2)]
-        x4 = [xi + dt * vi for xi, vi in zip(x, y2)]
-        y4 = [yi + h for yi, h in zip(y, dt_a)]
-        # how many of the step's four calls `_rk4` would make
-        calls = (1 if not admits(x2, y2) else 2 if not admits(x3, y2)
-                 else 3 if not admits(x4, y4) else 4)
-        if guarded:
-            px += (x, x2, x3, x4)[:calls]
-            py += (y, y2, y2, y4)[:calls]
-            if len(px) >= _BLOCK:
-                if not _guards_hold(G, px, py):
-                    return None
-                px, py = [], []
-        if calls < 4:
-            completed = False
+    a = -2.0 * G.const
+    half_a, dt_a = half * a, dt * a
+    step_y = sixth * (((a + 2.0 * a) + 2.0 * a) + a)
+
+    def by_step(*points):
+        """The (4 k, dim) rows of four (k, dim) arrays, step by step."""
+        return np.stack(points, axis=1).reshape(-1, dim)
+
+    xs, ys = [x[None]], [y[None]]
+    for start in range(0, steps, _BLOCK // 4):
+        k = min(_BLOCK // 4, steps - start)
+        Y = _running_sum(y, np.broadcast_to(step_y, (k, dim)))
+        y1, y2, y4 = Y[:-1], Y[:-1] + half_a, Y[:-1] + dt_a
+        X = _running_sum(x, sixth * (((y1 + 2.0 * y2) + 2.0 * y2) + y4))
+        x1 = X[:-1]
+        x2, x3, x4 = x1 + half * y1, x1 + half * y2, x1 + dt * y2
+        refused = first_refused(by_step(x2, x3, x4, X[1:]),
+                                by_step(y2, y2, y4, Y[1:]))
+        # `_rk4` calls G at a step's start and at each stage it admits
+        calls = min(refused + 1, 4 * k)
+        if G.guards and not _guards_hold(G, by_step(x1, x2, x3, x4)[:calls],
+                                         by_step(y1, y2, y2, y4)[:calls]):
+            return None
+        taken = refused // 4
+        xs.append(X[1:taken + 1])
+        ys.append(Y[1:taken + 1])
+        if taken < k:
             break
-        x = [xi + sixth * (((p + 2.0 * q) + 2.0 * q) + s)
-             for xi, p, q, s in zip(x, y, y2, y4)]
-        y = [yi + h for yi, h in zip(y, step_y)]
-        if not admits(x, y):
-            completed = False
-            break
-        xs.append(x)
-        ys.append(y)
-    if px and not _guards_hold(G, px, py):
-        return None
-    return xs, ys, completed
+        x, y = X[-1], Y[-1]
+    xs, ys = np.concatenate(xs), np.concatenate(ys)
+    return xs, ys, len(xs) > steps
+
+
+def _running_sum(first, increments):
+    """The rows first, first + increments[0], (first + increments[0]) +
+    increments[1], and so on.  `np.add.accumulate` adds row after row, so
+    each row is the float sum of the row before and one increment, as a
+    loop makes it; `np.sum` adds pairwise and would not be."""
+    return np.add.accumulate(np.vstack((first, increments)))
 
 
 def _guards_hold(G, xs, ys):
-    """Whether G evaluates at the points (xs[i], ys[i]) without raising:
-    one call on their (n, dim) batch.  Any error counts, as the caller
-    then steps the curve again by the one-point loop, which raises it, or
-    truncates on it, at its own sample."""
+    """Whether G evaluates on the (n, dim) batch of points xs, ys without
+    raising.  Any error counts, as the caller then steps the curve again
+    by the one-point loop, which raises it, or truncates on it, at its own
+    sample."""
     try:
-        G(np.array(xs), np.array(ys))
+        G(xs, ys)
     except Exception:
         return False
     return True

@@ -99,6 +99,11 @@ class ConicDomain:
         Extra predicates (x, y) -> bool; a sample is rejected while any of
         them is true.  Used to keep quadrature away from thin margins near
         the boundary of the cone without shrinking the domain itself.
+
+    One admissibility rule decides membership: the state is finite, y is
+    not zero, and the predicate accepts it.  `admits` applies it to one
+    state of Python floats, `contains` to one state of arrays, and
+    `first_refused` to a batch of states, row after row.
     """
 
     def __init__(self, dim, membership=None, x_box=None, y_shell=(0.5, 2.0),
@@ -136,6 +141,26 @@ class ConicDomain:
         if arrays is None:
             arrays = (np.array(x), np.array(y))
         return bool(self.membership(*arrays))
+
+    def first_refused(self, xs, ys):
+        """The admissibility rule on an (n, dim) float64 batch of states:
+        the index of the first row `admits` refuses, or n if it admits
+        every row.  The finite and y != 0 tests run on the whole batch at
+        once; the predicate then gets (dim,) float64 views of the rows,
+        in row order and only up to the first refused row, so it runs on
+        the same states, in the same order, as one `admits` per row until
+        the first refusal."""
+        finite = np.isfinite(xs)
+        finite &= np.isfinite(ys)
+        refused = np.flatnonzero(~(np.logical_and.reduce(finite, axis=1)
+                                   & np.logical_or.reduce(ys, axis=1)))
+        stop = int(refused[0]) if len(refused) else len(xs)
+        inside = self.membership
+        if inside is not None:
+            for i, (x, y) in enumerate(zip(xs[:stop], ys[:stop])):
+                if not inside(x, y):
+                    return i
+        return stop
 
     def sample(self, count, seed):
         """Draw `count` admissible (x, y) pairs; reproducible for a given seed.
@@ -408,7 +433,9 @@ def _checked(val, xs, ys, comp, name, r, s):
 def _require_inside(domain, x, y):
     """Raise ShapeError unless (x, y) is one point or a (B, dim) batch of
     the domain's dimension, and DomainError naming the first sample of
-    (x, y) outside `domain`."""
+    (x, y) outside `domain`.  The batch is checked in one pass of
+    `domain.first_refused`, so its predicate runs on the rows up to that
+    sample and no further."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dim = domain.dim
@@ -416,11 +443,12 @@ def _require_inside(domain, x, y):
         raise ShapeError(
             f"point x={x.tolist()}, y={y.tolist()} does not fit domain "
             f"{domain.name!r} of dim={dim}")
-    for xi, yi in zip(x.reshape(-1, dim), y.reshape(-1, dim)):
-        if not domain.contains(xi, yi):
-            raise DomainError(
-                f"point x={xi.tolist()}, y={yi.tolist()} is outside domain "
-                f"{domain.name!r}")
+    xs, ys = x.reshape(-1, dim), y.reshape(-1, dim)
+    i = domain.first_refused(xs, ys)
+    if i < len(xs):
+        raise DomainError(
+            f"point x={xs[i].tolist()}, y={ys[i].tolist()} is outside "
+            f"domain {domain.name!r}")
 
 
 def _require_type(field, r, s, alpha, what):

@@ -49,6 +49,39 @@ def test_domain_refuses_non_finite_points(x, y):
         homogeneity_defect(L, x, y)
 
 
+@pytest.mark.parametrize("second,named", [
+    ([1.0, -1.0], "y=[1.0, -1.0]"), ([1.0, np.nan], "y=[1.0, nan]"),
+], ids=["refused", "nan"])
+def test_a_batch_outside_the_domain_names_its_first_refused_sample(
+        monkeypatch, second, named):
+    """The batch is checked in one pass, not one `contains` per row; the
+    predicate runs on the rows up to the first refused one, which the
+    error names."""
+    seen = []
+
+    def upper(x, y):
+        seen.append(y.tolist())
+        return y[1] > 0.0
+
+    field = TensorField(ConicDomain(2, upper, name="upper"), 0, 0, 2.0,
+                        lambda xs, ys: np.sum(ys * ys, axis=-1))
+    xs = np.zeros((4, 2))
+    ys = np.array([[1.0, 1.0], second, [0.0, 0.0], [1.0, -2.0]])
+
+    def refuse(*args):
+        raise AssertionError("contains was called")
+
+    monkeypatch.setattr(ConicDomain, "contains", refuse)
+    with pytest.raises(DomainError) as info:
+        evaluate(field, xs, ys)
+    assert str(info.value) == (f"point x=[0.0, 0.0], {named} is outside "
+                               f"domain 'upper'")
+    assert seen == [[1.0, 1.0]] + [second] * (named == "y=[1.0, -1.0]")
+    seen.clear()
+    assert evaluate(field, xs[:1], ys[:1]).tolist() == [2.0]
+    assert seen == [[1.0, 1.0]]
+
+
 def test_domain_sampling_is_seeded():
     xs1, ys1 = EUC.domain.sample(5, seed=11)
     xs2, ys2 = EUC.domain.sample(5, seed=11)

@@ -1,14 +1,16 @@
-"""The RK4 geodesic integrator steps on Python floats.
+"""The RK4 geodesic integrator keeps the bits of the array form of its loop.
 
-Every point has the bits of the array form of the loop, kept here as the
-reference; a spray folded to an unguarded constant is never called, and a
-guarded one is called once per block of the points the array form calls
-it at."""
+Every point has the bits of that array form, kept here as the reference,
+whether the spray is stepped on Python floats or, folded to a constant,
+64 steps at a time on arrays; a spray folded to an unguarded constant is
+never called, and a guarded one is called once per block of the points
+the array form calls it at."""
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from anifield import (ConicDomain, DiffEngine, Spray, TensorField, add,
                       canonical_spray, connections, fields,
@@ -134,14 +136,41 @@ def _euclidean():
     return canonical_spray(get_example("euclidean2").lagrangian)
 
 
+def _step_end_edge():
+    """On the curve of `_constant_push` at dt = 0.007 from the origin with
+    y = (1, 1), the x^2 of the last stage of step 65, the first step from
+    64 on whose end rounds above its last stage."""
+    dt = 0.007
+    points = _array_rk4(_constant_push(), [0, 0], [1, 1], dt, 128)[0]
+    for (x, y), (end, _) in zip(points[64:], points[65:]):
+        x4 = x + dt * (y + 0.5 * dt * np.array([0.0, -1.5]))
+        if end[1] > x4[1]:
+            return x4[1]
+    raise AssertionError("no step ends above its last stage")
+
+
+def _constant_push_to_a_step_end():
+    """The constant push of `_constant_push` on the half plane x^2 <=
+    `_step_end_edge()`: the end of step 65 is refused, none of its
+    stages."""
+    edge = _step_end_edge()
+    below = ConicDomain(2, membership=lambda x, y: x[1] <= edge,
+                        name="below")
+    return Spray(_folded(below, 1, 0, 2.0, [0.0, 0.75], (), None, "push"))
+
+
 @pytest.mark.parametrize("build,y0,dt,where,length", [
     (_upper_push, [1.0, 1.0], 0.05, "stage", 8),
     (_constant_push, [1.0, 1.0], 0.05, "stage", 14),
     (_constant_over_a_gap, [1.0, 1.0], 0.05, "stage", 1),
     (_accelerate, [1.0, 1.0], 0.1, "step", 4),
     (_euclidean, [1e300, 1e300], 1e10, "stage", 1),
+    (_constant_push, [1.0, 1.0], 0.0083, "stage", 81),
+    (_constant_push_to_a_step_end, [1.0, 1.0], 0.007, "step", 66),
+    (_euclidean, [1e6, 1e6], 1e300, "stage", 180),
 ], ids=["varying_stage", "constant_stage", "constant_gap", "step",
-        "overflow"])
+        "overflow", "second_block_stage", "second_block_step",
+        "overflow_mid_block"])
 def test_truncated_geodesics_match_the_array_form_bit_for_bit(
         build, y0, dt, where, length):
     x0, y0 = np.zeros(2), np.array(y0)
@@ -149,6 +178,20 @@ def test_truncated_geodesics_match_the_array_form_bit_for_bit(
     assert reference[2] == where and len(reference[0]) == length
     _assert_same_bits(geodesic_integrate(build(), x0, y0, dt, 400),
                       reference)
+
+
+@pytest.mark.parametrize("steps", [63, 64, 65, 130])
+@pytest.mark.parametrize("name", ["euclidean2", "minkowski2"])
+def test_a_constant_spray_keeps_every_bit_across_block_edges(name, steps):
+    """Blocks take 64 steps: one short, one full, one and a step, two and
+    two steps."""
+    L = get_example(name).lagrangian
+    x0, y0 = np.array([0.1, 0.2]), np.array(_STARTS[name])
+    assert canonical_spray(L).coefficients.const is not None
+    reference = _array_rk4(canonical_spray(L), x0, y0, 0.01, steps)
+    path = geodesic_integrate(canonical_spray(L), x0, y0, 0.01, steps)
+    assert path.completed and len(path) == steps + 1
+    _assert_same_bits(path, reference)
 
 
 @pytest.mark.parametrize("build", [_euclidean, _constant_push],
@@ -265,6 +308,36 @@ def test_a_guarded_constant_longer_than_a_block_keeps_every_bit(
     assert [shape for _, shape in calls] == [(256, 2)] * 4 + [(176, 2)]
 
 
+def _guarded_push_on(domain):
+    """The constant push (0, 3/4) on `domain`, guarded as `_guarded_zero`
+    is; the guard holds while x^1 < 1."""
+    G = _zero_over(_singular_from(1.0, domain))
+    return Spray(add(G, _folded(domain, 1, 0, 2.0, [0.0, 0.75], (), None,
+                                "push")))
+
+
+@pytest.mark.parametrize("where", ["stage", "step"])
+def test_a_guarded_constant_cut_mid_block_is_called_where_the_loop_is(
+        monkeypatch, where):
+    """The last block's call holds the points the array form calls G at
+    after the first 256: up to the refused stage, or through the last
+    stage of the step whose end is refused."""
+    dt, build = {"stage": (0.0083, _constant_push),
+                 "step": (0.007, _constant_push_to_a_step_end)}[where]
+    domain = build().coefficients.domain
+    calls = _recorded_calls(monkeypatch)
+    reference = _array_rk4(_guarded_push_on(domain), [0, 0], [1, 1], dt, 400)
+    assert reference[1:] == (False, where)
+    G = _guarded_push_on(domain).coefficients
+    called = sum(shape == (2,) and field.name == G.name
+                 for field, shape in calls)
+    calls.clear()
+    path = geodesic_integrate(Spray(G), [0, 0], [1, 1], dt, 400)
+    _assert_same_bits(path, reference)
+    assert [(field, shape) for field, shape in calls] == [
+        (G, (256, 2)), (G, (called - 256, 2))]
+
+
 def _two_guards(first):
     """A spray folded to zero over two guards: the inverse of
     `_singular_from(1)`, which fails first along the curve from x = (0.1,
@@ -379,29 +452,69 @@ def test_a_conformal_leaf_called_directly_far_out_warns():
         assert L([400.0, 0.0], [1.0, 0.5]) == np.inf
 
 
-@pytest.mark.parametrize("name", ["conformal2", "euclidean2"])
-def test_the_first_stage_of_a_step_is_not_checked_again(monkeypatch, name):
-    # the initial check, then three stages and the end of each step
-    spray = canonical_spray(get_example(name).lagrangian)
-    calls = []
-    admits = ConicDomain.admits
+def _checked_states(monkeypatch):
+    """The states the admissibility rule checks from now on, in order, and
+    the row count of each batch given to `first_refused`, which checks the
+    rows up to the first refused one."""
+    states, batches = [], []
+    admits, first_refused = ConicDomain.admits, ConicDomain.first_refused
 
-    def counted(domain, x, y, arrays=None):
-        calls.append((list(x), list(y)))
+    def one(domain, x, y, arrays=None):
+        states.append((list(x), list(y)))
         return admits(domain, x, y, arrays)
 
-    monkeypatch.setattr(ConicDomain, "admits", counted)
+    def rows(domain, xs, ys):
+        batches.append(len(xs))
+        i = first_refused(domain, xs, ys)
+        states.extend(zip(xs[:i + 1].tolist(), ys[:i + 1].tolist()))
+        return i
+
+    monkeypatch.setattr(ConicDomain, "admits", one)
+    monkeypatch.setattr(ConicDomain, "first_refused", rows)
+    return states, batches
+
+
+@pytest.mark.parametrize("name", ["conformal2", "euclidean2"])
+def test_the_first_stage_of_a_step_is_not_checked_again(monkeypatch, name):
+    """The initial state, then three stages and the end of each step.  A
+    varying spray checks them one at a time; a constant one checks the
+    4 rows of each step of a block in one batch, in the same order."""
+    spray = canonical_spray(get_example(name).lagrangian)
+    states, batches = _checked_states(monkeypatch)
     path = geodesic_integrate(spray, [0.1, 0.2], [1.0, 0.5], 0.01, 10)
     assert path.completed and len(path) == 11
-    assert len(calls) == 4 * 10 + 1
+    assert len(states) == 4 * 10 + 1
     ends = [(x.tolist(), y.tolist()) for x, y in path.points]
-    assert calls[::4] == ends
+    assert states[::4] == ends
+    assert batches == ([1] if spray.coefficients.const is None
+                       else [1, 4 * 10])
+
+
+def test_a_constant_spray_checks_its_blocks_in_the_loops_order(monkeypatch):
+    """130 steps are two blocks of 64 steps and one of 2, and the checked
+    states are those of the one-point loop: stages x2, x3 and x4 from the
+    array form of a step, then its end."""
+    reference = _array_rk4(_constant_push(), [0, 0], [1, 100], 1e-3, 130)
+    states, batches = _checked_states(monkeypatch)
+    path = geodesic_integrate(_constant_push(), [0, 0], [1, 100], 1e-3, 130)
+    _assert_same_bits(path, reference)
+    assert batches == [1, 256, 256, 8]
+    a = np.array([0.0, -1.5])
+    expected = [(path.xs[0].tolist(), path.ys[0].tolist())]
+    for x, y in reference[0][:-1]:
+        y2 = y + 0.5 * 1e-3 * a
+        expected += [((x + 0.5 * 1e-3 * y).tolist(), y2.tolist()),
+                     ((x + 0.5 * 1e-3 * y2).tolist(), y2.tolist()),
+                     ((x + 1e-3 * y2).tolist(), (y + 1e-3 * a).tolist()),
+                     None]
+    ends = [(x.tolist(), y.tolist()) for x, y in path.points]
+    expected[4::4] = ends[1:]
+    assert states == expected
 
 
 _NAN, _INF = float("nan"), float("inf")
 
-
-@pytest.mark.parametrize("x,y,admitted", [
+_CASES = [
     ([0.1, 0.2], [1.0, 0.5], True),
     ([_NAN, 0.2], [1.0, 0.5], False),
     ([0.1, 0.2], [1.0, _NAN], False),
@@ -410,15 +523,62 @@ _NAN, _INF = float("nan"), float("inf")
     ([0.1, 0.2], [0.0, 0.0], False),
     ([0.1, 0.2], [-0.0, -0.0], False),
     ([0.1, 0.2], [0.0, -0.5], False),
-], ids=["inside", "nan_x", "nan_y", "inf_x", "minus_inf_y", "zero_y",
-        "minus_zero_y", "refused"])
+]
+
+
+def _upper():
+    return ConicDomain(2, membership=lambda x, y: y[1] > 0.0, name="upper")
+
+
+@pytest.mark.parametrize("x,y,admitted", _CASES,
+                         ids=["inside", "nan_x", "nan_y", "inf_x",
+                              "minus_inf_y", "zero_y", "minus_zero_y",
+                              "refused"])
 def test_contains_and_the_stage_check_agree(x, y, admitted):
-    """`contains` on arrays and `admits` on the float state a stage is
-    checked on give one answer; the upper half plane refuses y^2 <= 0."""
-    upper = ConicDomain(2, membership=lambda x, y: y[1] > 0.0, name="upper")
+    """`contains` on arrays, `admits` on the float state a stage is
+    checked on, and `first_refused` on a batch of that one row give one
+    answer; the upper half plane refuses y^2 <= 0."""
+    upper = _upper()
     assert upper.contains(np.array(x), np.array(y)) is admitted
     assert upper.admits(x, y) is admitted
     assert upper.admits(x, y, (np.array(x), np.array(y))) is admitted
+    assert upper.first_refused(np.array([x]), np.array([y])) == admitted
+
+
+def test_the_batched_rule_refuses_the_first_refused_row_of_a_stack():
+    xs = np.array([x for x, _, _ in _CASES])
+    ys = np.array([y for _, y, _ in _CASES])
+    assert _upper().first_refused(xs, ys) == 1
+    assert _upper().first_refused(xs[:1], ys[:1]) == 1
+    assert _upper().first_refused(xs[:0], ys[:0]) == 0
+
+
+_ENTRIES = st.sampled_from([0.5, -0.5, 0.0, -0.0, 2.0, -1e300, _NAN, _INF,
+                            -_INF])
+
+
+@given(rows=st.lists(st.lists(_ENTRIES, min_size=4, max_size=4),
+                     max_size=12),
+       predicate=st.booleans())
+def test_the_batched_rule_is_admits_row_after_row(rows, predicate):
+    """The first row `first_refused` names is the first `admits` refuses,
+    and the predicate sees the same rows in the same order."""
+    seen = []
+
+    def upper(x, y):
+        seen.append((x.tolist(), y.tolist()))
+        return y[1] > 0.0
+
+    domain = ConicDomain(2, upper if predicate else None, name="upper")
+    xs = np.array(rows, dtype=float).reshape(-1, 4)[:, :2]
+    ys = np.array(rows, dtype=float).reshape(-1, 4)[:, 2:]
+    batched = domain.first_refused(xs, ys)
+    batch_seen = seen.copy()
+    seen.clear()
+    one = next((i for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist()))
+                if not domain.admits(x, y)), len(rows))
+    assert batched == one
+    assert batch_seen == seen
 
 
 @pytest.mark.parametrize("build", [_upper_push, _constant_push],
@@ -441,17 +601,33 @@ def test_a_membership_predicate_gets_float64_state_arrays(build):
 
 
 class _CountedNumpy:
-    """numpy, counting the calls of `np.array`."""
+    """numpy, counting the calls of `np.array`, and the calls of all its
+    functions and ufunc methods together."""
 
     def __init__(self):
         self.arrays = 0
+        self.calls = 0
 
     def __getattr__(self, name):
-        return getattr(np, name)
+        value = getattr(np, name)
+        if isinstance(value, type) or not callable(value):
+            return value
+        return _Counted(self, value)
 
-    def array(self, *args, **kwargs):
-        self.arrays += 1
-        return np.array(*args, **kwargs)
+
+class _Counted:
+    def __init__(self, counter, function):
+        self.counter = counter
+        self.function = function
+
+    def __call__(self, *args, **kwargs):
+        self.counter.calls += 1
+        self.counter.arrays += self.function is np.array
+        return self.function(*args, **kwargs)
+
+    def __getattr__(self, name):    # a ufunc's methods
+        value = getattr(self.function, name)
+        return _Counted(self.counter, value) if callable(value) else value
 
 
 def _plane_push():
@@ -461,24 +637,40 @@ def _plane_push():
         [np.zeros(len(ys)), np.sum(ys * ys, axis=-1)], axis=-1)))
 
 
+def _numpy_use(monkeypatch, build, steps):
+    """The counted numpy of one integration of `build()`'s spray."""
+    spray, counted = build(), _CountedNumpy()
+    with monkeypatch.context() as patch:
+        patch.setattr(connections, "np", counted)
+        patch.setattr(fields, "np", counted)
+        path = geodesic_integrate(spray, [0, 0], [1, 1], 1e-3, steps)
+    assert path.completed and len(path) == steps + 1
+    return counted
+
+
 @pytest.mark.parametrize("build,per_step", [
-    (_euclidean, 0), (_constant_push, 8), (_plane_push, 8),
+    (_euclidean, 0), (_constant_push, 0), (_plane_push, 8),
     (_upper_push, 8),
 ], ids=["constant_no_predicate", "constant_predicate", "varying",
         "varying_predicate"])
 def test_a_stage_builds_arrays_only_for_a_spray_call_or_a_predicate(
         monkeypatch, build, per_step):
-    """Two arrays per checked stage and step end when a spray call or a
-    predicate needs them, shared when both do, and two per run for the
-    trajectory; the initial state's arrays come before the loop."""
-    spray = build()
-    counted = _CountedNumpy()
-    monkeypatch.setattr(connections, "np", counted)
-    monkeypatch.setattr(fields, "np", counted)
-    path = geodesic_integrate(spray, [0, 0], [1, 1], 0.01, 5)
-    assert path.completed
-    called = spray.coefficients.const is None
-    assert counted.arrays == 5 * per_step + 2 * called + 2
+    """A varying spray's stage builds two arrays per checked stage and step
+    end, shared by its call and the predicate, two for the initial state
+    and two for the trajectory.  A constant spray builds no array per
+    stage: a block of up to 64 steps makes the same numpy calls whatever
+    its length, and the predicate gets views of the block's rows."""
+    counted = _numpy_use(monkeypatch, build, 5)
+    if build().coefficients.const is None:
+        assert counted.arrays == 5 * per_step + 2 + 2
+        return
+    assert counted.arrays == 0
+    calls = [_numpy_use(monkeypatch, build, steps).calls
+             for steps in (0, 5, 64, 65, 128)]
+    none, one_block = calls[0], calls[2] - calls[0]
+    assert one_block > 0
+    assert calls == [none, none + one_block, none + one_block,
+                     none + 2 * one_block, none + 2 * one_block]
 
 
 def _raises_on_write(array):
