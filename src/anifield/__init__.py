@@ -19,11 +19,11 @@ from .errors import (AnifieldError, DegeneracyError, DivisionError,
                      DomainError, LevelError, RankError, ShapeError,
                      TransitionError)
 from .fields import (ConicDomain, DiffEngine, TensorField, add,
-                     constant_field, evaluate, homogeneity_defect,
-                     liouville_contract, liouville_field, matrix_inverse,
-                     reindex, scalar_power, scalar_reciprocal, scale,
-                     subtract, tensor_product, vertical_derivative,
-                     x_derivative, zero_field)
+                     constant_field, evaluate, form_field,
+                     homogeneity_defect, liouville_contract, liouville_field,
+                     matrix_inverse, reindex, scalar_power,
+                     scalar_reciprocal, scale, subtract, tensor_product,
+                     vertical_derivative, x_derivative, zero_field)
 from .functionals import (ActionFunctional, evaluate_action,
                           extend_functional, gauge_symmetrize,
                           restrict_functional)
@@ -35,8 +35,7 @@ from .linear import (LinearConnection, b_matrix, cartan_tensor,
                      linear_from_pair, project_intrinsic, project_with_N)
 from .metrics import (AnisotropicMetric, Lagrangian, fundamental_tensor,
                       kernel_residue, lagrangian_of_metric, legendre_of,
-                      legendre_residue, quadratic_energy, signature_at,
-                      wick_metric)
+                      legendre_residue, signature_at, wick_metric)
 
 __version__ = "0.1.0"
 
@@ -52,7 +51,7 @@ __all__ = [
     "cartan_tensor", "chern_connection", "classical_linear",
     "coherence_defect", "constant_field", "covariant_derivative",
     "decompose", "destroy_residues", "dv_phi", "embed_trivial", "evaluate",
-    "evaluate_action", "example_names", "extend_functional",
+    "evaluate_action", "example_names", "extend_functional", "form_field",
     "fundamental_tensor", "gauge_symmetrize", "geodesic_integrate",
     "get_example", "homogeneity_defect", "induced_nonlinear",
     "is_strongly_regular", "kernel_residue", "lagrangian_of_metric",
@@ -60,8 +59,8 @@ __all__ = [
     "linear_from_pair", "liouville_contract", "liouville_field",
     "lower", "lower_connection", "matrix_inverse", "nonlinear_residue",
     "parse_config", "project_image", "project_intrinsic", "project_kernel",
-    "project_with_N", "quadratic_energy", "raise_connection", "reconstruct",
-    "reindex", "restrict_functional", "run_suite", "scalar_power",
+    "project_with_N", "raise_connection", "reconstruct", "reindex",
+    "restrict_functional", "run_suite", "scalar_power",
     "scalar_reciprocal", "scale", "signature_at", "subtract", "tensor_product",
     "torsion", "transform_connection", "transform_tensor",
     "vertical_derivative", "wick_metric", "x_derivative", "zero_field",

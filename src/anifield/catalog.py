@@ -1,11 +1,14 @@
 """Built-in worked examples.
 
 Each bundle packages a conic domain with the objects the example is about:
-an energy with its full analytic vertical chain, a bare nonlinear
-connection, or a chart transition.  Chains are written out by hand so the
-"analytic" differentiation path is exact end to end; the conformal example
-deliberately omits x-derivative closures so that building its spray
-exercises the stencil in x.
+an energy, a bare nonlinear connection, or a chart transition.  Every
+energy is built on the symmetric-form leaf `form_field`, whose exact
+chains make the "analytic" differentiation path stencil-free: y^T D y is
+a quadratic form, quartic2 the square root of a quartic one.  conformal2
+multiplies |y|^2 by an x-only factor whose y-chain is zero and which
+deliberately carries no x-chain, so that building its spray exercises
+the stencil in x.  That factor and handmadeN's connection are the only
+chains written by hand.
 """
 
 import re
@@ -15,9 +18,10 @@ import numpy as np
 from .atlas import ChartTransition
 from .connections import NonlinearConnection
 from .errors import DomainError
-from .fields import (ConicDomain, TensorField, _identity, _row_dot,
-                     constant_field, liouville_field, zero_field)
-from .metrics import Lagrangian, quadratic_energy, wick_metric
+from .fields import (ConicDomain, TensorField, constant_field, form_field,
+                     liouville_field, scalar_power, scale, tensor_product,
+                     vertical_derivative, zero_field)
+from .metrics import Lagrangian, wick_metric
 
 
 class ExampleBundle:
@@ -50,9 +54,10 @@ def _energy_bundle(name, domain, L, **extra):
 
 
 def _quadratic_bundle(name, diag, membership=None, excluded=()):
-    """Energy y^T D y for a constant diagonal D, with exact chains."""
+    """Energy y^T D y for a constant diagonal D."""
     domain = ConicDomain(2, membership, excluded=excluded, name=name)
-    return _energy_bundle(name, domain, quadratic_energy(domain, diag, name))
+    return _energy_bundle(name, domain,
+                          form_field(domain, np.diag(diag), 2, name=name))
 
 
 def _euclidean():
@@ -70,26 +75,15 @@ def _conformal():
     """L = exp(2 x^1) |y|^2; vertical chain exact, x-dependence left to the
     stencil."""
     domain = ConicDomain(2, None, name="conformal2")
-
-    def scaled(form):
-        """The leaf form(e^(2 x^1), ys).  Far out the factor overflows to
-        inf and its products with 0 are NaN, and numpy warns unless its
-        caller has silenced it, as the geodesic integrator and the CLI do."""
-        def fn(xs, ys):
-            return form(np.exp(2.0 * xs[:, 0]), ys)
-        return fn
-
-    ddell = TensorField(domain, 0, 2, 0.0,
-                        scaled(lambda f, ys: (2.0 * f)[:, None, None]
-                               * _identity(2)),
-                        dy=lambda: zero_field(domain, 0, 3, -1.0),
-                        name="dv_ell")
-    ell = TensorField(domain, 0, 1, 1.0,
-                      scaled(lambda f, ys: (2.0 * f)[:, None] * ys),
-                      dy=ddell, name="ell")
-    L = TensorField(domain, 0, 0, 2.0,
-                    scaled(lambda f, ys: f * _row_dot(ys, ys)),
-                    dy=ell, name="conformal2")
+    # Far out the factor overflows to inf and its products with 0 are NaN,
+    # and numpy warns unless its caller has silenced it, as the geodesic
+    # integrator and the CLI do.
+    factor = TensorField(domain, 0, 0, 0.0,
+                         lambda xs, ys: np.exp(2.0 * xs[:, 0]),
+                         dy=lambda: zero_field(domain, 0, 1, -1.0),
+                         name="exp(2x1)")
+    L = tensor_product(factor, form_field(domain, np.eye(2), 2), ",->", 0, 0,
+                       name="conformal2")
 
     def spray_oracle(xs, ys):
         # The conformal factor cancels: G does not depend on x at all.
@@ -105,43 +99,13 @@ def _quartic():
         2, lambda x, y: y[0] * y[1] != 0.0,
         excluded=(lambda x, y: min(abs(y[0]), abs(y[1])) < 0.2 * max(abs(y[0]), abs(y[1])),),
         name="quartic2")
-
-    def d3fn(xs, ys):
-        # component [a, b, c] along the last three axes; d.. are deltas
-        Q = (ys[:, 0] ** 4 + ys[:, 1] ** 4)[:, None, None, None]
-        s1, s3, s5 = Q ** -0.5, Q ** -1.5, Q ** -2.5
-        ya, yb, yc = (ys[:, :, None, None], ys[:, None, :, None],
-                      ys[:, None, None, :])
-        eye = _identity(2)
-        dab, dac, dbc = eye[:, :, None], eye[:, None, :], eye
-        return (12.0 * ya * dab * dac * s1
-                - 12.0 * (ya ** 2 * dab * yc ** 3 + ya ** 2 * yb ** 3 * dac
-                          + ya ** 3 * yb ** 2 * dbc) * s3
-                + 24.0 * ya ** 3 * yb ** 3 * yc ** 3 * s5)
-
-    d3 = TensorField(domain, 0, 3, -1.0, d3fn,
-                     dx=lambda: zero_field(domain, 0, 4, -1.0), name="d3L")
-
-    def ddellfn(xs, ys):
-        Q = (ys[:, 0] ** 4 + ys[:, 1] ** 4)[:, None, None]
-        diag = _identity(2) * (ys ** 2)[:, None, :]
-        outer = (ys ** 3)[:, :, None] * (ys ** 3)[:, None, :]
-        return 6.0 * diag * Q ** -0.5 - 4.0 * outer * Q ** -1.5
-
-    ddell = TensorField(domain, 0, 2, 0.0, ddellfn, dy=d3,
-                        dx=lambda: zero_field(domain, 0, 3, 0.0),
-                        name="dv_ell")
-    ell = TensorField(domain, 0, 1, 1.0,
-                      lambda xs, ys: 2.0 * ys ** 3
-                      / np.sqrt(ys[:, :1] ** 4 + ys[:, 1:] ** 4),
-                      dy=ddell, dx=lambda: zero_field(domain, 0, 2, 1.0),
-                      name="ell")
-    L = TensorField(domain, 0, 0, 2.0,
-                    lambda xs, ys: np.sqrt(ys[:, 0] ** 4 + ys[:, 1] ** 4),
-                    dy=ell, dx=lambda: zero_field(domain, 0, 1, 2.0),
-                    name="quartic2")
+    delta = np.zeros((2,) * 4)
+    delta[0, 0, 0, 0] = delta[1, 1, 1, 1] = 1.0
+    L = scalar_power(form_field(domain, delta, 4, name="y^4"), 0.5,
+                     name="quartic2")
     bundle = _energy_bundle("quartic2", domain, L)
-    bundle.fields["third"] = d3
+    bundle.fields["third"] = scale(
+        vertical_derivative(bundle.lagrangian.phi_field()), 2.0, name="d3L")
     return bundle
 
 

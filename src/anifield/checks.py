@@ -26,15 +26,16 @@ from .connections import (AnisotropicConnection, NonlinearConnection, Spray,
                           raise_connection, torsion)
 from .errors import LevelError
 from .fields import (DiffEngine, _first, _is_zero, _row_dot, _row_max_abs, add,
-                     constant_field, homogeneity_defect, liouville_contract,
-                     scalar_power, scale, tensor_product, zero_field)
+                     constant_field, form_field, homogeneity_defect,
+                     liouville_contract, scalar_power, scale, tensor_product,
+                     zero_field)
 from .functionals import (ActionFunctional, evaluate_action,
                           extend_functional, gauge_symmetrize,
                           restrict_functional)
 from .ladder import decompose, destroy_residues, reconstruct
 from .linear import classical_linear, induced_nonlinear, project_intrinsic
 from .metrics import (lagrangian_of_metric, legendre_of, legendre_residue,
-                      quadratic_energy, signature_at)
+                      signature_at)
 
 _ANALYTIC = DiffEngine("analytic")
 
@@ -119,17 +120,19 @@ def _check(name, *needs, tolerance=None):
 
 def kernel_shift(domain, coeffs, rank=2):
     """An exactly in-kernel shift of covariant rank 1 or 2 at the matching
-    connection-ladder homogeneity (2 - rank), from constant seed coefficients.
+    connection-ladder homogeneity (2 - rank), from constant seed coefficients
+    of type (1, rank + 1) on `domain`.
 
-    Starts from W = (c . y) scaled to the right homogeneity by a power of
-    |y| (full analytic chain, so the kernel projection is exact) and strips
-    the derivative-image part.
+    Starts from W = (c . y), for rank 2 scaled to homogeneity 0 by
+    |y|^-1, the power of the form leaf |y|^2 = form_field(I, 2) (exact
+    chains, so the kernel projection is exact), and strips the
+    derivative-image part.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     W = liouville_contract(
         constant_field(domain, coeffs, 1, coeffs.ndim - 1, name="c"))
     if rank == 2:
-        energy = quadratic_energy(domain, np.ones(domain.dim))
+        energy = form_field(domain, np.eye(domain.dim), 2, name="|y|^2")
         W = tensor_product(W, scalar_power(energy, -0.5),
                            "ijk,->ijk", 1, 2, name="shift_raw")
     elif rank != 1:
@@ -319,7 +322,7 @@ def check_functional_laws(bundle, engine, xs, ys, config, feed):
     base_val = evaluate_action(sym, berwald)
 
     rng = np.random.default_rng(config.seed + 13)
-    shift = kernel_shift(domain, rng.normal(size=(2, 2, 2, 2)))
+    shift = kernel_shift(domain, rng.normal(size=(domain.dim,) * 4))
     shifted = AnisotropicConnection(add(berwald.coefficients, shift))
     feed(abs(evaluate_action(sym, shifted) - base_val) / (1.0 + abs(base_val)),
          gamma_action.xs[0], gamma_action.ys[0])

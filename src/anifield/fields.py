@@ -566,6 +566,45 @@ def constant_field(domain, values, r, s, name="const"):
     return _folded(domain, r, s, 0.0, values, (), None, name)
 
 
+def form_field(domain, T, hooked, name=""):
+    """T(y, ..., y, .): the constant symmetric covariant tensor T of order
+    k with `hooked` of its slots taken by y, a type-(0, k - hooked) field
+    of homogeneity `hooked`.
+
+    Its y-chain is form_field(hooked * T, hooked - 1), exact because T is
+    symmetric, and its x-chain is zero; with no slot hooked it is
+    `constant_field(T)`.  Each slot is hooked by its own einsum, which
+    takes every row through the same loop, so a row's bits depend on that
+    row alone.  Raises ShapeError unless T has shape (dim,) * k, is
+    symmetric to round-off, and 0 <= hooked <= k."""
+    T = np.array(T, dtype=float)
+    k, dim = T.ndim, domain.dim
+    if T.shape != (dim,) * k or not 0 <= hooked <= k:
+        raise ShapeError(f"a form of shape {T.shape} on dim={dim} cannot "
+                         f"take {hooked} hooked slots")
+    tol = 1e-12 * (1.0 + np.max(np.abs(T), initial=0.0))
+    if any(np.max(np.abs(T - np.swapaxes(T, i, i + 1))) > tol
+           for i in range(k - 1)):
+        raise ShapeError("form_field needs a symmetric tensor")
+    name = name or f"form{k},{hooked}"
+    if hooked == 0:
+        return constant_field(domain, T, 0, k, name=name)
+    T.flags.writeable = False
+
+    def fn(xs, ys):
+        out = np.einsum("za,a...->z...", ys, T)
+        for _ in range(hooked - 1):
+            out = np.einsum("za,za...->z...", ys, out)
+        return out
+
+    return TensorField(domain, 0, k - hooked, float(hooked), fn,
+                       dy=lambda: form_field(domain, hooked * T, hooked - 1,
+                                             f"dv({name})"),
+                       dx=lambda: zero_field(domain, 0, k - hooked + 1,
+                                             float(hooked)),
+                       name=name)
+
+
 def liouville_field(domain):
     """The canonical vertical vector field with components y^i."""
     return TensorField(
@@ -939,9 +978,12 @@ def scalar_power(a, exponent, name=""):
                                 sample=_sample_at(xs, ys, i))
         return v ** p
 
+    # The chains along y and x share one power p - 1, so a fold that drops
+    # it keeps one guard, not two.
+    below = functools.cache(lambda: scalar_power(a, p - 1.0))
+
     def rule(da):
-        return scale(tensor_product(scalar_power(a, p - 1.0), da,
-                                    ",z->z", 0, 1), p)
+        return scale(tensor_product(below(), da, ",z->z", 0, 1), p)
 
     return _node(a.domain, 0, 0, p * a.alpha, fn, _chains(rule, a),
                  name or f"({a.name})^{p:g}", (a,), raises=True)

@@ -9,10 +9,9 @@ phi . y = (1/2) ell.
 import numpy as np
 
 from .errors import DegeneracyError, ShapeError
-from .fields import (DEFAULT_ENGINE, TensorField, _first, _require_type,
-                     _sample_at, add, constant_field, liouville_field,
-                     matrix_inverse, scalar_reciprocal, scale, subtract,
-                     tensor_product, vertical_derivative, zero_field)
+from .fields import (DEFAULT_ENGINE, _first, _require_type, _sample_at, add,
+                     liouville_field, matrix_inverse, scalar_reciprocal,
+                     scale, subtract, tensor_product, vertical_derivative)
 from .ladder import lower, project_kernel
 
 
@@ -57,19 +56,6 @@ class Lagrangian:
 
     def __call__(self, x, y):
         return self.field(x, y)
-
-
-def quadratic_energy(domain, diag, name="yDy"):
-    """The energy y^T D y of a constant diagonal D, with exact chains:
-    ell = 2 D y, dv ell = 2 D, and zero x-derivatives."""
-    D = np.asarray(diag, dtype=float)
-    ddell = constant_field(domain, 2.0 * np.diag(D), 0, 2, name="dv_ell")
-    ell = TensorField(domain, 0, 1, 1.0, lambda xs, ys: 2.0 * D * ys,
-                      dy=ddell, dx=lambda: zero_field(domain, 0, 2, 1.0),
-                      name="ell")
-    return TensorField(domain, 0, 0, 2.0, lambda xs, ys: (ys * ys) @ D,
-                       dy=ell, dx=lambda: zero_field(domain, 0, 1, 2.0),
-                       name=name)
 
 
 class LegendreField:

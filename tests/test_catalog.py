@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from anifield import DiffEngine, DomainError, dv_phi, homogeneity_defect
+from anifield import (DiffEngine, DomainError, berwald_connection,
+                      canonical_spray, chern_connection, dv_phi,
+                      homogeneity_defect, landsberg_tensor, raise_connection,
+                      vertical_derivative)
 from anifield.catalog import example_names, get_example
 from anifield.fields import _is_zero
 
@@ -108,28 +111,33 @@ def test_catalog_fields_are_positively_homogeneous(name):
             assert defect < 1e-7, (field.name, defect)
 
 
-def _quartic_third_by_loop(ys):
-    """quartic2's third vertical derivative, one component at a time."""
-    y = ys.T
-    Q = y[0] ** 4 + y[1] ** 4
-    s1, s3, s5 = Q ** -0.5, Q ** -1.5, Q ** -2.5
-    out = np.empty((len(ys), 2, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                dab, dac, dbc = a == b, a == c, b == c
-                out[:, a, b, c] = (
-                    12.0 * y[a] * dab * dac * s1
-                    - 12.0 * (y[a] ** 2 * dab * y[c] ** 3
-                              + y[a] ** 2 * y[b] ** 3 * dac
-                              + y[a] ** 3 * y[b] ** 2 * dbc) * s3
-                    + 24.0 * y[a] ** 3 * y[b] ** 3 * y[c] ** 3 * s5)
-    return out
+_DERIVED = {
+    "ell": lambda L, e: L.ell_field(),
+    "phi": lambda L, e: L.phi_field(),
+    "spray": lambda L, e: canonical_spray(L, e).coefficients,
+    "nonlinear": lambda L, e: raise_connection(canonical_spray(L, e),
+                                               e).coefficients,
+    "berwald": lambda L, e: berwald_connection(L, e).coefficients,
+    "chern": lambda L, e: chern_connection(L, e).coefficients,
+    "landsberg": lambda L, e: landsberg_tensor(L, e),
+}
 
 
-@pytest.mark.parametrize("count", [1, 7, 64])
-def test_quartic_third_derivative_matches_the_loop_bit_for_bit(count):
-    bundle = get_example("quartic2")
-    xs, ys = bundle.domain.sample(count, seed=count)
-    third = bundle.fields["third"](xs, ys)
-    assert third.tobytes() == _quartic_third_by_loop(ys).tobytes()
+@pytest.mark.parametrize("name", ["euclidean2", "minkowski2", "conformal2",
+                                  "quartic2", "quadchart", "wick(-2)",
+                                  "wick(-1)", "wick(0.5)"])
+def test_analytic_mode_takes_no_stencil(name):
+    """Every energy's chains reach each derived object and the vertical
+    derivative of each bundle field, so under analytic none of them is
+    a stencil or built on one.  conformal2's factor has no x-chain: its
+    spray and what is built on it stencil phi in x, one level deep."""
+    bundle = get_example(name)
+    engine = DiffEngine("analytic")
+    L = bundle.lagrangian
+    depths = {kind: build(L, engine).depth
+              for kind, build in _DERIVED.items()}
+    depths.update({f"dv {key}": vertical_derivative(field, engine).depth
+                   for key, field in bundle.fields.items()})
+    above_x_stencil = ({"spray", "nonlinear", "berwald", "chern", "landsberg"}
+                       if name == "conformal2" else set())
+    assert depths == {kind: int(kind in above_x_stencil) for kind in depths}

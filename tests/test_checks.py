@@ -11,11 +11,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import anifield.checks
-from anifield import (AnisotropicConnection, DiffEngine, LevelError,
-                      LinearConnection, NonlinearConnection, Spray,
-                      TensorField, classical_linear, coherence_defect,
-                      liouville_contract, quadratic_energy, zero_field)
-from anifield.catalog import get_example
+from anifield import (AnisotropicConnection, ConicDomain, DiffEngine,
+                      LevelError, LinearConnection, NonlinearConnection,
+                      Spray, TensorField, classical_linear, coherence_defect,
+                      form_field, liouville_contract, zero_field)
+from anifield.catalog import _energy_bundle, get_example
 from anifield.checks import (CHECKS, applicable_checks,
                              check_cocycle_coherence, check_euler,
                              kernel_shift)
@@ -64,8 +64,9 @@ def test_report_dictionary_shape():
 
 
 def test_tiny_tolerance_fails_honestly():
-    """The quartic third derivative has no stored chain, so its Euler defect
-    is stencil-sized; an absurd tolerance must report the failure."""
+    """Under fd4 every derivative the Euler check takes of the quartic
+    fields is a stencil, so its defect is stencil-sized; an absurd
+    tolerance must report the failure."""
     config = _config("quartic2", tolerance=1e-14, method="fd4")
     report = check_euler(get_example("quartic2"), config)
     assert not report.passed
@@ -107,15 +108,42 @@ def test_kernel_shift_ranks_and_kernel_property():
 
 
 def test_energy_helper_has_a_full_chain():
-    """kernel_shift's |y|^2 is the catalog's quadratic energy builder."""
+    """kernel_shift's |y|^2, like every quadratic energy of the catalog, is
+    the form leaf of a constant D, with exact chains down to 2 D."""
     domain = get_example("handmadeN").domain
-    E = quadratic_energy(domain, np.ones(2))
+    E = form_field(domain, np.eye(2), 2)
     assert E.chain(Y).chain(Y).const.tolist() == [[2.0, 0.0], [0.0, 2.0]]
     assert E(np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(25.0)
-    lorentz = quadratic_energy(domain, (-1.0, 1.0))
+    lorentz = form_field(domain, np.diag([-1.0, 1.0]), 2)
     assert lorentz(np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(7.0)
     assert_allclose(lorentz.chain(Y)(np.zeros(2), np.array([3.0, 4.0])),
                     [-6.0, 8.0])
+
+
+def _form_bundle(dim, lorentzian):
+    """The bundle of y^T D y on R^dim: D = I, or D = diag(1, -1, ..., -1)
+    on the cone y^0 > |(y^1, ..., y^(dim-1))|."""
+    D = np.diag([1.0] + [-1.0 if lorentzian else 1.0] * (dim - 1))
+    name = f"{'lorentz' if lorentzian else 'euclid'}{dim}"
+    domain = ConicDomain(dim, (lambda x, y: y[0] > np.linalg.norm(y[1:]))
+                         if lorentzian else None, name=name)
+    return _energy_bundle(name, domain, form_field(domain, D, 2, name=name))
+
+
+@pytest.mark.parametrize("method", ["analytic", "fd4"])
+@pytest.mark.parametrize("lorentzian", [False, True],
+                         ids=["euclidean", "lorentzian"])
+@pytest.mark.parametrize("dim", [3, 4])
+def test_every_check_runs_and_passes_in_dimensions_3_and_4(dim, lorentzian,
+                                                          method):
+    bundle = _form_bundle(dim, lorentzian)
+    names = applicable_checks(bundle)
+    assert names == _LAGRANGIAN
+    for name in names:
+        config = _config(bundle.name, checks=[name], samples=4, seed=0,
+                         method=method)
+        report = CHECKS[name](bundle, config)
+        assert report.passed, (name, report.max_abs_defect)
 
 
 def test_linear_roundtrip_reports_the_size_of_gamma2_y(monkeypatch):

@@ -1,6 +1,8 @@
 """Core field algebra: domains, chains, combinators, derivative fallbacks."""
 
 import gc
+import itertools
+import math
 import warnings
 import weakref
 
@@ -11,10 +13,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from anifield import (ConicDomain, DiffEngine, DomainError, DivisionError,
                       RankError, ShapeError, TensorField, add, constant_field,
-                      evaluate, homogeneity_defect, liouville_contract,
-                      liouville_field, matrix_inverse, reindex, scalar_power,
-                      scalar_reciprocal, scale, subtract, tensor_product,
-                      vertical_derivative, x_derivative, zero_field)
+                      evaluate, form_field, homogeneity_defect,
+                      liouville_contract, liouville_field, matrix_inverse,
+                      reindex, scalar_power, scalar_reciprocal, scale,
+                      subtract, tensor_product, vertical_derivative,
+                      x_derivative, zero_field)
 from anifield import fields
 from anifield.catalog import get_example
 from anifield.fields import X, Y, DegeneracyError, _is_zero, pivot_inverse
@@ -804,3 +807,87 @@ def test_derivatives_of_an_inverse_make_no_reference_cycle(invert):
         gc.enable()
     again = vertical_derivative(vertical_derivative(invert()))
     assert_array_equal(again(xs, ys), values)
+
+
+def _symmetric_form(dim, k, seed):
+    """A random symmetric covariant tensor of order k on R^dim."""
+    A = np.random.default_rng(seed).normal(size=(dim,) * k)
+    return sum(np.transpose(A, p)
+               for p in itertools.permutations(range(k))) / math.factorial(k)
+
+
+def _form_by_einsum(T, hooked, ys):
+    """T(y, ..., y, .) with `hooked` slots taken by y, as one einsum."""
+    if hooked == 0:
+        return np.broadcast_to(T, (len(ys),) + T.shape)
+    slots = "abcd"[:T.ndim]
+    hooks = [f"z{c}" for c in slots[:hooked]]
+    return np.einsum(",".join(hooks + [slots]) + f"->z{slots[hooked:]}",
+                     *[ys] * hooked, T)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_a_form_field_is_the_einsum_of_its_tensor_with_y(dim, k):
+    domain = ConicDomain(dim)
+    T = _symmetric_form(dim, k, seed=10 * dim + k)
+    xs, ys = domain.sample(6, seed=k)
+    for hooked in range(k + 1):
+        form = form_field(domain, T, hooked)
+        assert (form.rank, form.alpha) == ((0, k - hooked), float(hooked))
+        assert_allclose(form(xs, ys), _form_by_einsum(T, hooked, ys),
+                        rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_a_form_fields_y_chain_is_the_stencil_and_its_x_chain_is_zero(dim,
+                                                                      k):
+    """The chain hooked * T(y, ..., y, ., .) agrees with the fd4 stencil, and
+    the x-chain is an unguarded structural zero."""
+    domain = ConicDomain(dim)
+    T = _symmetric_form(dim, k, seed=10 * dim + k)
+    xs, ys = domain.sample(6, seed=k)
+    for hooked in range(1, k + 1):
+        form = form_field(domain, T, hooked)
+        chain = vertical_derivative(form, DiffEngine("analytic"))
+        assert chain is form.chain(Y) and chain.depth == 0
+        stencil = vertical_derivative(form, DiffEngine("fd4"))
+        assert stencil.depth == 1
+        assert_allclose(chain(xs, ys), stencil(xs, ys), rtol=1e-8,
+                        atol=1e-8)
+        dx = form.chain(X)
+        assert _is_zero(dx) and dx.guards == ()
+        assert (dx.rank, dx.alpha) == ((0, k - hooked + 1), float(hooked))
+    assert form_field(domain, T, 0).const.tolist() == T.tolist()
+
+
+def test_a_form_field_refuses_a_tensor_that_does_not_fit():
+    with pytest.raises(ShapeError):
+        form_field(EUC.domain, np.eye(3), 1)
+    with pytest.raises(ShapeError):
+        form_field(EUC.domain, np.eye(2), 3)
+    with pytest.raises(ShapeError, match="symmetric"):
+        form_field(EUC.domain, [[1.0, 2.0], [0.0, 1.0]], 2)
+
+
+@given(dim=st.integers(2, 4), k=st.integers(1, 4), seed=st.integers(0, 99),
+       size=st.integers(1, 12), data=st.data())
+def test_a_form_fields_row_does_not_depend_on_its_batch(dim, k, seed, size,
+                                                       data):
+    """Row i of a batch has the bits of the same sample alone, and of the
+    same sample at another position of a batch of another size."""
+    domain = ConicDomain(dim)
+    T = _symmetric_form(dim, k, seed)
+    hooked = data.draw(st.integers(1, k))
+    row = data.draw(st.integers(0, size - 1))
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.normal(size=(size, dim)), rng.normal(size=(size, dim))
+    form = form_field(domain, T, hooked)
+    batch = form(xs, ys)
+    assert batch[row].tobytes() == form(xs[row], ys[row]).tobytes()
+    before = data.draw(st.integers(0, 12))
+    other = np.concatenate([rng.normal(size=(before, dim)), ys[row:row + 1],
+                            rng.normal(size=(3, dim))])
+    moved = form(np.zeros_like(other), other)
+    assert moved[before].tobytes() == batch[row].tobytes()

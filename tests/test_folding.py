@@ -254,16 +254,16 @@ def test_a_folded_constant_memoizes_nothing():
 
 
 def test_a_folded_field_on_a_batch_checks_its_guards_and_keeps_nothing():
-    """quartic2's analytic spray folds to zero over the inverse of phi.  On
-    a batch of 16 it runs that guard, and no memo of its plan, its own
-    included, holds the batch after; the guard called alone keeps it, and
-    the spray then reads it back."""
+    """quartic2's analytic spray folds to zero over the inverse of phi and
+    the powers of its quartic form.  On a batch of 16 it runs the inverse,
+    and no memo of its plan, its own included, holds the batch after; the
+    inverse called alone keeps it, and the spray then reads it back."""
     L = get_example("quartic2").lagrangian
     G = canonical_spray(L, ANALYTIC).coefficients
-    assert _is_zero(G) and G.guards
+    assert _is_zero(G) and len(G.guards) == 4
     xs, ys = L.domain.sample(16, seed=3)
     runs = []
-    [inverse] = G.guards
+    [inverse] = [g for g in G.guards if g.name == "inv(phi(quartic2))"]
     fn = inverse._fn
     inverse._fn = lambda *args: runs.append(len(args[0])) or fn(*args)
     value = G(xs, ys)

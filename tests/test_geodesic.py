@@ -85,15 +85,16 @@ def test_catalog_geodesics_match_the_array_form_bit_for_bit(name, method,
 @pytest.mark.parametrize("method", ["analytic", "fd4"])
 def test_a_one_sample_stencil_leaves_its_childs_memos_empty(method):
     """Each RK4 stage stencils phi in x at one point, on perturbed rows no
-    other call shares, so neither phi nor its leaf memoizes them."""
+    other call shares, so neither phi nor any leaf of its plan memoizes
+    them."""
     L = get_example("conformal2").lagrangian
     phi = L.phi_field()
-    leaf = phi.operands[0]
-    assert leaf.operands is None
     x0, y0 = np.array([0.1, 0.2]), np.array(_STARTS["conformal2"])
     path = geodesic_integrate(canonical_spray(L, DiffEngine(method)), x0, y0,
                               0.01, 40)
-    assert (len(phi._memo), len(leaf._memo)) == (0, 0)
+    leaves = [memo for memo, _, _, leaf in phi._plan if leaf is not None]
+    assert leaves and len(phi._memo) == 0
+    assert all(len(memo) == 0 for memo in leaves)
     fresh = get_example("conformal2").lagrangian
     _assert_same_bits(path, _array_rk4(
         canonical_spray(fresh, DiffEngine(method)), x0, y0, 0.01, 40))
