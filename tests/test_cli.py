@@ -1,5 +1,6 @@
 """Config parsing, canonical serialization, and the command entry points."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -397,6 +398,26 @@ def test_report_command_small_run(capsys):
         for report in suite["reports"]:
             assert report["pass"], (suite["config"]["example"],
                                     report["check"])
+
+
+# SHA-256 of `anifield report --samples 4 --seed 0` stdout, trailing
+# newline included, per method.  A change that moves a number of the report
+# updates these digests and lists every moved number in CHANGES.md.
+_REPORT_SHA256 = {
+    "analytic":
+        "b7404d59bfb16985dda30b1d0405aba67aa2db4455e830e1cf0b23bb577395e9",
+    "fd4": "4c6a8f29fb9da1dd2fae9cc840c099e839e5412036e99bfa21e52df1683f5849",
+}
+
+
+@pytest.mark.parametrize("method", sorted(_REPORT_SHA256))
+def test_report_stdout_is_unchanged(capsys, monkeypatch, method):
+    monkeypatch.delenv("FINSLER_SEED", raising=False)
+    assert main(["report", "--method", method, "--samples", "4",
+                 "--seed", "0"]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == _REPORT_SHA256[method]
+    assert err == ""
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
