@@ -213,6 +213,9 @@ def _cmd_eval(args):
 def _cmd_ladder(args):
     bundle = get_example(args.example)
     target = _pick_object(bundle, args.object)
+    if target.s == 0:
+        raise ValueError(f"{args.object!r} is a scalar of {bundle.name!r}, "
+                         f"with no covariant rung to split")
     if args.to_level < 0 or args.to_level >= target.s:
         raise ValueError(
             f"--to-level must lie in [0, {target.s - 1}] for {args.object!r} "

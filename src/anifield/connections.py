@@ -12,9 +12,9 @@ spray of a Lagrangian feeds the Berwald and Chern constructions.
 import numpy as np
 
 from .errors import DomainError, LevelError, ShapeError
-from .fields import (_require_inside, _require_type, add, liouville_field,
-                     reindex, scale, subtract, tensor_product,
-                     vertical_derivative, x_derivative)
+from .fields import (_require_inside, _require_type, _run, add,
+                     liouville_field, reindex, scale, subtract,
+                     tensor_product, vertical_derivative, x_derivative)
 from .ladder import lower, project_kernel
 from .metrics import fundamental_tensor
 
@@ -203,9 +203,9 @@ class Trajectory:
         return len(self.xs)
 
 
-# Points per guard call of a guarded constant spray, and four times the
+# Points per guard run of a guarded constant spray, and four times the
 # steps a constant spray takes per block: every block but the last holds
-# exactly this many of the points where any other spray would be called.
+# exactly this many of the points where `_rk4` takes -2 G.
 _BLOCK = 256
 
 
@@ -225,20 +225,16 @@ def geodesic_integrate(spray, x0, y0, dt, steps):
 
     A spray whose coefficients are a constant, guarded or not, takes its
     -2 G once and is stepped `_BLOCK // 4` steps at a time on arrays
-    (`_constant_rk4`); each block's stage points and step ends are checked
-    in one call of `domain.first_refused`.  An unguarded constant is never
-    called.  A guarded one is called once per block, on the points where
-    any other spray would be called: each step's start and each admitted
-    stage.  Its value is not needed, only that its guards hold there.  If
-    a block raises anything, the curve is stepped again by the one-point
-    loop, so an error names the same sample and a `DomainError` truncates
-    at the same state as for any other spray.
+    (`_constant_rk4`).  It is never called; a guarded one's guards run
+    once per block.  If a block raises anything, the curve is stepped
+    again by the one-point loop, so an error names the same sample and a
+    `DomainError` truncates at the same state as for any other spray.
 
-    Any other spray is stepped on lists of Python floats and called at
-    every stage (`_rk4`), which `domain.admits` checks.  Such a stage
-    builds (dim,) arrays once, for the spray call and a membership
-    predicate both.  The trajectory's arrays are built once, at the end.
-    A state of any other shape than (dim,) raises ShapeError.
+    Any other spray is stepped on lists of Python floats (`_rk4`) and
+    called at every stage whose point differs from the last one it was
+    called at.  A stage builds (dim,) arrays once, for the spray call and
+    a membership predicate both.  The trajectory's arrays are built once,
+    at the end.  A state of any other shape than (dim,) raises ShapeError.
 
     numpy does not warn while the curve is stepped: far out a spray's
     arithmetic may overflow, and the typed error that follows names the
@@ -264,14 +260,22 @@ def geodesic_integrate(spray, x0, y0, dt, steps):
 
 
 def _rk4(G, x, y, dt, steps):
-    """The one-point loop: RK4 from the float state (x, y), calling G at
-    the start and at each admitted stage of every step.  Returns the
-    states as two (n, dim) arrays and whether the curve completed."""
+    """The one-point loop: RK4 from the float state (x, y), taking -2 G
+    at the start and at each admitted stage of every step.  G is called
+    only where the point's bytes differ from those of the point it was
+    called at last; so -0.0 and 0.0 stay two points.  Returns the states
+    as two (n, dim) arrays and whether the curve completed."""
     domain = G.domain
     half, sixth = 0.5 * dt, dt / 6.0
 
+    # the bytes of the point G was last called at, and its -2 G
+    last = [None, None]
+
     def accel(state):
-        return [-2.0 * g for g in G(*state).tolist()]
+        point = state[0].tobytes() + state[1].tobytes()
+        if point != last[0]:
+            last[:] = point, [-2.0 * g for g in G(*state).tolist()]
+        return last[1]
 
     def rhs(xc, yc):
         # a spray call needs the state as arrays, and `admits` shares them
@@ -325,10 +329,10 @@ def _constant_rk4(G, x, y, dt, steps):
     The 4 * k points the loop checks in a block of k steps (x2, x3, x4
     and the step's end, step by step) go to `domain.first_refused` in
     that order; the first refused point truncates the curve where `_rk4`
-    would.  A guarded G is called once per block, on the points `_rk4`
-    would call it at: the start of each step and each admitted stage, up
-    to the truncation.  Returns what `_rk4` returns, the states as the
-    concatenated blocks, or None when a call raised."""
+    would.  A guarded G's guards run once per block (`_guards_hold`), on
+    the points where `_rk4` takes -2 G: the start of each step and each
+    admitted stage, up to the truncation.  Returns what `_rk4` returns,
+    the states as the concatenated blocks, or None when a guard raised."""
     first_refused = G.domain.first_refused
     dim = len(x)
     half, sixth = 0.5 * dt, dt / 6.0
@@ -350,7 +354,7 @@ def _constant_rk4(G, x, y, dt, steps):
         x2, x3, x4 = x1 + half * y1, x1 + half * y2, x1 + dt * y2
         refused = first_refused(by_step(x2, x3, x4, X[1:]),
                                 by_step(y2, y2, y4, Y[1:]))
-        # `_rk4` calls G at a step's start and at each stage it admits
+        # `_rk4` takes -2 G at a step's start and at each stage it admits
         calls = min(refused + 1, 4 * k)
         if G.guards and not _guards_hold(G, by_step(x1, x2, x3, x4)[:calls],
                                          by_step(y1, y2, y2, y4)[:calls]):
@@ -375,11 +379,13 @@ def _running_sum(first, increments):
 
 def _guards_hold(G, xs, ys):
     """Whether G evaluates on the (n, dim) batch of points xs, ys without
-    raising.  Any error counts, as the caller then steps the curve again
-    by the one-point loop, which raises it, or truncates on it, at its own
+    raising.  The block runs with no memo key: no other call shares its
+    points, and a key would leave an entry in every guard's memo per
+    block.  Any error counts, as the caller then steps the curve again by
+    the one-point loop, which raises it, or truncates on it, at its own
     sample."""
     try:
-        G(xs, ys)
+        _run(G, None, xs, ys)
     except Exception:
         return False
     return True

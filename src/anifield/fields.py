@@ -19,22 +19,15 @@ computes its components from the samples; a combinator's closure
 its first call a field compiles the graph beneath it into a flat plan,
 its nodes in the order a depth-first walk would evaluate them, and every
 later call runs that plan on the batch (tape evaluation, as in Griewank
-and Walther, "Evaluating Derivatives", 2008).  Each call checks the shape
-of its input once and builds one memo key from the bytes of the batch.
-On a batch of two or more samples every node of the plan but a folded
-constant memoizes its values under that key, so a node shared by several
-fields runs once per batch across all of them.  A folded field called on
-such a batch is the exception: its plan reads the memos but stores
-nothing, so its guards are checked, or read back where another call
-computed them on the batch, and none of their values is kept (a
-geodesic checks a guarded constant spray on blocks of stage points that
-no other call shares).  On a batch of one sample the plan memoizes
-nothing inside it, and only the field called, folded or not, stores the
-value it returns: one point, such as a stage of a geodesic, shares no
-inner value with another, and a repeated point is read back whole.  A
-stencil node evaluates its child, with its own plan and key, on the
-perturbed batch, which has 4 * dim rows; for a one-sample batch it runs
-the child's plan with no key, as no other call shares those rows.
+and Walther, "Evaluating Derivatives", 2008).  One memo rule holds.  A
+call on a batch of two or more samples runs the plan under one memo key,
+the bytes of the batch, and every node of the plan but a folded constant
+memoizes its values under it, whether or not the field called is folded:
+a node shared by several fields, a guard included, runs once per batch
+across all of them.  Every other run memoizes nothing: a call on one
+sample, a one-sample stencil's run of its child on its perturbed rows,
+and a geodesic's check of a folded spray's guards on a block of stage
+points.
 
 Differentiation is controlled by a DiffEngine.  Fields may carry attached
 derivative fields (built analytically, or assembled by the combinators in
@@ -236,17 +229,13 @@ class TensorField:
     Calling the field with (B, dim) arrays returns (B, *components); with
     one-dimensional x and y it evaluates a batch of one and returns the
     components alone.  The first call compiles the plan of the graph
-    beneath the field; each call runs it under one memo key, the bytes of
-    the batch.  On a batch of two or more samples every node of the plan
-    but a folded one memoizes its values per batch (at most `_MEMO_LIMIT`
-    batches, then it starts afresh), unless the field called is folded:
-    then its nodes are looked up but none is memoized, its guards
-    included, and the field stores nothing.  On a batch of one sample no
-    node inside the plan is looked up or memoized, and the field called
-    stores the value it returns, also when it is folded.  Every returned
-    or memoized array is read-only.  A leaf's output is checked for its
-    shape on every batch, and copied when it shares memory with the
-    samples, which the caller still owns.
+    beneath the field.  On a batch of two or more samples the plan runs
+    under one memo key, the bytes of the batch, and every node of it but
+    a folded one memoizes its values per batch (at most `_MEMO_LIMIT`
+    batches, then it starts afresh).  On one sample the plan memoizes
+    nothing.  Every returned or memoized array is read-only.  A leaf's
+    output is checked for its shape on every batch, and copied when it
+    shares memory with the samples, which the caller still owns.
 
     `operands` is None for a hand-written leaf.  A combinator's node
     lists the nodes whose values its `fn(xs, ys, *values)` takes, in
@@ -254,11 +243,10 @@ class TensorField:
 
     `const` holds the read-only components of a node that is the same at
     every sample, and is None for a node that varies.  A folded node is
-    memoized only as the field called on one sample: it evaluates its
-    guards, which are its operands, and returns its constant stacked over
-    the batch.  `guards` are the nodes beneath this one that can raise: a
-    folded node evaluates them on each batch, and keeps none of their
-    values when it is the field called; an ordinary one reaches them
+    never memoized: it evaluates its guards, which are its operands, and
+    returns its constant stacked over the batch.  `guards` are the nodes
+    beneath this one that can raise: a folded node evaluates them on each
+    batch, and they memoize as any node does; an ordinary one reaches them
     through its operands.  `raises` marks a node that can raise
     itself, so that a fold dropping it keeps it as a guard; a node never
     lists itself.
@@ -314,23 +302,14 @@ class TensorField:
                 f"field {self.name!r} takes x and y of shape (dim,) or "
                 f"(B, dim) with dim={dim}, got {np.shape(x)} and "
                 f"{np.shape(y)}")
-        key = (xs.tobytes(), ys.tobytes())
-        memo = self._memo
-        val = memo.get(key)
-        if val is None:
-            plan = self._plan
-            if plan is None:
-                plan = self._plan = _compile(self, {}, [])
-            if len(xs) == 1:
-                val = _run(plan, None, xs, ys)
-                val.setflags(write=False)
-                if len(memo) >= _MEMO_LIMIT:
-                    memo.clear()
-                memo[key] = val
-            elif self.const is not None:
-                val = _run(plan, key, xs, ys, keep=False)
-            else:
-                val = _run(plan, key, xs, ys)
+        if len(xs) > 1:
+            key = (xs.tobytes(), ys.tobytes())
+            val = self._memo.get(key)
+            if val is None:
+                val = _run(self, key, xs, ys)
+        else:
+            val = _run(self, None, xs, ys)
+            val.setflags(write=False)
         return val[0, ...] if single else val
 
     def chain(self, axis):
@@ -379,21 +358,22 @@ def _compile(node, index, entries):
     return entries
 
 
-def _run(plan, key, xs, ys, keep=True):
-    """Run `plan` on the (B, dim) batch (xs, ys) under memo `key`; the
-    value of its last node.
+def _run(field, key, xs, ys):
+    """Run the plan of `field`, compiled on its first run, on the (B, dim)
+    batch (xs, ys); the value of `field`.
 
-    A node whose memo holds `key` is read from there.  The nodes beneath
-    it are looked up too; they were computed with it on that batch, so
-    they hold `key` as well, unless their own memo has started afresh
-    since, and then they are computed again.  Every computed value is
-    made read-only and stored under `key`, except that a folded node
-    returns its constant again and stores nothing.  With `keep` False,
-    for a folded field called on a batch, nodes are looked up but
-    nothing is stored.  With `key` None, for a batch of one sample, the
-    plan memoizes nothing: no node is looked up, stored or made
-    read-only.
+    Under a memo `key`, the bytes of the batch, a node whose memo holds
+    `key` is read from there.  The nodes beneath it are looked up too;
+    they were computed with it on that batch, so they hold `key` as well,
+    unless their own memo has started afresh since, and then they are
+    computed again.  Every computed value is made read-only and stored
+    under `key`, except that a folded node returns its constant again and
+    stores nothing.  With `key` None the run memoizes nothing: no node is
+    looked up, stored or made read-only.
     """
+    plan = field._plan
+    if plan is None:
+        plan = field._plan = _compile(field, {}, [])
     vals = []
     push = vals.append
     for memo, fn, slots, leaf in plan:
@@ -407,7 +387,7 @@ def _run(plan, key, xs, ys, keep=True):
             val = _checked(val, xs, ys, *leaf)
         if key is not None:
             val.setflags(write=False)
-            if keep and memo is not None:
+            if memo is not None:
                 if len(memo) >= _MEMO_LIMIT:
                     memo.clear()
                 memo[key] = val
@@ -520,8 +500,7 @@ def _folded(domain, r, s, alpha, values, operands, chains, name):
     """A node with the constant components `values`, folded from `operands`.
 
     Its operands are the operands' guards, which it evaluates on each
-    batch before it returns the constant; it memoizes only what any
-    field called on one sample does, the value it returns.
+    batch before it returns the constant; it memoizes nothing itself.
     Unguarded, its chains are zeros; guarded, they keep the combinator's
     rule, so that its derivatives keep the guards of the operands'
     derivatives too.
@@ -680,6 +659,19 @@ def _fresh_letter(used):
     raise ValueError("ran out of index letters")
 
 
+@functools.cache
+def _einsum_parts(subscripts, count):
+    """(inputs, output) of the einsum `subscripts`, checked once per string:
+    ShapeError unless it has `count` inputs and its output letters are
+    distinct and each one appears in an input."""
+    lhs, out = subscripts.split("->")
+    ins = tuple(lhs.split(","))
+    if len(ins) != count or len(set(out)) != len(out) or set(out) - set(lhs):
+        raise ShapeError(f"subscripts {subscripts!r} need {count} inputs "
+                         f"and distinct output letters, each in an input")
+    return ins, out
+
+
 def add(a, b, name=""):
     if (a.r, a.s) != (b.r, b.s):
         raise ShapeError(f"cannot add types {a.rank} and {b.rank}")
@@ -722,8 +714,7 @@ def tensor_product(a, b, subscripts, r, s, name=""):
     attached derivatives follow the product rule, with the derivative index
     appended after `subscripts`' output indices.
     """
-    lhs, out = subscripts.split("->")
-    sa, sb = lhs.split(",")
+    (sa, sb), out = _einsum_parts(subscripts, 2)
     if (len(sa), len(sb), len(out)) != (a.r + a.s, b.r + b.s, r + s):
         raise ShapeError(f"subscripts {subscripts!r} do not fit types "
                          f"{a.rank} and {b.rank} into ({r}, {s})")
@@ -752,8 +743,10 @@ def tensor_product(a, b, subscripts, r, s, name=""):
 
 
 def reindex(field, subscripts, name=""):
-    """Single-operand einsum; pure slot permutation, homogeneity unchanged."""
-    lhs, out = subscripts.split("->")
+    """Single-operand einsum; pure slot permutation, homogeneity unchanged.
+
+    Raises ShapeError unless `subscripts` permutes the field's slots."""
+    (lhs,), out = _einsum_parts(subscripts, 1)
     if not len(lhs) == len(out) == field.r + field.s:
         raise ShapeError(f"subscripts {subscripts!r} do not permute the "
                          f"slots of type {field.rank}")
@@ -1038,8 +1031,8 @@ def _stencil(field, x, y, wiggle_y, depth):
 
     A batch of one sample takes its step, its perturbed rows and the
     combination of the child's values on Python floats, where numpy's
-    per-call cost would outweigh the arithmetic, and runs the child's plan
-    with no memo key: no other call shares its perturbed rows.  Both forms
+    per-call cost would outweigh the arithmetic, and runs the child with
+    no memo key: no other call shares its perturbed rows.  Both forms
     take the same IEEE double operations in the same order, so they return
     the same bits.  A sample with a non-finite coordinate, a step that
     makes 12 h or a perturbed coordinate overflow, or a combination that
@@ -1061,11 +1054,8 @@ def _stencil(field, x, y, wiggle_y, depth):
         vals = field(fixed, moved) if wiggle_y else field(moved, fixed)
     else:
         moved, fixed, h = rows
-        plan = field._plan
-        if plan is None:
-            plan = field._plan = _compile(field, {}, [])
-        vals = (_run(plan, None, fixed, moved) if wiggle_y
-                else _run(plan, None, moved, fixed))
+        vals = (_run(field, None, fixed, moved) if wiggle_y
+                else _run(field, None, moved, fixed))
     comp = vals.shape[1:]
     cols = None if rows is None else _one_sample_combination(vals, h, n)
     if cols is None:

@@ -235,6 +235,12 @@ def test_ladder_command_validates_level(capsys):
     capsys.readouterr()
 
 
+def test_ladder_command_refuses_a_scalar(capsys):
+    assert main(["ladder", "euclidean2", "--object", "L"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "'L' is a scalar" in err and "--to-level" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "euclidean2", "phi", "--x", "0", "0", "--y", "0", "0"],
     ["eval", "quartic2", "phi", "--x", "0", "0", "--y", "1", "0"],

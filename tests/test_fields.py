@@ -120,6 +120,8 @@ def test_field_rejects_wrong_component_shape():
 
 
 def test_field_memoizes_per_point():
+    """A batch of points is memoized under its bytes; other points run
+    again."""
     calls = []
 
     def fn(xs, ys):
@@ -127,10 +129,11 @@ def test_field_memoizes_per_point():
         return np.sum(ys * ys, axis=-1)
 
     f = TensorField(EUC.domain, 0, 0, 2.0, fn)
-    f(X0, Y0)
-    f(X0, Y0)
+    xs, ys = np.array([X0, X0]), np.array([Y0, 2.0 * Y0])
+    f(xs, ys)
+    f(xs, ys)
     assert len(calls) == 1
-    f(X0, 2.0 * Y0)
+    f(xs, 2.0 * ys)
     assert len(calls) == 2
 
 
@@ -658,7 +661,7 @@ def test_a_leaf_returning_its_input_is_copied_and_values_are_read_only(count):
     xs, ys = EUC.domain.sample(count, seed=2)
     kept = ys.copy()
     out = top(xs, ys)
-    held = echo(xs, ys)              # held in echo's memo
+    held = echo(xs, ys)              # in echo's memo when count > 1
     assert not np.shares_memory(held, ys)
     ys[...] = 0.0
     assert_array_equal(held, kept)
@@ -705,17 +708,18 @@ def _with_a_folded_operand():
     return tensor_product(folded, inner, ",i->i", 0, 1, name="top")
 
 
-def test_a_one_sample_call_holds_only_the_value_it_returns():
+def test_a_one_sample_call_memoizes_nothing():
     top = _with_a_folded_operand()
     nodes = _plan_nodes(top)
     assert len(nodes) == 6
     xs, ys = EUC.domain.sample(1, seed=2)
     out = top(xs, ys)
-    assert [len(node._memo) for node in nodes[1:]] == [0] * 5
-    [(key, held)] = top._memo.items()
-    assert key == (xs.tobytes(), ys.tobytes()) and held is out
-    assert not held.flags.writeable
-    assert top(xs[0], ys[0]).base is held
+    assert [len(node._memo) for node in nodes] == [0] * 6
+    assert not out.flags.writeable
+    point = top(xs[0], ys[0])
+    assert not point.flags.writeable and point.base is not out
+    assert_array_equal(point, out[0])
+    assert [len(node._memo) for node in nodes] == [0] * 6
 
 
 def test_a_batch_of_several_samples_is_held_by_every_node_but_a_folded_one():
@@ -728,7 +732,7 @@ def test_a_batch_of_several_samples_is_held_by_every_node_but_a_folded_one():
         assert all(not v.flags.writeable for v in node._memo.values())
 
 
-def test_a_folded_root_holds_a_one_sample_value_and_skips_its_guards():
+def test_a_folded_root_runs_its_guards_on_every_one_sample_call():
     calls = {}
     mat = _counted(TensorField(EUC.domain, 0, 2, 0.0,
                                lambda xs, ys: np.tile(np.eye(2),
@@ -739,10 +743,8 @@ def test_a_folded_root_holds_a_one_sample_value_and_skips_its_guards():
     assert _is_zero(root) and root.guards
     root(X0, Y0)
     root(X0, Y0)
-    assert calls == {"mat": 1} and len(root._memo) == 1
-    assert [len(n._memo) for n in _plan_nodes(root)[1:]] == [0, 0]
-    root(X0, 2.0 * Y0)
-    assert calls == {"mat": 2} and len(root._memo) == 2
+    assert calls == {"mat": 2}
+    assert [len(n._memo) for n in _plan_nodes(root)] == [0, 0, 0]
 
 
 def _diamond():
@@ -778,6 +780,21 @@ def test_subscripts_that_miss_the_declared_type_are_refused_when_built():
         tensor_product(phi, v, "i,j->ij", 0, 2)
     with pytest.raises(ShapeError, match="do not permute"):
         reindex(phi, "ij->i")
+
+
+@pytest.mark.parametrize("build", [
+    lambda f, ell: reindex(f, "ab->aa"),
+    lambda f, ell: reindex(f, "ab->ac"),
+    lambda f, ell: tensor_product(ell, ell, "i,j->ik", 0, 2),
+    lambda f, ell: tensor_product(ell, ell, "i,j->ii", 0, 2),
+], ids=["repeated_slot", "new_letter", "product_new_letter",
+        "product_repeated_letter"])
+def test_subscripts_whose_output_letters_do_not_fit_are_refused_when_built(
+        build):
+    """Each output letter must be distinct and appear in an input; a
+    permutation must permute."""
+    with pytest.raises(ShapeError, match="distinct output letters"):
+        build(_varying("f", s=2), _varying("ell"))
 
 
 @pytest.mark.parametrize("invert", [

@@ -11,8 +11,8 @@ from anifield import (DiffEngine, DivisionError, Lagrangian,
                       berwald_connection, canonical_spray, constant_field,
                       evaluate, geodesic_integrate, landsberg_tensor,
                       liouville_field, matrix_inverse, reconstruct,
-                      scalar_reciprocal, tensor_product, vertical_derivative,
-                      x_derivative, zero_field)
+                      scalar_reciprocal, scale, tensor_product,
+                      vertical_derivative, x_derivative, zero_field)
 from anifield.catalog import get_example
 from anifield.checks import CHECKS
 from anifield.cli import RunConfig
@@ -253,31 +253,36 @@ def test_a_folded_constant_memoizes_nothing():
     assert not value.flags.writeable
 
 
-def test_a_folded_field_on_a_batch_checks_its_guards_and_keeps_nothing():
+def test_a_folded_field_on_a_batch_memoizes_its_guards():
     """quartic2's analytic spray folds to zero over the inverse of phi and
-    the powers of its quartic form.  On a batch of 16 it runs the inverse,
-    and no memo of its plan, its own included, holds the batch after; the
-    inverse called alone keeps it, and the spray then reads it back."""
+    the powers of its quartic form.  On a batch of 16 it runs each guard
+    once, and every memo of its plan but a folded node's holds the batch
+    after; a second folded field over the same guards runs none of them."""
     L = get_example("quartic2").lagrangian
     G = canonical_spray(L, ANALYTIC).coefficients
     assert _is_zero(G) and len(G.guards) == 4
-    xs, ys = L.domain.sample(16, seed=3)
     runs = []
-    [inverse] = [g for g in G.guards if g.name == "inv(phi(quartic2))"]
-    fn = inverse._fn
-    inverse._fn = lambda *args: runs.append(len(args[0])) or fn(*args)
+
+    def record(guard):
+        fn = guard._fn
+        guard._fn = lambda *args: runs.append(guard.name) or fn(*args)
+
+    for guard in G.guards:
+        record(guard)
+    xs, ys = L.domain.sample(16, seed=3)
     value = G(xs, ys)
-    assert runs == [16]
+    assert sorted(runs) == sorted(guard.name for guard in G.guards)
     assert_array_equal(value, np.zeros((16, 2)))
     assert not value.flags.writeable
     key = (xs.tobytes(), ys.tobytes())
     memos = [memo for memo, *_ in G._plan if memo is not None]
     assert len(memos) == len(G._plan) - 1
-    assert G._memo == {} and not any(key in memo for memo in memos)
-    inverse(xs, ys)
-    assert key in inverse._memo and runs == [16, 16]
-    G(xs, ys)
-    assert runs == [16, 16]
+    assert G._memo == {} and all(key in memo for memo in memos)
+    runs.clear()
+    twice = scale(G, 2.0)
+    assert _is_zero(twice) and twice.guards == G.guards
+    assert_array_equal(twice(xs, ys), np.zeros((16, 2)))
+    assert runs == []
     with pytest.raises(DegeneracyError):
         G(np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([[1.0, 0.5],
                                                         [1.0, 0.0]]))

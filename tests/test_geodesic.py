@@ -100,6 +100,30 @@ def test_a_one_sample_stencil_leaves_its_childs_memos_empty(method):
         canonical_spray(fresh, DiffEngine(method)), x0, y0, 0.01, 40))
 
 
+def _zero_leaf(runs):
+    """A spray whose leaf, not folded, is zero everywhere on the plane and
+    appends the row count of each of its runs to `runs`."""
+    plane = ConicDomain(2, None, name="plane")
+    return Spray(TensorField(plane, 1, 0, 2.0, lambda xs, ys: runs.append(
+        len(xs)) or np.zeros_like(ys), name="zero"))
+
+
+@pytest.mark.parametrize("x0,dt,calls", [
+    ([0.1, 0.2], 0.01, 3), ([0.0, 0.2], 0.0, 1), ([-0.0, 0.2], 0.0, 2),
+], ids=["moving", "standing", "signed_zero"])
+def test_a_stage_at_the_last_called_point_reuses_its_value(x0, dt, calls):
+    """A varying spray is called at each stage whose point's bytes differ
+    from those of the point it was called at last.  Under a zero spray the
+    second and third stages of a step share their point.  With dt = 0
+    every stage is at x + 0 k: the start itself when x^1 is 0.0, a second
+    point when it is -0.0, as -0.0 + 0.0 is 0.0."""
+    x0, y0 = np.array(x0), np.array([1.0, 0.5])
+    runs = []
+    path = geodesic_integrate(_zero_leaf(runs), x0, y0, dt, 1)
+    assert runs == [1] * calls
+    _assert_same_bits(path, _array_rk4(_zero_leaf([]), x0, y0, dt, 1))
+
+
 def _upper_push():
     """y' = (0, -2|y|^2) on the upper half plane: y^2 falls through 0."""
     upper = ConicDomain(2, membership=lambda x, y: y[1] > 0.0, name="upper")
@@ -247,29 +271,28 @@ def _guarded_push():
                                 "push")))
 
 
-def _recorded_calls(monkeypatch):
-    """The (field, x shape) of every TensorField call from now on."""
-    calls = []
-    call = TensorField.__call__
-
-    def recorded(field, x, y):
-        calls.append((field, np.shape(x)))
-        return call(field, x, y)
-
-    monkeypatch.setattr(TensorField, "__call__", recorded)
-    return calls
+def _guard_runs(G):
+    """The row count of every run, from now on, of the leaf beneath G's
+    one guard, an inverse."""
+    [inverse] = G.guards
+    [leaf] = inverse.operands
+    runs = []
+    fn = leaf._fn
+    leaf._fn = lambda xs, ys: runs.append(len(xs)) or fn(xs, ys)
+    return runs
 
 
-def test_a_guarded_constant_spray_is_called_once_per_block(monkeypatch):
+def test_a_guarded_constant_spray_is_called_once_per_block():
     """Over 5 steps the array form calls G at 20 points: the start and the
-    three later stages of each step.  The loop calls G once, on all 20."""
+    three later stages of each step.  The loop runs G's guard once, on all
+    20."""
     spray = _guarded_zero()
     G = spray.coefficients
     assert G.const is not None and not G.const.any() and G.guards
-    calls = _recorded_calls(monkeypatch)
+    runs = _guard_runs(G)
     x0, y0 = np.array([0.1, 0.2]), np.array([1.0, 0.5])
     path = geodesic_integrate(spray, x0, y0, 0.1, 5)
-    assert path.completed and calls == [(G, (20, 2))]
+    assert path.completed and runs == [20]
 
     with pytest.raises(DegeneracyError) as info:
         geodesic_integrate(spray, x0, y0, 0.1, 20)
@@ -283,11 +306,7 @@ def test_a_guarded_constant_spray_is_called_once_per_block(monkeypatch):
 def test_a_guarded_constant_spray_runs_its_guard_once_per_block():
     """The guard's leaf runs once, on the 20 points of 5 steps."""
     spray = _guarded_zero()
-    [inverse] = spray.coefficients.guards
-    [diag] = inverse.operands
-    runs = []
-    fn = diag._fn
-    diag._fn = lambda xs, ys: runs.append(len(xs)) or fn(xs, ys)
+    runs = _guard_runs(spray.coefficients)
     x0, y0 = np.array([0.1, 0.2]), np.array([1.0, 0.5])
     assert geodesic_integrate(spray, x0, y0, 0.1, 5).completed
     assert runs == [20]
@@ -295,18 +314,17 @@ def test_a_guarded_constant_spray_runs_its_guard_once_per_block():
 
 @pytest.mark.parametrize("build", [_guarded_zero, _guarded_push],
                          ids=["zero", "push"])
-def test_a_guarded_constant_longer_than_a_block_keeps_every_bit(
-        monkeypatch, build):
+def test_a_guarded_constant_longer_than_a_block_keeps_every_bit(build):
     """300 steps make 1200 guard points: four full blocks of 256 and 176
     more."""
     x0, y0 = np.array([0.1, 0.2]), np.array([1.0, 0.5])
     reference = _array_rk4(build(), x0, y0, 1e-3, 300)
     spray = build()
-    calls = _recorded_calls(monkeypatch)
+    runs = _guard_runs(spray.coefficients)
     path = geodesic_integrate(spray, x0, y0, 1e-3, 300)
     _assert_same_bits(path, reference)
     assert path.completed and len(path) == 301
-    assert [shape for _, shape in calls] == [(256, 2)] * 4 + [(176, 2)]
+    assert runs == [256] * 4 + [176]
 
 
 def _guarded_push_on(domain):
@@ -318,25 +336,23 @@ def _guarded_push_on(domain):
 
 
 @pytest.mark.parametrize("where", ["stage", "step"])
-def test_a_guarded_constant_cut_mid_block_is_called_where_the_loop_is(
-        monkeypatch, where):
-    """The last block's call holds the points the array form calls G at
-    after the first 256: up to the refused stage, or through the last
+def test_a_guarded_constant_cut_mid_block_is_called_where_the_loop_is(where):
+    """The guard's last block run holds the points the array form calls G
+    at after the first 256: up to the refused stage, or through the last
     stage of the step whose end is refused."""
     dt, build = {"stage": (0.0083, _constant_push),
                  "step": (0.007, _constant_push_to_a_step_end)}[where]
     domain = build().coefficients.domain
-    calls = _recorded_calls(monkeypatch)
-    reference = _array_rk4(_guarded_push_on(domain), [0, 0], [1, 1], dt, 400)
+    reference_spray = _guarded_push_on(domain)
+    called = _guard_runs(reference_spray.coefficients)
+    reference = _array_rk4(reference_spray, [0, 0], [1, 1], dt, 400)
     assert reference[1:] == (False, where)
-    G = _guarded_push_on(domain).coefficients
-    called = sum(shape == (2,) and field.name == G.name
-                 for field, shape in calls)
-    calls.clear()
-    path = geodesic_integrate(Spray(G), [0, 0], [1, 1], dt, 400)
+    assert set(called) == {1}
+    spray = _guarded_push_on(domain)
+    runs = _guard_runs(spray.coefficients)
+    path = geodesic_integrate(spray, [0, 0], [1, 1], dt, 400)
     _assert_same_bits(path, reference)
-    assert [(field, shape) for field, shape in calls] == [
-        (G, (256, 2)), (G, (called - 256, 2))]
+    assert runs == [256, len(called) - 256]
 
 
 def _two_guards(first):
@@ -429,9 +445,10 @@ def test_no_steps_never_call_a_guarded_spray(monkeypatch):
         raise AssertionError(f"field {field.name!r} was called")
 
     spray = _guarded_zero()
+    runs = _guard_runs(spray.coefficients)
     monkeypatch.setattr(TensorField, "__call__", refuse)
     path = geodesic_integrate(spray, [0.1, 0.2], [1.0, 0.5], 0.1, 0)
-    assert path.completed and len(path) == 1
+    assert path.completed and len(path) == 1 and runs == []
 
 
 def test_an_overflowing_conformal_leaf_raises_without_a_warning():
