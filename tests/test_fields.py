@@ -765,7 +765,9 @@ def test_memos_start_afresh_at_their_limit_and_keep_their_values(
         for k in (i % 3, 2):     # base, left or top, then top
             value = diamond[k](xs, ys)
             assert value.tobytes() == _diamond()[k](xs, ys).tobytes()
-            assert max(len(node._memo) for node in nodes) <= 3
+            # a one-sample call memoizes nothing
+            assert max(len(node._memo) for node in nodes) <= (
+                3 if count > 1 else 0)
 
 
 def test_subscripts_that_miss_the_declared_type_are_refused_when_built():

@@ -3,8 +3,8 @@
 Every point has the bits of that array form, kept here as the reference,
 whether the spray is stepped on Python floats or, folded to a constant,
 64 steps at a time on arrays; a spray folded to an unguarded constant is
-never called, and a guarded one is called once per block of the points
-the array form calls it at."""
+never called, and a guarded one has its guards run once per block of the
+points the array form calls it at."""
 
 import warnings
 
