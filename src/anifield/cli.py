@@ -50,6 +50,8 @@ def _env_seed(seed):
 
 
 def _build_config(data):
+    """(config, bundle): the RunConfig `data` asks for, and the bundle of
+    its example, built once to decide which checks apply to it."""
     unknown = sorted(set(data) - set(_CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}; "
@@ -88,11 +90,16 @@ def _build_config(data):
     seed = _env_seed(int(data.get("seed", 0)))
     return RunConfig(example=str(data["example"]), checks=sorted(checks),
                      samples=samples, seed=seed, tolerance=tolerance,
-                     method=method)
+                     method=method), bundle
 
 
 def parse_config(text):
     """Validate a JSON config and apply defaults; see RunConfig."""
+    return _parse_config(text)[0]
+
+
+def _parse_config(text):
+    """(config, bundle) of a JSON config, as `_build_config` gives them."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -103,14 +110,16 @@ def parse_config(text):
     return _build_config(data)
 
 
-def run_suite(config):
-    """Run the configured checks; returns CheckReports sorted by name."""
-    bundle = get_example(config.example)
+def run_suite(config, bundle=None):
+    """Run the configured checks; returns CheckReports sorted by name.  They
+    run on `bundle`, the config's example, built here when None."""
+    if bundle is None:
+        bundle = get_example(config.example)
     return [CHECKS[name](bundle, config) for name in sorted(config.checks)]
 
 
-def suite_report(config):
-    reports = run_suite(config)
+def suite_report(config, bundle=None):
+    reports = run_suite(config, bundle)
     return {"config": config.as_dict(),
             "reports": [r.as_dict() for r in reports]}
 
@@ -189,8 +198,8 @@ def _coordinates(values, option, domain):
 
 def _cmd_check(args):
     with open(args.config_file, encoding="utf-8") as handle:
-        config = parse_config(handle.read())
-    report = suite_report(config)
+        config, bundle = _parse_config(handle.read())
+    report = suite_report(config, bundle)
     print(canonical_json(report))
     return 0 if all(r["pass"] for r in report["reports"]) else 1
 
@@ -280,14 +289,14 @@ def _cmd_report(args):
     suites = []
     ok = True
     for name in names:
-        config = _build_config({
+        config, bundle = _build_config({
             "example": name,
             "samples": args.samples,
             "seed": args.seed,
             "tolerance": args.tolerance,
             "method": args.method,
         })
-        suite = suite_report(config)
+        suite = suite_report(config, bundle)
         ok = ok and all(r["pass"] for r in suite["reports"])
         suites.append(suite)
     print(canonical_json({"suites": suites}))

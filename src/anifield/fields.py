@@ -33,13 +33,15 @@ Differentiation is controlled by a DiffEngine.  Fields may carry attached
 derivative fields (built analytically, or assembled by the combinators in
 this module through sum/product rules); the "analytic" method uses them
 when present and falls back to the five-point stencil, while "fd4" always
-uses the stencil.  Under either method the derivative of an unguarded
-constant is an unguarded structural zero, with no stencil.  A field
-remembers the stencils taken of it, weakly and per axis and method, so
-graphs built apart share one stencil node, its plan and its memo.  It
-remembers a resolved chain too, strongly, except where the chain would
-hold the field itself (an inverse, a reciprocal, and what their chains
-build): such a chain is held weakly, so no graph is a reference cycle.
+uses the stencil for a varying field.  Under either method one rule holds
+for a constant: its derivative is a structural zero guarded by the
+constant's guards and by each guard's derivative, never a stencil, and
+unguarded it is a bare zero.  A field remembers the stencils and zeros
+taken of it, weakly and per axis and method, so graphs built apart share
+one such node, its plan and its memo.  It remembers a resolved chain too,
+strongly, except where the chain would hold the field itself (an inverse,
+a reciprocal, and what their chains build): such a chain is held weakly,
+so no graph is a reference cycle.
 
 The combinators fold constants while they build the graph: a node whose
 components are the same at every sample carries them as `const`, and a
@@ -200,8 +202,8 @@ class DiffEngine:
     method "analytic" uses a field's attached derivative when one exists and
     falls back to the stencil; "fd4" always uses the five-point stencil
     (-f2 + 8 f1 - 8 f-1 + f-2) / (12 h), whose step follows from how deeply
-    it is nested (see `_step`), the same rule in x and y.  Under both, the
-    derivative of an unguarded constant is the exact zero, not a stencil.
+    it is nested (see `_step`), the same rule in x and y.  Under both, a
+    constant's derivative is a guarded zero (`_derivative`), not a stencil.
     """
 
     def __init__(self, method="analytic"):
@@ -496,14 +498,13 @@ def _node(domain, r, s, alpha, fn, chains, name, operands, raises=False):
                        operands=operands, depth=depth)
 
 
-def _folded(domain, r, s, alpha, values, operands, chains, name):
+def _folded(domain, r, s, alpha, values, operands, name):
     """A node with the constant components `values`, folded from `operands`.
 
     Its operands are the operands' guards, which it evaluates on each
-    batch before it returns the constant; it memoizes nothing itself.
-    Unguarded, its chains are zeros; guarded, they keep the combinator's
-    rule, so that its derivatives keep the guards of the operands'
-    derivatives too.
+    batch before it returns the constant; it memoizes nothing itself.  Its
+    chain along either axis is the zero over its guards and their chains
+    (`_zero_over`), held weakly while a weak chain is being built.
     """
     values = np.array(values, dtype=float)
     values.flags.writeable = False
@@ -512,9 +513,10 @@ def _folded(domain, r, s, alpha, values, operands, chains, name):
         raise ShapeError(f"constant components have shape {values.shape}, "
                          f"declared type ({r}, {s}) needs {want}")
     guards = _guards_of(operands)
-    if not guards:
-        chains = (lambda: zero_field(domain, r, s + 1, alpha - 1.0),
-                  lambda: zero_field(domain, r, s + 1, alpha))
+    chains = [functools.partial(_zero_over, domain, r, s, alpha, guards, axis)
+              for axis in (Y, X)]
+    if _HeldWeakly.building:
+        chains = map(_HeldWeakly, chains)
 
     def fn(xs, ys, *guarded):
         out = np.empty((len(xs),) + values.shape)
@@ -525,24 +527,35 @@ def _folded(domain, r, s, alpha, values, operands, chains, name):
                        const=values, guards=guards, operands=guards)
 
 
+def _zero_over(domain, r, s, alpha, guards, axis, engine=None):
+    """The derivative along `axis` of a type-(r, s) constant of homogeneity
+    alpha guarded by `guards`: a zero guarded by them and by each guard's
+    derivative, its chain when `engine` is None (then None if a guard has
+    none) and `_derivative` under `engine` otherwise."""
+    derived = []
+    for g in guards:
+        d = g.chain(axis) if engine is None else _derivative(g, axis, engine)
+        if d is None:
+            return None
+        derived.append(d)
+    return _folded(domain, r, s + 1, alpha - 1.0 if axis == Y else alpha,
+                   np.zeros((domain.dim,) * (r + s + 1)),
+                   guards + tuple(derived), "0")
+
+
 def _is_zero(field):
     """Whether `field` is a structural zero, guarded or not."""
     return field.const is not None and not field.const.any()
 
 
-def _bare_zero(field):
-    """Whether `field` is a structural zero with no guards."""
-    return _is_zero(field) and not field.guards
-
-
 def zero_field(domain, r, s, alpha, name="0"):
     return _folded(domain, r, s, alpha, np.zeros((domain.dim,) * (r + s)),
-                   (), None, name)
+                   (), name)
 
 
 def constant_field(domain, values, r, s, name="const"):
     """Field with components independent of x and y (hence 0-homogeneous)."""
-    return _folded(domain, r, s, 0.0, values, (), None, name)
+    return _folded(domain, r, s, 0.0, values, (), name)
 
 
 def form_field(domain, T, hooked, name=""):
@@ -609,15 +622,14 @@ def _along(axis, rule, operands):
 
 
 def _chains(rule, *operands, weak=False):
-    """The (dy, dx) thunks of a combinator's result, whose derivative along
+    """The [dy, dx] thunks of a combinator's result, whose derivative along
     either axis follows from `rule` and the operands' chains along it.
     They hold what they build weakly when `weak` is set, and for every
     node built while such a chain is being built (see `_HeldWeakly`)."""
-    thunks = (functools.partial(_along, Y, rule, operands),
-              functools.partial(_along, X, rule, operands))
-    if weak or _HeldWeakly.building:
-        return (_HeldWeakly(thunks[0]), _HeldWeakly(thunks[1]))
-    return thunks
+    thunks = [functools.partial(_along, axis, rule, operands)
+              for axis in (Y, X)]
+    return ([*map(_HeldWeakly, thunks)] if weak or _HeldWeakly.building
+            else thunks)
 
 
 class _HeldWeakly:
@@ -679,27 +691,24 @@ def add(a, b, name=""):
         raise ShapeError(
             f"cannot add homogeneities {a.alpha:g} and {b.alpha:g}")
     name = name or f"({a.name}+{b.name})"
-    chains = _chains(add, a, b)
     if a.const is not None and b.const is not None:
         return _folded(a.domain, a.r, a.s, a.alpha, a.const + b.const,
-                       (a, b), chains, name)
-    if _bare_zero(b):
+                       (a, b), name)
+    if _is_zero(b) and not b.guards:
         return a
-    if _bare_zero(a):
+    if _is_zero(a) and not a.guards:
         return b
-    return _node(a.domain, a.r, a.s, a.alpha,
-                 lambda xs, ys, u, v: u + v, chains, name, (a, b))
+    return _node(a.domain, a.r, a.s, a.alpha, lambda xs, ys, u, v: u + v,
+                 _chains(add, a, b), name, (a, b))
 
 
 def scale(a, c, name=""):
     c = float(c)
     name = name or f"{c:g}*{a.name}"
-    chains = _chains(lambda da: scale(da, c), a)
     if a.const is not None:
-        return _folded(a.domain, a.r, a.s, a.alpha, c * a.const, (a,),
-                       chains, name)
+        return _folded(a.domain, a.r, a.s, a.alpha, c * a.const, (a,), name)
     return _node(a.domain, a.r, a.s, a.alpha, lambda xs, ys, u: c * u,
-                 chains, name, (a,))
+                 _chains(lambda da: scale(da, c), a), name, (a,))
 
 
 def subtract(a, b, name=""):
@@ -728,18 +737,15 @@ def tensor_product(a, b, subscripts, r, s, name=""):
 
     name = name or f"({a.name}*{b.name})"
     alpha = a.alpha + b.alpha
-    chains = _chains(rule, a, b)
     if a.const is not None and b.const is not None:
         return _folded(a.domain, r, s, alpha,
-                       np.einsum(subscripts, a.const, b.const),
-                       (a, b), chains, name)
+                       np.einsum(subscripts, a.const, b.const), (a, b), name)
     if _is_zero(a) or _is_zero(b):
         return _folded(a.domain, r, s, alpha,
-                       np.zeros((a.domain.dim,) * len(out)),
-                       (a, b), chains, name)
+                       np.zeros((a.domain.dim,) * len(out)), (a, b), name)
     return _node(a.domain, r, s, alpha,
                  lambda xs, ys, u, v: np.einsum(batched, u, v),
-                 chains, name, (a, b))
+                 _chains(rule, a, b), name, (a, b))
 
 
 def reindex(field, subscripts, name=""):
@@ -757,14 +763,12 @@ def reindex(field, subscripts, name=""):
         return reindex(da, f"{lhs}{z}->{out}{z}")
 
     name = name or f"perm({field.name})"
-    chains = _chains(rule, field)
     if field.const is not None:
         return _folded(field.domain, field.r, field.s, field.alpha,
-                       np.einsum(subscripts, field.const), (field,),
-                       chains, name)
+                       np.einsum(subscripts, field.const), (field,), name)
     return _node(field.domain, field.r, field.s, field.alpha,
                  lambda xs, ys, u: np.einsum(batched, u),
-                 chains, name, (field,))
+                 _chains(rule, field), name, (field,))
 
 
 def pivot_inverse(mat, sample=None, threshold=1e-12):
@@ -934,17 +938,14 @@ def matrix_inverse(a, name=""):
         return scale(full, -1.0)
 
     name = name or f"inv({a.name})"
-    chains = _chains(rule, a, weak=True)
-    try:
-        values = None if a.const is None else pivot_inverse(a.const)
-    except DegeneracyError:
-        values = None   # stays a node that names the sample when evaluated
-    if values is None:
-        inv_field = _node(a.domain, r_out, s_out, -a.alpha, fn, chains, name,
-                          (a,), raises=True)
-    else:
-        inv_field = _folded(a.domain, r_out, s_out, -a.alpha, values, (a,),
-                            chains, name)
+    if a.const is not None:
+        try:
+            return _folded(a.domain, r_out, s_out, -a.alpha,
+                           pivot_inverse(a.const), (a,), name)
+        except DegeneracyError:
+            pass    # stays a node that names the sample when evaluated
+    inv_field = _node(a.domain, r_out, s_out, -a.alpha, fn,
+                      _chains(rule, a, weak=True), name, (a,), raises=True)
     this = weakref.ref(inv_field)
     return inv_field
 
@@ -1114,45 +1115,40 @@ def _swap_last_two(field):
 
 
 def _fd(field, axis, engine):
-    """Stencil derivative of `field` along `axis`.  It has no exact chain
-    along `axis`; along the other axis it has one when `field` does there:
+    """Stencil derivative of the varying `field` along `axis`; a constant
+    never gets one (see `_derivative`).  It has no exact chain along
+    `axis`; along the other axis it has one when `field` does there:
     commute, differentiate that chain along `axis`, and swap the two
-    appended indices back.
-
-    An unguarded constant is the same at every sample, so its derivative
-    folds to an unguarded zero, also where the stencil of the constant
-    would leave a round-off residue.  A guarded constant and a varying
-    field get the stencil.  A stencil over nodes that can raise evaluates
+    appended indices back.  A stencil over nodes that can raise evaluates
     them at the perturbed samples, so it can raise itself."""
     alpha, tag = ((field.alpha - 1.0, "fd_dv") if axis == Y
                   else (field.alpha, "fd_dx"))
-    name = f"{tag}({field.name})"
-    if field.const is not None and not field.guards:
-        return zero_field(field.domain, field.r, field.s + 1, alpha, name)
-    chains = list(_chains(
-        lambda ch: _swap_last_two(_derivative(ch, axis, engine)), field))
+    chains = _chains(
+        lambda ch: _swap_last_two(_derivative(ch, axis, engine)), field)
     chains[axis] = None
     depth = 1 + field.depth
     return TensorField(field.domain, field.r, field.s + 1, alpha,
                        lambda xs, ys: _stencil(field, xs, ys, axis == Y,
                                                depth),
-                       *chains, name=name, guards=_guards_of((field,)),
+                       *chains, name=f"{tag}({field.name})",
+                       guards=_guards_of((field,)),
                        raises=field.raises or bool(field.guards), operands=(),
                        depth=depth)
 
 
 def _derivative(field, axis, engine):
     """The attached chain along `axis` under the "analytic" method when
-    there is one, else the stencil.
+    there is one; else the stencil of a varying field, and for a constant
+    the zero guarded by its guards and their derivatives under `engine`
+    (`_zero_over`), as its chain is: one rule under both methods.
 
-    `field` remembers the stencil `_fd` builds for it, per axis and method,
-    as `chain` remembers a resolved chain, so callers under that method
-    get the same node, with its plan and its memo.  The key is the method,
-    not the engine: each check makes its own engine, and the stencil's
-    chain along the other axis follows the method.  The stencil is held
-    weakly, since its closure holds `field`: it lives as long as a graph
-    that uses it, and is built again after.  The holder is made on the
-    first stencil, so a field never differentiated by one has none."""
+    `field` remembers what it builds here, per axis and method, as `chain`
+    remembers a resolved chain, so callers under that method get the same
+    node, with its plan and its memo.  The key is the method, not the
+    engine: each check makes its own engine, and the stencil's chain along
+    the other axis follows the method.  The node is held weakly, since a
+    stencil's closure holds `field`: it lives as long as a graph that uses
+    it, and is built again after.  The holder is made on first use."""
     engine = engine or DEFAULT_ENGINE
     if engine.method == "analytic":
         chain = field.chain(axis)
@@ -1162,10 +1158,13 @@ def _derivative(field, axis, engine):
     if held is None:
         held = field._stencils = weakref.WeakValueDictionary()
     key = (axis, engine.method)
-    stencil = held.get(key)
-    if stencil is None:
-        stencil = held[key] = _fd(field, axis, engine)
-    return stencil
+    built = held.get(key)
+    if built is None:
+        built = held[key] = (
+            _fd(field, axis, engine) if field.const is None else _zero_over(
+                field.domain, field.r, field.s, field.alpha, field.guards,
+                axis, engine))
+    return built
 
 
 def vertical_derivative(field, engine=None):

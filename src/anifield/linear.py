@@ -138,8 +138,13 @@ def linear_from_pair(gamma, delta):
     """
     coeff = gamma.coefficients if isinstance(gamma, AnisotropicConnection) else gamma
     _require_type(delta, 1, 2, -1, "the vertical block")
-    N = liouville_contract(coeff)
-    slanted = tensor_product(N, delta, "bj,ibk->ijk", 1, 2)
+    return _from_pair(coeff, liouville_contract(coeff), delta)
+
+
+def _from_pair(coeff, hooked, delta):
+    """`linear_from_pair` of the quotient `coeff`, whose iota(coeff) is
+    `hooked`, and of a vertical block `delta` of type (1, 2)."""
+    slanted = tensor_product(hooked, delta, "bj,ibk->ijk", 1, 2)
     return LinearConnection(add(coeff, slanted), delta,
                             name=f"pair({coeff.name})")
 
@@ -190,18 +195,22 @@ def classical_linear(L, kind, engine=None):
 
     kind is "berwald", "chern", "hashiguchi", or "cartan"; the first two
     have a vanishing vertical block, the last two carry the Cartan tensor.
-    All four are strongly regular and induce the canonical N.
+    All four are strongly regular and induce the canonical N.  The iota
+    of the Berwald and of the Chern coefficients is kept in `L`'s store
+    per method, so the two connections over each share it.
     """
     if kind not in _CLASSICAL:
         raise ValueError(f"kind must be one of {_CLASSICAL}, got {kind!r}")
     if kind in ("berwald", "hashiguchi"):
-        gamma = berwald_connection(L, engine)
+        source, gamma = "berwald", berwald_connection(L, engine).coefficients
     else:
-        gamma = chern_connection(L, engine)
+        source, gamma = "chern", chern_connection(L, engine).coefficients
+    hooked = L.kept(f"iota_{source}", lambda: liouville_contract(gamma),
+                    engine)
     if kind in ("berwald", "chern"):
         delta = zero_field(L.domain, 1, 2, -1.0)
     else:
         delta = cartan_tensor(L, engine)
-    out = linear_from_pair(gamma, delta)
+    out = _from_pair(gamma, hooked, delta)
     out.name = f"{kind}({L.name})"
     return out

@@ -22,9 +22,10 @@ class Lagrangian:
     differentiation method) and kept in one store, through `kept`: ell, phi
     and the inverse of phi (`fundamental_tensor`), read through the
     energy's chains and so kept under "analytic", and per method the
-    canonical spray, N = dv G, the Berwald and Chern coefficients, dv phi
-    and the Cartan tensor.  No kept node refers back to the Lagrangian, so
-    all of them die with it by reference counting alone."""
+    canonical spray, N = dv G, the Berwald and Chern coefficients and the
+    iota of each (`classical_linear`), dv phi and the Cartan tensor.  No
+    kept node refers back to the Lagrangian, so all of them die with it by
+    reference counting alone."""
 
     def __init__(self, field, name=""):
         _require_type(field, 0, 0, 2, "a Lagrangian")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from anifield import cli
+from anifield.catalog import get_example
 from anifield.cli import (RunConfig, canonical_json, main, parse_config,
                           run_suite, suite_report)
 
@@ -406,24 +407,51 @@ def test_report_command_small_run(capsys):
                                     report["check"])
 
 
-# SHA-256 of `anifield report --samples 4 --seed 0` stdout, trailing
-# newline included, per method.  A change that moves a number of the report
-# updates these digests and lists every moved number in CHANGES.md.
+# SHA-256 of `anifield report --method M --samples N --seed 0` stdout,
+# trailing newline included, per (M, N): 4 samples in both methods, and
+# the 16 samples the benchmark's analytic report runs.  A change that
+# moves a number of the report updates these digests and lists every moved
+# number in CHANGES.md.
 _REPORT_SHA256 = {
-    "analytic":
+    ("analytic", 4):
         "b7404d59bfb16985dda30b1d0405aba67aa2db4455e830e1cf0b23bb577395e9",
-    "fd4": "4c6a8f29fb9da1dd2fae9cc840c099e839e5412036e99bfa21e52df1683f5849",
+    ("fd4", 4):
+        "4c6a8f29fb9da1dd2fae9cc840c099e839e5412036e99bfa21e52df1683f5849",
+    ("analytic", 16):
+        "5cdaf7cb46bb7ac5911b9d855eb00c3f47503008437297a3cc839282f77b6c39",
 }
 
 
-@pytest.mark.parametrize("method", sorted(_REPORT_SHA256))
-def test_report_stdout_is_unchanged(capsys, monkeypatch, method):
+@pytest.mark.parametrize("method, samples", sorted(_REPORT_SHA256),
+                         ids=["analytic", "analytic-16", "fd4"])
+def test_report_stdout_is_unchanged(capsys, monkeypatch, method, samples):
     monkeypatch.delenv("FINSLER_SEED", raising=False)
-    assert main(["report", "--method", method, "--samples", "4",
+    assert main(["report", "--method", method, "--samples", str(samples),
                  "--seed", "0"]) == 0
     out, err = capsys.readouterr()
-    assert hashlib.sha256(out.encode()).hexdigest() == _REPORT_SHA256[method]
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == _REPORT_SHA256[method, samples])
     assert err == ""
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_a_suite_builds_its_bundle_once(monkeypatch, tmp_path, capsys,
+                                        command):
+    """The bundle built to decide which checks apply is the one the suite
+    runs on: one build per suite."""
+    built = []
+    monkeypatch.setattr(cli, "get_example",
+                        lambda name: built.append(name) or get_example(name))
+    if command == "check":
+        argv = ["check", _write_config(tmp_path, {"example": "quartic2",
+                                                  "samples": 2})]
+    else:
+        argv = ["report", "--samples", "2"]
+    assert main(argv) == 0
+    suites = json.loads(capsys.readouterr().out).get("suites")
+    names = ["quartic2"] if suites is None else [
+        suite["config"]["example"] for suite in suites]
+    assert built == names
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

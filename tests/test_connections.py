@@ -413,7 +413,8 @@ def test_chern_and_cartan_share_one_dv_phi(method):
 
 
 _CORE = {"ell", "phi", "phi_inverse"}
-_PER_METHOD = {"spray", "nonlinear", "dphi", "berwald", "chern", "cartan"}
+_PER_METHOD = {"spray", "nonlinear", "dphi", "berwald", "chern", "cartan",
+               "iota_berwald", "iota_chern"}
 
 
 @pytest.mark.parametrize("method", ["analytic", "fd4"])

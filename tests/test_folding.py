@@ -71,7 +71,28 @@ def test_fd4_folds_no_spray(name):
     assert spray.coefficients.const is None
 
 
-def test_fd4_folds_an_unguarded_constant_and_stencils_the_rest():
+def _guarded_by_a_reciprocal(domain):
+    """(guard, constant): 1/x1, which vanishes where xs[:, 0] is 0 and has
+    no chain, and the constant 2 that a fold over it keeps it as a guard
+    of."""
+    first = TensorField(domain, 0, 0, 0.0, lambda bx, by: bx[:, 0].copy())
+    guard = scalar_reciprocal(first)
+    guarded = add(tensor_product(guard, zero_field(domain, 0, 0, 0.0), ",->",
+                                 0, 0),
+                  constant_field(domain, np.asarray(2.0), 0, 0))
+    assert guarded.const == 2.0 and guarded.guards == (guard,)
+    return guard, guarded
+
+
+def _raises_at_sample_2_and_is_zero_elsewhere(dv, xs, ys):
+    with pytest.raises(DivisionError) as info:
+        dv(xs, ys)
+    assert info.value.sample == (xs[2].tolist(), ys[2].tolist())
+    keep = np.arange(len(xs)) != 2
+    assert_array_equal(dv(xs[keep], ys[keep]), np.zeros((len(xs) - 1, 2)))
+
+
+def test_fd4_folds_every_constant_and_stencils_a_varying_field():
     domain = get_example("euclidean2").domain
     for const in (zero_field(domain, 0, 1, 1.0),
                   constant_field(domain, np.eye(2), 0, 2)):
@@ -80,20 +101,51 @@ def test_fd4_folds_an_unguarded_constant_and_stencils_the_rest():
     varying = liouville_field(domain)
     assert vertical_derivative(varying, FD4).const is None
     assert x_derivative(varying, FD4).const is None
-    # a constant guarded by a reciprocal that vanishes at sample 2
+    # a constant guarded by a reciprocal that vanishes at sample 2: its
+    # derivative is a zero guarded by the reciprocal and its stencil
     xs, ys = domain.sample(4, seed=5)
     xs[:, 0] = [0.2, 0.3, 0.0, 0.5]
-    first = TensorField(domain, 0, 0, 0.0, lambda bx, by: bx[:, 0].copy())
-    guarded = add(tensor_product(scalar_reciprocal(first),
-                                 zero_field(domain, 0, 0, 0.0), ",->", 0, 0),
-                  constant_field(domain, np.asarray(2.0), 0, 0))
-    assert guarded.const == 2.0 and guarded.guards
+    guard, guarded = _guarded_by_a_reciprocal(domain)
     for derivative in (vertical_derivative, x_derivative):
         dv = derivative(guarded, FD4)
-        assert dv.const is None and dv.raises
-        with pytest.raises(DivisionError):
-            dv(xs, ys)
-        assert_array_equal(dv(xs[:2], ys[:2]), np.zeros((2, 2)))
+        assert _is_zero(dv) and dv.guards == (guard, derivative(guard, FD4))
+        assert dv.guards[1].const is None and dv.guards[1].raises
+        _raises_at_sample_2_and_is_zero_elsewhere(dv, xs, ys)
+
+
+def test_a_fold_whose_guard_has_no_chain_is_a_zero_over_its_stencil():
+    """The fold has no chain, since its guard has none; its analytic
+    derivative is the zero guarded by the guard and the guard's stencil,
+    as under fd4."""
+    domain = get_example("euclidean2").domain
+    xs, ys = domain.sample(6, seed=5)
+    xs[:, 0] = [0.2, 0.3, 0.0, 0.5, -0.5, 0.7]
+    guard, guarded = _guarded_by_a_reciprocal(domain)
+    for axis, derivative in enumerate((vertical_derivative, x_derivative)):
+        assert guard.chain(axis) is None and guarded.chain(axis) is None
+        dv = derivative(guarded, ANALYTIC)
+        stencil = derivative(guard, ANALYTIC)
+        assert stencil.name.startswith("fd_") and stencil.raises
+        assert _is_zero(dv) and dv.guards == (guard, stencil)
+        assert derivative(guarded, ANALYTIC) is dv
+        _raises_at_sample_2_and_is_zero_elsewhere(dv, xs, ys)
+
+
+def test_a_fresh_analytic_functional_laws_builds_few_nodes(monkeypatch):
+    """A guarded zero's derivative is a zero over its guards' derivatives;
+    it does not expand the combinators' rules over the graph beneath it.
+    One analytic quartic2/functional_laws on a fresh bundle builds 177
+    TensorFields (682 when each fold kept its combinator's rule)."""
+    built = []
+    init = TensorField.__init__
+    monkeypatch.setattr(TensorField, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(
+                            self, *a, **k))
+    config = RunConfig(example="quartic2", checks=["functional_laws"],
+                       samples=16, seed=0)
+    report = CHECKS["functional_laws"](get_example("quartic2"), config)
+    assert report.passed
+    assert len(built) <= 200
 
 
 def test_fd4_derivative_of_a_constant_is_an_exact_zero():

@@ -135,7 +135,7 @@ def _constant_push():
     """A spray folded to the unguarded constant (0, 3/4): y^2 falls
     linearly through 0."""
     upper = ConicDomain(2, membership=lambda x, y: y[1] > 0.0, name="upper")
-    return Spray(_folded(upper, 1, 0, 2.0, [0.0, 0.75], (), None, "push"))
+    return Spray(_folded(upper, 1, 0, 2.0, [0.0, 0.75], (), "push"))
 
 
 def _constant_over_a_gap():
@@ -145,7 +145,7 @@ def _constant_over_a_gap():
     (y^2 = 0.925), so only a stage check truncates the run."""
     gap = ConicDomain(2, membership=lambda x, y: not 0.95 < y[1] < 0.97,
                       name="gap")
-    return Spray(_folded(gap, 1, 0, 2.0, [0.0, 0.75], (), None, "push"))
+    return Spray(_folded(gap, 1, 0, 2.0, [0.0, 0.75], (), "push"))
 
 
 def _accelerate():
@@ -181,7 +181,7 @@ def _constant_push_to_a_step_end():
     edge = _step_end_edge()
     below = ConicDomain(2, membership=lambda x, y: x[1] <= edge,
                         name="below")
-    return Spray(_folded(below, 1, 0, 2.0, [0.0, 0.75], (), None, "push"))
+    return Spray(_folded(below, 1, 0, 2.0, [0.0, 0.75], (), "push"))
 
 
 @pytest.mark.parametrize("build,y0,dt,where,length", [
@@ -267,7 +267,7 @@ def _guarded_push():
     """The constant push (0, 3/4) of `_constant_push`, guarded as
     `_guarded_zero` is."""
     G = _zero_over(_singular_from(1.0))
-    return Spray(add(G, _folded(G.domain, 1, 0, 2.0, [0.0, 0.75], (), None,
+    return Spray(add(G, _folded(G.domain, 1, 0, 2.0, [0.0, 0.75], (),
                                 "push")))
 
 
@@ -331,7 +331,7 @@ def _guarded_push_on(domain):
     """The constant push (0, 3/4) on `domain`, guarded as `_guarded_zero`
     is; the guard holds while x^1 < 1."""
     G = _zero_over(_singular_from(1.0, domain))
-    return Spray(add(G, _folded(domain, 1, 0, 2.0, [0.0, 0.75], (), None,
+    return Spray(add(G, _folded(domain, 1, 0, 2.0, [0.0, 0.75], (),
                                 "push")))
 
 

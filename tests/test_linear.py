@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 
 from anifield import (DegeneracyError, DiffEngine, LinearConnection,
                       ShapeError, TensorField, berwald_connection,
-                      canonical_spray, cartan_tensor, classical_linear,
-                      constant_field, covariant_derivative, embed_trivial,
-                      induced_nonlinear, is_strongly_regular,
+                      canonical_spray, cartan_tensor, chern_connection,
+                      classical_linear, constant_field, covariant_derivative,
+                      embed_trivial, induced_nonlinear, is_strongly_regular,
                       linear_from_pair, liouville_field, project_intrinsic,
                       project_with_N, scalar_power, tensor_product,
                       zero_field)
@@ -250,3 +250,25 @@ def test_linear_roundtrip_builds_each_block_once_per_connection(monkeypatch):
         for block in ("N", "B", "M"):
             assert built[f"{block}({kind}(quartic2))"] == 1, (block, kind)
     assert built["iota(cartan(quartic2))"] == 2
+
+
+@pytest.mark.parametrize("method", ["analytic", "fd4"])
+def test_the_classical_connections_hook_each_source_once(monkeypatch,
+                                                          method):
+    """berwald and hashiguchi share iota of the Berwald coefficients, and
+    chern and cartan iota of the Chern coefficients: each is built once
+    and kept in the Lagrangian's store."""
+    import anifield.linear as linear
+
+    hooked = []
+    contract = linear.liouville_contract
+    monkeypatch.setattr(linear, "liouville_contract",
+                        lambda field: hooked.append(field) or contract(field))
+    engine = DiffEngine(method)
+    L = get_example("quartic2").lagrangian
+    for kind in ("berwald", "hashiguchi", "chern", "cartan"):
+        classical_linear(L, kind, engine)
+    assert hooked == [berwald_connection(L, engine).coefficients,
+                      chern_connection(L, engine).coefficients]
+    for source in ("berwald", "chern"):
+        L.kept(f"iota_{source}", lambda: pytest.fail("built twice"), engine)
