@@ -191,7 +191,11 @@ def get_example(name):
         return _BUILDERS[name]()
     cleaned = name.replace(" ", "")
     m = _WICK_RE.match(cleaned)
-    if m:
-        return _wick(float(m.group(1)), name=cleaned)
+    try:
+        kappa = float(m.group(1)) if m else np.nan
+    except ValueError:  # e.g. wick(1.2.3)
+        kappa = np.nan
+    if np.isfinite(kappa):  # wick(1e400) would read kappa = inf
+        return _wick(kappa, name=cleaned)
     raise DomainError(
         f"unknown example {name!r}; available: {', '.join(example_names())}")

@@ -12,6 +12,17 @@ body gets `(bundle, engine, xs, ys, config, feed)` and only feeds
 defects; the runner the decorator returns builds the engine, draws the
 samples, keeps the worst defect and writes the `CheckReport`.  A body
 returns its sample count only when that is not `len(xs)`.
+
+`feed(*compared, at=None, relative_to=None)` is the one way a body
+reports a defect.  A compared TensorField is evaluated at `at`, a pair
+(xs, ys) of (B, dim) arrays or one sample, by default the check's own
+samples; anything else holds one row per sample of `at`, or is a number
+for one sample.  A difference is fed as `subtract(a, b)`.  Each (sample,
+quantity) defect is the largest |entry| of its row; given `relative_to`
+(a field, an array or a number), it is divided by 1 + the largest |entry|
+of that sample's reference.  The worst defect is the first largest, read
+feed by feed and row by row, starting at the check's first sample with
+0.0; a NaN defect is the worst of all, so that a NaN can never pass.
 """
 
 from dataclasses import dataclass
@@ -25,10 +36,10 @@ from .connections import (AnisotropicConnection, NonlinearConnection, Spray,
                           landsberg_tensor, nonlinear_residue,
                           raise_connection, torsion)
 from .errors import LevelError
-from .fields import (DiffEngine, _first, _is_zero, _row_dot, _row_max_abs, add,
-                     constant_field, form_field, homogeneity_defect,
-                     liouville_contract, scalar_power, scale, tensor_product,
-                     zero_field)
+from .fields import (DiffEngine, TensorField, _first, _is_zero, _row_dot,
+                     _row_max_abs, add, constant_field, form_field,
+                     homogeneity_defect, liouville_contract, scalar_power,
+                     scale, subtract, tensor_product, zero_field)
 from .functionals import (ActionFunctional, evaluate_action,
                           extend_functional, gauge_symmetrize,
                           restrict_functional)
@@ -59,38 +70,37 @@ class CheckReport:
 
 
 class _Worst:
-    """Worst defect over everything fed, in the order it was fed.
+    """Worst defect over everything fed to `feed`; see the module
+    docstring for what a feed takes and how its defects are read."""
 
-    A feed gives defects for one sample (x, y) or for a (B, dim) batch; a
-    batch's defects have one row per sample, with one column per quantity
-    compared there.  The first largest defect wins, reading each feed row
-    by row, and a NaN defect counts as the worst of all, so that a NaN can
-    never pass.
-    """
-
-    def __init__(self):
+    def __init__(self, xs, ys):
+        self.xs, self.ys = xs, ys
         self.value = 0.0
-        self.sample = None
+        self.sample = {"x": xs[0].tolist(), "y": ys[0].tolist()}
 
-    def feed(self, defects, xs, ys):
+    def feed(self, *compared, at=None, relative_to=None):
+        xs, ys = (self.xs, self.ys) if at is None else at
+        xs = np.reshape(np.asarray(xs, dtype=float), (-1, self.xs.shape[1]))
+        ys = np.reshape(np.asarray(ys, dtype=float), xs.shape)
+
+        def largest(values):
+            if isinstance(values, TensorField):
+                values = values(xs, ys)
+            return _row_max_abs(np.reshape(values, (len(xs), -1)))
+
+        # evaluate even after a NaN: a field that raises must still raise
+        rows = np.stack([largest(v) for v in compared], axis=1)
+        if relative_to is not None:
+            rows = rows / (1.0 + largest(relative_to))[:, None]
         if np.isnan(self.value):
             return
-        xs = np.reshape(np.asarray(xs, dtype=float), (-1, np.shape(xs)[-1]))
-        ys = np.reshape(np.asarray(ys, dtype=float), xs.shape)
-        rows = np.asarray(defects, dtype=float).reshape(len(xs), -1)
         flat = rows.ravel()
         nan = np.isnan(flat)
         i = _first(nan) if nan.any() else int(np.argmax(flat))
-        if self.sample is None or nan[i] or flat[i] > self.value:
+        if nan[i] or flat[i] > self.value:
             row = i // rows.shape[1]
             self.value = float(flat[i])
             self.sample = {"x": xs[row].tolist(), "y": ys[row].tolist()}
-
-
-def _columns(*values):
-    """Per-sample defects of several compared quantities, one column each:
-    the largest |entry| of each sample's components."""
-    return np.stack([_row_max_abs(v) for v in values], axis=1)
 
 
 CHECKS = {}
@@ -104,7 +114,7 @@ def _check(name, *needs, tolerance=None):
     def register(body):
         def run(bundle, config):
             xs, ys = bundle.domain.sample(config.samples, config.seed)
-            worst = _Worst()
+            worst = _Worst(xs, ys)
             used = body(bundle, DiffEngine(config.method),
                         xs, ys, config, worst.feed)
             tol = config.tolerance if tolerance is None else tolerance
@@ -145,9 +155,7 @@ def kernel_shift(domain, coeffs, rank=2):
 def check_euler(bundle, engine, xs, ys, config, feed):
     """Euler defect dv(T) . y - alpha T, relative, over every bundle field."""
     for field in bundle.fields.values():
-        defect = homogeneity_defect(field, xs, ys, engine)
-        ref = 1.0 + _row_max_abs(field(xs, ys))
-        feed(_row_max_abs(defect) / ref, xs, ys)
+        feed(homogeneity_defect(field, xs, ys, engine), relative_to=field)
 
 
 @_check("ladder_roundtrip", "lagrangian")
@@ -158,17 +166,14 @@ def check_ladder_roundtrip(bundle, engine, xs, ys, config, feed):
         targets.append(bundle.metric.field)
     for field in targets:
         split = decompose(field, round(field.alpha) + field.s, engine)
-        rebuilt = reconstruct(split, engine)
-        kernels = [liouville_contract(res) for res in split.residues]
-        feed(_columns(rebuilt(xs, ys) - field(xs, ys),
-                      *(hooked(xs, ys) for hooked in kernels)), xs, ys)
+        feed(subtract(reconstruct(split, engine), field),
+             *map(liouville_contract, split.residues))
 
 
 @_check("legendre_residue", "lagrangian")
 def check_legendre_residue(bundle, engine, xs, ys, config, feed):
     """The gradient of an energy has no Legendre-type residue."""
-    res = legendre_residue(legendre_of(bundle.lagrangian), engine)
-    feed(_row_max_abs(res(xs, ys)), xs, ys)
+    feed(legendre_residue(legendre_of(bundle.lagrangian), engine))
 
 
 @_check("wick_identity", "metric", "kappa")
@@ -183,9 +188,9 @@ def check_wick_identity(bundle, engine, xs, ys, config, feed):
     destroyed = destroy_residues(g, engine=engine)
     energy = lagrangian_of_metric(bundle.metric).field
     target = (1.0 + kappa) * phi(xs, ys)
-    feed(_columns(hooked(xs, ys) - (target @ ys[:, :, None])[:, :, 0],
-                  destroyed(xs, ys) - target,
-                  energy(xs, ys) - (1.0 + kappa) * L(xs, ys) / 2.0), xs, ys)
+    feed(hooked(xs, ys) - (target @ ys[:, :, None])[:, :, 0],
+         destroyed(xs, ys) - target,
+         energy(xs, ys) - (1.0 + kappa) * L(xs, ys) / 2.0)
 
 
 @_check("signature_table", "metric", "kappa", tolerance=1.0)
@@ -203,23 +208,20 @@ def check_signature_table(bundle, engine, xs, ys, config, feed):
         expected = (p - 1, m, z + 1)
     else:
         expected = (p - 1, m + 1, z)
-    feed(0.0, xs[0], ys[0])
     counts = signature_at(bundle.metric, xs, ys)
     wrong = np.any([c != e for c, e in zip(counts, expected)], axis=0)
     if wrong.any():
         last = len(wrong) - 1 - _first(wrong[::-1])
-        feed(float(np.sum(wrong)), xs[last], ys[last])
+        feed(float(np.sum(wrong)), at=(xs[last], ys[last]))
 
 
 @_check("canonical_spray_oracle", "lagrangian")
 def check_canonical_spray_oracle(bundle, engine, xs, ys, config, feed):
     """Canonical spray against its closed form (zero for x-independent
     energies)."""
-    spray = canonical_spray(bundle.lagrangian, engine)
+    spray = canonical_spray(bundle.lagrangian, engine).coefficients
     oracle = bundle.spray_oracle
-    if oracle is None:
-        oracle = lambda xs, ys: np.zeros_like(ys)
-    feed(_row_max_abs(spray(xs, ys) - oracle(xs, ys)), xs, ys)
+    feed(spray if oracle is None else spray(xs, ys) - oracle(xs, ys))
 
 
 @_check("landsberg_kernel", "lagrangian")
@@ -227,11 +229,10 @@ def check_landsberg_kernel(bundle, engine, xs, ys, config, feed):
     """iota kills the Landsberg tensor; Riemannian energies, whose analytic
     dv phi is a structural zero (Deicke), kill it outright."""
     lan = landsberg_tensor(bundle.lagrangian, engine)
-    hooked = liouville_contract(lan)
-    compared = [hooked(xs, ys)]
+    compared = [liouville_contract(lan)]
     if _is_zero(dv_phi(bundle.lagrangian, _ANALYTIC)):
-        compared.append(lan(xs, ys))
-    feed(_columns(*compared), xs, ys)
+        compared.append(lan)
+    feed(*compared)
 
 
 @_check("torsion_residue", "nonlinear")
@@ -240,8 +241,7 @@ def check_torsion_residue(bundle, engine, xs, ys, config, feed):
     N = bundle.nonlinear
     res = nonlinear_residue(N, engine)
     half_tor = scale(liouville_contract(torsion(N, engine)), 0.5)
-    hooked = liouville_contract(res)
-    feed(_columns(res(xs, ys) - half_tor(xs, ys), hooked(xs, ys)), xs, ys)
+    feed(subtract(res, half_tor), liouville_contract(res))
 
 
 @_check("cocycle_coherence", "transition")
@@ -261,14 +261,13 @@ def check_cocycle_coherence(bundle, engine, xs, ys, config, feed):
     N_expect[:, 0, 1] = -2.0 * yts[:, 1]
     gamma_expect = np.zeros((2, 2, 2))
     gamma_expect[0, 1, 1] = -2.0
-    feed(_columns(G[:, 0] + yts[:, 1] ** 2, G[:, 1],
-                  moved_N(xts, yts) - N_expect,
-                  moved_gamma(xts, yts) - gamma_expect), xs, ys)
+    feed(G[:, 0] + yts[:, 1] ** 2, G[:, 1], moved_N(xts, yts) - N_expect,
+         moved_gamma(xts, yts) - gamma_expect)
 
     for obj in (flat_spray, flat_N, flat_gamma,
                 bundle.lagrangian.ell_field()):
         for defect in coherence_defect(obj, t, xs, ys, engine).values():
-            feed(defect, xs, ys)
+            feed(defect)
 
 
 @_check("linear_roundtrip", "lagrangian")
@@ -285,9 +284,8 @@ def check_linear_roundtrip(bundle, engine, xs, ys, config, feed):
         back = project_intrinsic(conn).coefficients
         source = sources["berwald" if kind in ("berwald", "hashiguchi")
                          else "chern"]
-        feed(_columns(conn.hooked_vertical_field()(xs, ys),
-                      induced(xs, ys) - Nhat(xs, ys),
-                      back(xs, ys) - source(xs, ys)), xs, ys)
+        feed(conn.hooked_vertical_field(), subtract(induced, Nhat),
+             subtract(back, source))
 
 
 @_check("functional_laws", "lagrangian")
@@ -309,8 +307,8 @@ def check_functional_laws(bundle, engine, xs, ys, config, feed):
     roundtrip = evaluate_action(
         restrict_functional(extend_functional(spray_action, engine), engine),
         spray)
-    feed(abs(direct - roundtrip) / (1.0 + abs(direct)),
-         spray_action.xs[0], spray_action.ys[0])
+    feed(direct - roundtrip, at=(spray_action.xs[0], spray_action.ys[0]),
+         relative_to=direct)
 
     gamma_action = ActionFunctional(
         "anisotropic",
@@ -324,12 +322,12 @@ def check_functional_laws(bundle, engine, xs, ys, config, feed):
     rng = np.random.default_rng(config.seed + 13)
     shift = kernel_shift(domain, rng.normal(size=(domain.dim,) * 4))
     shifted = AnisotropicConnection(add(berwald.coefficients, shift))
-    feed(abs(evaluate_action(sym, shifted) - base_val) / (1.0 + abs(base_val)),
-         gamma_action.xs[0], gamma_action.ys[0])
-
+    first = (gamma_action.xs[0], gamma_action.ys[0])
+    feed(evaluate_action(sym, shifted) - base_val, at=first,
+         relative_to=base_val)
     chern = chern_connection(L, engine)
-    feed(abs(evaluate_action(sym, chern) - base_val) / (1.0 + abs(base_val)),
-         gamma_action.xs[0], gamma_action.ys[0])
+    feed(evaluate_action(sym, chern) - base_val, at=first,
+         relative_to=base_val)
     return count
 
 
@@ -341,9 +339,9 @@ def check_geodesic_conservation(bundle, engine, xs, ys, config, feed):
     path = geodesic_integrate(spray, xs[0], ys[0], 1e-3, 200)
     energy = L.field(path.xs, path.ys)
     e0 = float(energy[0])
-    feed(np.abs(energy - e0) / max(1e-12, abs(e0)), path.xs, path.ys)
+    feed(np.abs(energy - e0) / max(1e-12, abs(e0)), at=(path.xs, path.ys))
     if not path.completed:
-        feed(1.0, xs[0], ys[0])
+        feed(1.0, at=(xs[0], ys[0]))
     return len(path)
 
 

@@ -44,9 +44,23 @@ def _env_seed(seed):
     if raw is None:
         return seed
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise ValueError(f"{_SEED_ENV} must be an integer, got {raw!r}")
+        seed = None
+    if seed is None or seed < 0:
+        raise ValueError(f"{_SEED_ENV} must be an integer of at least 0, "
+                         f"got {raw!r}")
+    return seed
+
+
+def _integer(data, key, default, least):
+    """`data[key]`, or `default` when it is missing: a JSON integer (not a
+    bool) of at least `least`, else a ValueError naming `key`."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{key} must be an integer of at least {least}, "
+                         f"got {json.dumps(value)}")
+    return value
 
 
 def _build_config(data):
@@ -65,7 +79,12 @@ def _build_config(data):
         raise ValueError(str(exc))
 
     allowed = applicable_checks(bundle)
-    checks = data.get("checks") or allowed
+    checks = data.get("checks", allowed)
+    if not (isinstance(checks, list)
+            and all(isinstance(c, str) for c in checks)):
+        raise ValueError(f"checks must be a list of check names, "
+                         f"got {json.dumps(checks)}")
+    checks = checks or allowed
     bad = sorted(set(checks) - set(CHECKS))
     if bad:
         raise ValueError(f"unknown checks: {', '.join(bad)}; vocabulary: "
@@ -76,10 +95,12 @@ def _build_config(data):
             f"checks not applicable to {bundle.name!r}: "
             f"{', '.join(inapplicable)}; applicable: {', '.join(allowed)}")
 
-    samples = int(data.get("samples", 200))
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    tolerance = float(data.get("tolerance", 1e-6))
+    samples = _integer(data, "samples", 200, 1)
+    tolerance = data.get("tolerance", 1e-6)
+    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
+        raise ValueError(f"tolerance must be a number, "
+                         f"got {json.dumps(tolerance)}")
+    tolerance = float(tolerance)
     if not 0.0 < tolerance < np.inf:
         raise ValueError(f"tolerance must be positive and finite, "
                          f"got {tolerance}")
@@ -87,7 +108,7 @@ def _build_config(data):
     if method not in ("analytic", "fd4"):
         raise ValueError(f"method must be \"analytic\" or \"fd4\", "
                          f"got {method!r}")
-    seed = _env_seed(int(data.get("seed", 0)))
+    seed = _env_seed(_integer(data, "seed", 0, 0))
     return RunConfig(example=str(data["example"]), checks=sorted(checks),
                      samples=samples, seed=seed, tolerance=tolerance,
                      method=method), bundle

@@ -67,6 +67,7 @@ from .errors import DegeneracyError, DivisionError, DomainError, RankError, Shap
 _EPS = float(np.finfo(float).eps)
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _MEMO_LIMIT = 4096
+_PIVOT_FLOOR = 1e-12  # the smallest scaled pivot `pivot_inverse` accepts
 
 # The two axes a field is differentiated along: vertically in y, which
 # lowers alpha by one, and in the chart coordinates x, which keeps it.
@@ -601,7 +602,8 @@ def liouville_field(domain):
     """The canonical vertical vector field with components y^i."""
     return TensorField(
         domain, 1, 0, 1.0, lambda xs, ys: ys.copy(),
-        dy=constant_field(domain, np.eye(domain.dim), 1, 1, name="id"),
+        dy=lambda: constant_field(domain, np.eye(domain.dim), 1, 1,
+                                  name="id"),
         dx=lambda: zero_field(domain, 1, 1, 1.0),
         name="liouville")
 
@@ -771,18 +773,18 @@ def reindex(field, subscripts, name=""):
                  _chains(rule, field), name, (field,))
 
 
-def pivot_inverse(mat, sample=None, threshold=1e-12):
+def pivot_inverse(mat, sample=None):
     """Invert a small matrix, or a stack of them, by partial-pivot elimination.
 
     `mat` has shape (n, n) or (B, n, n); each matrix of a stack goes
     through the same row operations it would get on its own.  Raises
     DegeneracyError when a row is zero, a scaled pivot falls below
-    `threshold` or is NaN, or an entry is NaN or infinite, so near-singular
-    inputs fail loudly instead of returning garbage.  A degenerate matrix
-    with a non-finite entry is named as such, whichever of these stopped
-    its elimination.  The error carries `sample`; for a stack, `sample`
-    may be the pair (xs, ys) of (B, dim) sample arrays, and the error then
-    names the sample of the first degenerate matrix.
+    `_PIVOT_FLOOR` = 1e-12 or is NaN, or an entry is NaN or infinite, so
+    near-singular inputs fail loudly instead of returning garbage.  A
+    degenerate matrix with a non-finite entry is named as such, whichever
+    of these stopped its elimination.  The error carries `sample`; for a
+    stack, `sample` may be the pair (xs, ys) of (B, dim) sample arrays,
+    and the error then names the sample of the first degenerate matrix.
 
     One matrix, of shape (n, n) or (1, n, n), is eliminated on Python
     floats, where numpy's per-call cost would outweigh the arithmetic; a
@@ -795,9 +797,9 @@ def pivot_inverse(mat, sample=None, threshold=1e-12):
     stack = mat[None] if single else mat
     n = stack.shape[-1]
     if stack.shape == (1, n, n) and n:
-        inverse, failures = _eliminate(stack[0].tolist(), n, threshold)
+        inverse, failures = _eliminate(stack[0].tolist(), n)
     else:
-        inverse, failures = _eliminate_stack(stack, threshold)
+        inverse, failures = _eliminate_stack(stack)
     if failures:
         i = min(failures)
         why = failures[i]
@@ -810,7 +812,7 @@ def pivot_inverse(mat, sample=None, threshold=1e-12):
     return inverse[0] if single else inverse
 
 
-def _eliminate(rows, n, threshold):
+def _eliminate(rows, n):
     """Gauss-Jordan elimination of one matrix, given as its `n` rows, lists
     of Python floats that it extends by the identity and eliminates in
     place, with the row operations `_eliminate_stack` applies to a stack
@@ -839,9 +841,9 @@ def _eliminate(rows, n, threshold):
             p = abs(rows[r][col]) / scale[r]
             if p > best or p != p:
                 k, best = r, p
-        if not best >= threshold:
+        if not best >= _PIVOT_FLOOR:
             return None, {0: f"scaled pivot {best:.3e} below "
-                             f"{threshold:.0e} in column {col}"}
+                             f"{_PIVOT_FLOOR:.0e} in column {col}"}
         if k != col:
             rows[col], rows[k] = rows[k], rows[col]
             scale[col], scale[k] = scale[k], scale[col]
@@ -854,7 +856,7 @@ def _eliminate(rows, n, threshold):
     return np.array(rows)[None, :, n:], {}
 
 
-def _eliminate_stack(stack, threshold):
+def _eliminate_stack(stack):
     """Gauss-Jordan elimination of a (B, n, n) stack with scaled partial
     pivoting: (inverses, {}), or (None, {index: why}) naming each
     degenerate matrix by its first reason."""
@@ -877,12 +879,12 @@ def _eliminate_stack(stack, threshold):
             pivots = np.abs(aug[:, col:, col]) / row_scale[:, col:]
         k = pivots.argmax(axis=-1)
         best = pivots[rows, k]
-        low = ~(best >= threshold)  # a NaN pivot is degenerate too
+        low = ~(best >= _PIVOT_FLOOR)  # a NaN pivot is degenerate too
         if np.count_nonzero(low):
             for i in np.flatnonzero(low):
                 failures.setdefault(
-                    i, f"scaled pivot {best[i]:.3e} below {threshold:.0e} "
-                       f"in column {col}")
+                    i, f"scaled pivot {best[i]:.3e} below "
+                       f"{_PIVOT_FLOOR:.0e} in column {col}")
             _retire(aug, row_scale, low)
             k[low] = 0
         if np.count_nonzero(k):

@@ -34,8 +34,10 @@ def test_wick_parsing(spelling):
 
 
 def test_wick_rejects_garbage_parameter():
-    with pytest.raises(DomainError):
-        get_example("wick(two)")
+    """A kappa that is no finite real is an unknown name, as any other."""
+    for name in ("wick(two)", "wick(1e400)", "wick(-1e400)", "wick(1.2.3)"):
+        with pytest.raises(DomainError, match="unknown example"):
+            get_example(name)
 
 
 def test_minkowski_sampling_stays_in_the_cone():

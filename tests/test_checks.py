@@ -15,8 +15,8 @@ from anifield import (AnisotropicConnection, ConicDomain, DiffEngine,
                       LevelError, LinearConnection, NonlinearConnection,
                       Spray, TensorField, classical_linear, coherence_defect,
                       form_field, liouville_contract, zero_field)
-from anifield.catalog import _energy_bundle, get_example
-from anifield.checks import (CHECKS, applicable_checks,
+from anifield.catalog import ExampleBundle, _energy_bundle, get_example
+from anifield.checks import (CHECKS, _Worst, applicable_checks,
                              check_cocycle_coherence, check_euler,
                              kernel_shift)
 from anifield.cli import RunConfig, canonical_json, parse_config
@@ -204,6 +204,53 @@ def test_cocycle_coherence_names_the_worst_sample():
     assert report.max_abs_defect == gaps.max()
     assert report.worst_sample == {"x": xs[row].tolist(),
                                    "y": ys[row].tolist()}
+
+
+def test_a_nan_bundle_field_fails_euler_at_its_sample():
+    """A field that is NaN at one sample fails `euler` with a NaN defect
+    named at that sample, though a finite defect of 0.5 is fed before and
+    after it."""
+    domain = get_example("euclidean2").domain
+    config = _config("nan", samples=6, seed=1)
+    xs, ys = domain.sample(config.samples, config.seed)
+    target = ys[2]
+
+    def holed(xs, ys):
+        out = np.ones(len(ys))
+        out[np.all(ys == target, axis=1)] = np.nan
+        return out
+
+    def leaf(alpha, fn):
+        return TensorField(domain, 0, 0, alpha, fn,
+                           dy=lambda: zero_field(domain, 0, 1, alpha - 1.0))
+
+    off = leaf(1.0, lambda xs, ys: np.ones(len(ys)))  # defect 1 / (1 + 1)
+    bundle = ExampleBundle("nan", domain, fields={
+        "before": off, "holed": leaf(0.0, holed), "after": off})
+    report = CHECKS["euler"](bundle, config)
+    assert np.isnan(report.max_abs_defect)
+    assert not report.passed
+    assert report.worst_sample == {"x": xs[2].tolist(), "y": target.tolist()}
+
+
+def test_feed_reads_an_array_at_the_samples_it_names():
+    """An array fed with `at=` has one row per sample of `at`: a NaN row
+    names its sample and stays the worst; defects are relative to 1 + the
+    reference's largest |entry|; and the worst sample is the check's first
+    when every defect is 0.0."""
+    xs, ys = get_example("euclidean2").domain.sample(4, 0)
+    worst = _Worst(xs, ys)
+    worst.feed(np.zeros((4, 3)), at=(xs[::-1], ys[::-1]))
+    assert worst.value == 0.0
+    assert worst.sample == {"x": xs[0].tolist(), "y": ys[0].tolist()}
+    worst.feed(np.array([-2.0, 0.5]), at=(xs[3], ys[3]), relative_to=-3.0)
+    assert worst.value == 0.5
+    assert worst.sample == {"x": xs[3].tolist(), "y": ys[3].tolist()}
+    worst.feed(np.array([[0.5, 1.0], [np.nan, 0.0], [7.0, 0.0]]),
+               at=(xs[1:], ys[1:]))
+    worst.feed(100.0, at=(xs[0], ys[0]))
+    assert np.isnan(worst.value)
+    assert worst.sample == {"x": xs[2].tolist(), "y": ys[2].tolist()}
 
 
 _PARENT_APPLICABLE = {

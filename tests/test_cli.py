@@ -61,10 +61,33 @@ def test_parse_config_sorts_the_checks():
     ('{"example": "euclidean2", "step_scale": 2}',
      "unknown config keys: step_scale;"),
     ('{"example": ', "line"),
+    # each value of the wrong JSON type is refused by its key
+    ('{"example": "euclidean2", "samples": null}', "samples must be"),
+    ('{"example": "euclidean2", "samples": true}', "samples must be"),
+    ('{"example": "euclidean2", "samples": 2.7}', "samples must be"),
+    ('{"example": "euclidean2", "seed": null}', "seed must be"),
+    ('{"example": "euclidean2", "seed": 1.5}', "seed must be"),
+    ('{"example": "euclidean2", "seed": -1}', "seed must be"),
+    ('{"example": "euclidean2", "tolerance": null}', "tolerance must be"),
+    ('{"example": "euclidean2", "tolerance": [1]}', "tolerance must be"),
+    ('{"example": "euclidean2", "checks": [1]}', "checks must be"),
+    ('{"example": "euclidean2", "checks": [["euler"]]}', "checks must be"),
+    ('{"example": "euclidean2", "checks": "euler"}', "checks must be"),
+    ('{"example": "euclidean2", "checks": {"euler": 1}}', "checks must be"),
 ])
 def test_parse_config_rejections(payload, fragment):
     with pytest.raises(ValueError, match=fragment):
         parse_config(payload)
+
+
+def test_check_refuses_a_null_sample_count(tmp_path, capsys):
+    """A value of the wrong type is a usage error, not a failed check."""
+    path = tmp_path / "config.json"
+    path.write_text('{"example": "euclidean2", "samples": null}')
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: samples must be an integer of at least 1, got null\n"
 
 
 _REFUSED = {"tolerance": "tolerance must be positive and finite",
@@ -144,9 +167,10 @@ def test_environment_seed_wins(monkeypatch):
     monkeypatch.setenv("FINSLER_SEED", "99")
     config = parse_config('{"example": "euclidean2", "seed": 7}')
     assert config.seed == 99
-    monkeypatch.setenv("FINSLER_SEED", "many")
-    with pytest.raises(ValueError):
-        parse_config('{"example": "euclidean2"}')
+    for raw in ("many", "-1"):
+        monkeypatch.setenv("FINSLER_SEED", raw)
+        with pytest.raises(ValueError, match="FINSLER_SEED must be"):
+            parse_config('{"example": "euclidean2"}')
 
 
 def test_canonical_json_is_key_sorted_and_explicit():

@@ -15,7 +15,7 @@ from anifield import (DiffEngine, DivisionError, Lagrangian,
                       vertical_derivative, x_derivative, zero_field)
 from anifield.catalog import get_example
 from anifield.checks import CHECKS
-from anifield.cli import RunConfig
+from anifield.cli import RunConfig, main
 from anifield.errors import DegeneracyError
 from anifield.fields import pivot_inverse
 
@@ -131,21 +131,42 @@ def test_a_fold_whose_guard_has_no_chain_is_a_zero_over_its_stencil():
         _raises_at_sample_2_and_is_zero_elsewhere(dv, xs, ys)
 
 
-def test_a_fresh_analytic_functional_laws_builds_few_nodes(monkeypatch):
-    """A guarded zero's derivative is a zero over its guards' derivatives;
-    it does not expand the combinators' rules over the graph beneath it.
-    One analytic quartic2/functional_laws on a fresh bundle builds 177
-    TensorFields (682 when each fold kept its combinator's rule)."""
+def _count_built(monkeypatch):
+    """A list that grows by one for each TensorField built from now on."""
     built = []
     init = TensorField.__init__
     monkeypatch.setattr(TensorField, "__init__",
                         lambda self, *a, **k: built.append(1) or init(
                             self, *a, **k))
+    return built
+
+
+def test_a_fresh_analytic_functional_laws_builds_few_nodes(monkeypatch):
+    """A guarded zero's derivative is a zero over its guards' derivatives;
+    it does not expand the combinators' rules over the graph beneath it.
+    One analytic quartic2/functional_laws on a fresh bundle builds 177
+    TensorFields (682 when each fold kept its combinator's rule)."""
+    built = _count_built(monkeypatch)
     config = RunConfig(example="quartic2", checks=["functional_laws"],
                        samples=16, seed=0)
     report = CHECKS["functional_laws"](get_example("quartic2"), config)
     assert report.passed
     assert len(built) <= 200
+
+
+@pytest.mark.parametrize("argv,most", [
+    (["report", "--samples", "16", "--seed", "0"], 2570),
+    (["report", "--method", "fd4", "--samples", "4", "--seed", "0"], 1797),
+], ids=["analytic-16", "fd4-4"])
+def test_a_report_builds_few_nodes(monkeypatch, capsys, argv, most):
+    """The Liouville field builds its identity chain only when a graph
+    reads it, which most graphs never do.  The two reports built 2,574
+    and 1,858 TensorFields when every Liouville field built it at once
+    and the checks fed arrays instead of `subtract` graphs."""
+    built = _count_built(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert len(built) <= most
 
 
 def test_fd4_derivative_of_a_constant_is_an_exact_zero():
