@@ -13,10 +13,8 @@ import numpy as np
 
 from .connections import Connection, lower_connection, raise_connection
 from .errors import ShapeError
-from .fields import (ConicDomain, TensorField, _row_max_abs,
+from .fields import (_LETTERS, ConicDomain, TensorField, _row_max_abs,
                      liouville_contract, pivot_inverse, vertical_derivative)
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class ChartTransition:
@@ -105,7 +103,6 @@ def _pushed_domain(domain, t):
     pts = np.asarray(t.forward(np.where(bits, hi, lo)), dtype=float)
     box = np.stack([pts.min(axis=0), pts.max(axis=0)], axis=1)
     return ConicDomain(domain.dim, membership, x_box=box,
-                       y_shell=domain.y_shell,
                        name=f"{t.name}({domain.name})")
 
 

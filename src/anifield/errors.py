@@ -21,23 +21,20 @@ class LevelError(AnifieldError):
     """A ladder or connection level is out of range, zero, or not an integer."""
 
 
-class DegeneracyError(AnifieldError):
-    """A matrix that must be invertible is numerically singular.
-
-    Carries the (x, y) sample where degeneracy was detected as `.sample`.
-    """
+class _SampleError(AnifieldError):
+    """An error carrying the (x, y) sample it was detected at, or None."""
 
     def __init__(self, message, sample=None):
         super().__init__(message)
         self.sample = sample
 
 
-class DivisionError(AnifieldError):
+class DegeneracyError(_SampleError):
+    """A matrix that must be invertible is numerically singular."""
+
+
+class DivisionError(_SampleError):
     """Division by a scalar field that vanishes at a sample."""
-
-    def __init__(self, message, sample=None):
-        super().__init__(message)
-        self.sample = sample
 
 
 class TransitionError(AnifieldError):

@@ -68,6 +68,7 @@ _EPS = float(np.finfo(float).eps)
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _MEMO_LIMIT = 4096
 _PIVOT_FLOOR = 1e-12  # the smallest scaled pivot `pivot_inverse` accepts
+_Y_SHELL = (0.5, 2.0)  # the radii between which `ConicDomain.sample` draws y
 
 # The two axes a field is differentiated along: vertically in y, which
 # lowers alpha by one, and in the chart coordinates x, which keeps it.
@@ -88,9 +89,8 @@ class ConicDomain:
         lambda > 0.  The slit condition y != 0 is enforced separately.
     x_box : array_like, optional
         Pairs (lo, hi) per coordinate bounding the sampling box in x.
-        Defaults to [-1, 1] in every coordinate.
-    y_shell : tuple, optional
-        (rmin, rmax) radii for the sampling shell in y.
+        Defaults to [-1, 1] in every coordinate.  Samples draw y in the
+        shell of radii `_Y_SHELL`, 0.5 to 2.
     excluded : iterable, optional
         Extra predicates (x, y) -> bool; a sample is rejected while any of
         them is true.  Used to keep quadrature away from thin margins near
@@ -98,18 +98,17 @@ class ConicDomain:
 
     One admissibility rule decides membership: the state is finite, y is
     not zero, and the predicate accepts it.  `admits` applies it to one
-    state of Python floats, `contains` to one state of arrays, and
-    `first_refused` to a batch of states, row after row.
+    state given as Python floats and as arrays, `contains` to one state
+    of arrays, and `first_refused` to a batch of states, row after row.
     """
 
-    def __init__(self, dim, membership=None, x_box=None, y_shell=(0.5, 2.0),
-                 excluded=(), name=""):
+    def __init__(self, dim, membership=None, x_box=None, excluded=(),
+                 name=""):
         self.dim = int(dim)
         self.membership = membership
         if x_box is None:
             x_box = [(-1.0, 1.0)] * self.dim
         self.x_box = np.asarray(x_box, dtype=float).reshape(self.dim, 2)
-        self.y_shell = (float(y_shell[0]), float(y_shell[1]))
         self.excluded = tuple(excluded)
         self.name = name
         self._drawn = {}
@@ -123,19 +122,15 @@ class ConicDomain:
             return False
         return self.admits(x.tolist(), y.tolist(), (x, y))
 
-    def admits(self, x, y, arrays=None):
+    def admits(self, x, y, arrays):
         """The admissibility rule on a float state: x and y are lists of
         dim Python floats, all finite, y is not zero, and the membership
-        predicate accepts the pair.  The predicate gets (dim,) float64
-        arrays: `arrays`, the same state as a pair of arrays, when the
-        caller has them, else arrays built here, only when the predicate
-        runs."""
+        predicate accepts the pair.  The predicate gets `arrays`, the same
+        state as a pair of (dim,) float64 arrays."""
         if not all(map(math.isfinite, x + y)) or not any(y):
             return False
         if self.membership is None:
             return True
-        if arrays is None:
-            arrays = (np.array(x), np.array(y))
         return bool(self.membership(*arrays))
 
     def first_refused(self, xs, ys):
@@ -173,7 +168,7 @@ class ConicDomain:
     def _draw(self, count, seed):
         rng = np.random.default_rng(seed)
         lo, hi = self.x_box[:, 0], self.x_box[:, 1]
-        rmin, rmax = self.y_shell
+        rmin, rmax = _Y_SHELL
         xs = np.empty((count, self.dim))
         ys = np.empty((count, self.dim))
         for i in range(count):
@@ -281,10 +276,6 @@ class TensorField:
         self._memo = {}
         self._plan = None
         self._stencils = None
-
-    @property
-    def dim(self):
-        return self.domain.dim
 
     @property
     def rank(self):
@@ -439,8 +430,15 @@ def _require_type(field, r, s, alpha, what):
     (r, s) and homogeneity alpha."""
     if field.rank != (r, s) or float(field.alpha) != alpha:
         raise ShapeError(
-            f"{what} needs a type-({r}, {s}) field of homogeneity {alpha:g}, "
-            f"got ({field.r}, {field.s}) at alpha={field.alpha:g}")
+            f"{what} needs a type-({r}, {s}) field of homogeneity "
+            f"{_exact(alpha)}, got ({field.r}, {field.s}) at "
+            f"alpha={_exact(field.alpha)}")
+
+
+def _exact(alpha):
+    """alpha printed with `:g` when that reads back as alpha, else repr."""
+    text = f"{alpha:g}"
+    return text if float(text) == alpha else repr(alpha)
 
 
 def _first(mask):
@@ -687,19 +685,35 @@ def _einsum_parts(subscripts, count):
 
 
 def add(a, b, name=""):
+    """a + b; see `_sum`."""
+    return _sum(a, b, False, name or f"({a.name}+{b.name})")
+
+
+def subtract(a, b, name=""):
+    """a - b, one node as a sum is; see `_sum`."""
+    return _sum(a, b, True, name or f"({a.name}-{b.name})")
+
+
+def _sum(a, b, minus, name):
+    """a + b, or a - b if `minus`.  Two constants fold; an unguarded zero
+    b gives a, an unguarded zero a gives b or scale(b, -1); else one node,
+    whose chains follow this rule.  IEEE u - v is bitwise u + (-1.0 * v)."""
     if (a.r, a.s) != (b.r, b.s):
         raise ShapeError(f"cannot add types {a.rank} and {b.rank}")
     if a.alpha != b.alpha:
-        raise ShapeError(
-            f"cannot add homogeneities {a.alpha:g} and {b.alpha:g}")
-    name = name or f"({a.name}+{b.name})"
+        raise ShapeError(f"cannot add homogeneities {_exact(a.alpha)} and "
+                         f"{_exact(b.alpha)}")
     if a.const is not None and b.const is not None:
-        return _folded(a.domain, a.r, a.s, a.alpha, a.const + b.const,
+        return _folded(a.domain, a.r, a.s, a.alpha,
+                       a.const - b.const if minus else a.const + b.const,
                        (a, b), name)
     if _is_zero(b) and not b.guards:
         return a
     if _is_zero(a) and not a.guards:
-        return b
+        return scale(b, -1.0) if minus else b
+    if minus:
+        return _node(a.domain, a.r, a.s, a.alpha, lambda xs, ys, u, v: u - v,
+                     _chains(subtract, a, b), name, (a, b))
     return _node(a.domain, a.r, a.s, a.alpha, lambda xs, ys, u, v: u + v,
                  _chains(add, a, b), name, (a, b))
 
@@ -711,10 +725,6 @@ def scale(a, c, name=""):
         return _folded(a.domain, a.r, a.s, a.alpha, c * a.const, (a,), name)
     return _node(a.domain, a.r, a.s, a.alpha, lambda xs, ys, u: c * u,
                  _chains(lambda da: scale(da, c), a), name, (a,))
-
-
-def subtract(a, b, name=""):
-    return add(a, scale(b, -1.0), name=name or f"({a.name}-{b.name})")
 
 
 def tensor_product(a, b, subscripts, r, s, name=""):

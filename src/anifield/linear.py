@@ -107,11 +107,8 @@ def induced_nonlinear(conn):
 
 def project_intrinsic(conn):
     """Anisotropic quotient along the connection's own induced N, the one
-    `induced_nonlinear` keeps."""
-    N = induced_nonlinear(conn)
-    slanted = tensor_product(N.coefficients, conn.gamma2, "bj,ibk->ijk", 1, 2)
-    return AnisotropicConnection(
-        subtract(conn.gamma1, slanted, name=f"quotient({conn.name})"))
+    `induced_nonlinear` keeps: `project_with_N` along that N."""
+    return project_with_N(conn, induced_nonlinear(conn))[0]
 
 
 def project_with_N(conn, N):
@@ -149,11 +146,11 @@ def _from_pair(coeff, hooked, delta):
                             name=f"pair({coeff.name})")
 
 
-def covariant_derivative(conn, X, Z, x, y, engine=None, nonlinear=None):
+def covariant_derivative(conn, X, Z, x, y, engine=None):
     """Derivative of a vector field Z along a split direction X = (Xh, Xv).
 
     Xh and Xv are coefficient arrays of the horizontal and vertical parts
-    in the frame adapted to `nonlinear` (the induced N when omitted):
+    in the frame adapted to the connection's induced N:
 
         (D Z)^i = Xh^j (delta_j Z^i + Gamma1^i_jc Z^c)
                 + Xv^j (dZ^i/dy^j + Gamma2^i_jc Z^c)
@@ -163,12 +160,11 @@ def covariant_derivative(conn, X, Z, x, y, engine=None, nonlinear=None):
     """
     Xh, Xv = (np.asarray(X[0], dtype=float), np.asarray(X[1], dtype=float))
     field = Z.coefficients if hasattr(Z, "coefficients") else Z
-    N = nonlinear or induced_nonlinear(conn)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dZx = x_derivative(field, engine)(x, y)
     dZy = vertical_derivative(field, engine)(x, y)
-    Nv = N.coefficients(x, y)
+    Nv = induced_nonlinear(conn).coefficients(x, y)
     Zv = field(x, y)
     delta_Z = dZx - np.einsum("...aj,...ia->...ij", Nv, dZy)
     horiz = np.einsum("...j,...ij->...i", Xh, delta_Z) \

@@ -14,6 +14,8 @@ from .fields import (DEFAULT_ENGINE, _first, _require_type, _sample_at, add,
                      scale, subtract, tensor_product, vertical_derivative)
 from .ladder import lower, project_kernel
 
+_TOL = 1e-8  # of the symmetry test (`_symmetric`), and of a zero eigenvalue
+
 
 class Lagrangian:
     """2-homogeneous scalar energy on a conic domain.
@@ -92,14 +94,14 @@ class AnisotropicMetric:
     def __call__(self, x, y):
         return self.field(x, y)
 
-    def check_at(self, x, y, sym_tol=1e-8):
+    def check_at(self, x, y):
         """Raise DegeneracyError / ShapeError if the metric misbehaves at
         (x, y), or at any sample of a (B, dim) batch; the error names the
-        first such sample."""
+        first such sample.  Symmetry is tested to `_TOL` (`_symmetric`)."""
         xs = np.reshape(np.asarray(x, dtype=float), (-1, self.domain.dim))
         ys = np.reshape(np.asarray(y, dtype=float), (-1, self.domain.dim))
         g = self.field(xs, ys)
-        lopsided = ~_symmetric(g, sym_tol)
+        lopsided = ~_symmetric(g)
         if lopsided.any():
             raise ShapeError(f"metric {self.name!r} is not symmetric at the "
                              f"sample {_sample_at(xs, ys, _first(lopsided))}")
@@ -116,19 +118,15 @@ def legendre_of(L):
     return LegendreField(L.ell_field(), name=f"ell({L.name})")
 
 
-def fundamental_tensor(L, validate_at=None):
+def fundamental_tensor(L):
     """phi = (1/2) dv dv L as an AnisotropicMetric.
 
     Each call returns a new metric, whose `inverse_field()` is the one
     inverse node of phi kept in `L`'s store, so every object built on it
-    shares that node.  `validate_at` may give (xs, ys) sample arrays; degeneracy
-    at any of them raises DegeneracyError carrying the offending sample,
-    on every call.
+    shares that node.  Its `check_at` validates it at samples.
     """
     metric = AnisotropicMetric(L.phi_field(), name=f"phi({L.name})")
     metric._inv = L.kept("phi_inverse", metric.inverse_field)
-    if validate_at is not None:
-        metric.check_at(*validate_at)
     return metric
 
 
@@ -178,30 +176,30 @@ def lagrangian_of_metric(metric):
                             name=f"energy({metric.name})"))
 
 
-def _symmetric(g, tol):
+def _symmetric(g):
     """Per matrix of a stack (..., n, n): np.allclose(g, g.T) with absolute
-    tolerance tol * (1 + max |g|), matrix by matrix."""
+    tolerance `_TOL` * (1 + max |g|), matrix by matrix."""
     gt = np.swapaxes(g, -1, -2)
-    atol = tol * (1.0 + np.max(np.abs(g), axis=(-2, -1)))
+    atol = _TOL * (1.0 + np.max(np.abs(g), axis=(-2, -1)))
     close = np.abs(g - gt) <= atol[..., None, None] + 1e-5 * np.abs(gt)
     return np.all(close, axis=(-2, -1))
 
 
-def signature_at(metric, x, y, zero_tol=1e-8):
+def signature_at(metric, x, y):
     """Counts (n_plus, n_minus, n_zero) of eigenvalues of the metric at (x, y).
 
-    Eigenvalues with |lambda| < zero_tol count as zero.  The components are
+    Eigenvalues with |lambda| < `_TOL` count as zero.  The components are
     symmetrized-checked first; a lopsided matrix raises ShapeError.  At a
     (B, dim) batch of samples the three counts are integer arrays of
     length B.
     """
     g = metric(x, y)
-    if not np.all(_symmetric(g, 1e-8)):
+    if not np.all(_symmetric(g)):
         raise ShapeError("signature of a non-symmetric matrix is undefined")
     eigs = np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, -1, -2)))
-    n_zero = np.sum(np.abs(eigs) < zero_tol, axis=-1)
-    n_plus = np.sum(eigs >= zero_tol, axis=-1)
-    n_minus = np.sum(eigs <= -zero_tol, axis=-1)
+    n_zero = np.sum(np.abs(eigs) < _TOL, axis=-1)
+    n_plus = np.sum(eigs >= _TOL, axis=-1)
+    n_minus = np.sum(eigs <= -_TOL, axis=-1)
     if n_zero.ndim == 0:
         return (int(n_plus), int(n_minus), int(n_zero))
     return (n_plus, n_minus, n_zero)

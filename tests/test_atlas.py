@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from anifield import (ChartTransition, DiffEngine, ShapeError,
+from anifield import (ChartTransition, ConicDomain, DiffEngine, ShapeError,
                       coherence_defect, berwald_connection, canonical_spray,
                       liouville_field, raise_connection, transform_connection,
                       transform_tensor)
@@ -148,3 +148,14 @@ def test_coherence_defect_keys_by_type():
     for d in (d_spray, d_nl, d_gamma, d_ell):
         for key, value in d.items():
             assert value.max() < 1e-6, (key, value)
+
+
+def test_a_pushed_domain_admits_what_pulls_back_inside():
+    """The membership of a pushed-forward domain pulls the point back and
+    asks the source domain."""
+    upper = ConicDomain(2, lambda x, y: y[1] > 0.0, name="upper")
+    pushed = transform_tensor(liouville_field(upper), T).domain
+    assert pushed.name == f"{T.name}(upper)"
+    for y, admitted in (([1.0, 2.0], True), ([1.0, -2.0], False)):
+        xt, yt = T.push_point(X0, np.array(y))
+        assert pushed.contains(xt, yt) is admitted

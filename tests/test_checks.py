@@ -14,7 +14,8 @@ import anifield.checks
 from anifield import (AnisotropicConnection, ConicDomain, DiffEngine,
                       LevelError, LinearConnection, NonlinearConnection,
                       Spray, TensorField, classical_linear, coherence_defect,
-                      form_field, liouville_contract, zero_field)
+                      form_field, liouville_contract, wick_metric,
+                      zero_field)
 from anifield.catalog import ExampleBundle, _energy_bundle, get_example
 from anifield.checks import (CHECKS, _Worst, applicable_checks,
                              check_cocycle_coherence, check_euler,
@@ -407,3 +408,36 @@ def test_a_checked_bundle_dies_by_reference_counting_alone(method):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_signature_table_counts_the_samples_whose_signature_mismatches():
+    """A wick metric of kappa = -2 has signature (1, 1, 0) on the
+    euclidean plane, where kappa = 0.5 predicts (2, 0, 0): every sample
+    mismatches, and the worst sample is the last one."""
+    base = get_example("euclidean2")
+    bundle = ExampleBundle("mislabelled", base.domain,
+                           lagrangian=base.lagrangian,
+                           metric=wick_metric(base.lagrangian, -2.0),
+                           kappa=0.5)
+    config = _config("mislabelled", checks=["signature_table"])
+    report = CHECKS["signature_table"](bundle, config)
+    xs, ys = bundle.domain.sample(config.samples, config.seed)
+    assert not report.passed
+    assert report.max_abs_defect == config.samples
+    assert report.worst_sample == {"x": xs[-1].tolist(), "y": ys[-1].tolist()}
+
+
+def test_geodesic_conservation_fails_a_truncated_curve():
+    """On a box 0.05 wide every 200-step curve at |y| >= 0.5 leaves the
+    domain: the energy stays constant along what was taken, and the
+    truncation alone fails the check at its first sample."""
+    box = ConicDomain(2, lambda x, y: bool(np.all(np.abs(x) < 0.05)),
+                      x_box=[(-0.01, 0.01)] * 2, name="box")
+    bundle = _energy_bundle("box", box, form_field(box, np.eye(2), 2))
+    config = _config("box", checks=["geodesic_conservation"])
+    report = CHECKS["geodesic_conservation"](bundle, config)
+    xs, ys = box.sample(config.samples, config.seed)
+    assert not report.passed
+    assert report.max_abs_defect == 1.0
+    assert 1 < report.samples_used < 201
+    assert report.worst_sample == {"x": xs[0].tolist(), "y": ys[0].tolist()}

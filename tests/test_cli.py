@@ -533,3 +533,27 @@ def test_main_parses_with_one_parser_and_repeats_its_output(capsys, argv,
         assert info.value.code == 2
         assert capsys.readouterr().err == outputs[0].err
         assert outputs[0].err.startswith("usage: anifield report")
+
+
+def test_check_refuses_a_config_that_is_not_an_object(tmp_path, capsys):
+    path = _write_config(tmp_path, [{"example": "euclidean2"}])
+    assert main(["check", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "config must be a JSON object" in err
+
+
+def test_eval_without_a_point_takes_the_seeded_sample(capsys):
+    assert main(["eval", "euclidean2", "L", "--seed", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    bundle = get_example("euclidean2")
+    xs, ys = bundle.domain.sample(1, 3)
+    assert (doc["x"], doc["y"]) == (xs[0].tolist(), ys[0].tolist())
+    assert doc["value"] == float(bundle.lagrangian(xs[0], ys[0]))
+
+
+def test_geodesic_refuses_an_example_without_an_energy(capsys):
+    assert main(["geodesic", "handmadeN", "--x0", "0", "0",
+                 "--y0", "1", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "example 'handmadeN' has no energy to build a spray from" in err

@@ -334,7 +334,7 @@ def test_the_inverse_of_phi_is_one_node_and_validation_runs_every_call():
         EUC.domain, [[1.0, 0.0], [0.0, 0.0]], 0, 2)))
     for _ in range(2):
         with pytest.raises(DegeneracyError):
-            fundamental_tensor(flat, validate_at=(X0, Y0))
+            fundamental_tensor(flat).check_at(X0, Y0)
 
 
 @pytest.mark.parametrize("method", ["analytic", "fd4"])

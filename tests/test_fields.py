@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import re
 import warnings
 import weakref
 
@@ -910,3 +911,32 @@ def test_a_form_fields_row_does_not_depend_on_its_batch(dim, k, seed, size,
                             rng.normal(size=(3, dim))])
     moved = form(np.zeros_like(other), other)
     assert moved[before].tobytes() == batch[row].tobytes()
+
+
+def test_a_homogeneity_error_prints_its_values_exactly():
+    """q^(1-p) q^p is 2-homogeneous, but at p = 0.3 its third vertical
+    derivative adds homogeneities 0.9999999999999999 and 1 (ROADMAP item
+    1), which `:g` would print alike.  An integer alpha prints as before."""
+    p = 0.3
+    q = form_field(EUC.domain, np.diag([1.0, 2.0]), 2)
+    f = tensor_product(scalar_power(q, 1 - p), scalar_power(q, p), ",->",
+                       0, 0)
+    with pytest.raises(ShapeError) as info:
+        for _ in range(3):
+            f = vertical_derivative(f)
+    printed = re.fullmatch(r"cannot add homogeneities (\S+) and (\S+)",
+                           str(info.value)).groups()
+    assert sorted(printed) == ["0.9999999999999999", "1"]
+    assert sorted(map(float, printed)) == [0.9999999999999999, 1.0]
+    near = TensorField(EUC.domain, 0, 0, 2.0000000000000004,
+                       lambda xs, ys: ys[:, 0] ** 2)
+    with pytest.raises(ShapeError, match=re.escape(
+            "needs a type-(0, 0) field of homogeneity 2, got (0, 0) at "
+            "alpha=2.0000000000000004")):
+        fields._require_type(near, 0, 0, 2, "a Lagrangian")
+
+
+def test_scalar_reciprocal_refuses_a_non_scalar():
+    with pytest.raises(ShapeError, match=re.escape(
+            "scalar_reciprocal needs a type-(0, 0) field")):
+        scalar_reciprocal(liouville_field(EUC.domain))

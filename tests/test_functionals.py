@@ -1,10 +1,12 @@
 """Action functionals: frozen quadrature, level moves, gauge blindness."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from anifield import (ActionFunctional, DiffEngine, LevelError,
+from anifield import (ActionFunctional, DiffEngine, LevelError, ShapeError,
                       NonlinearConnection, TransitionError, add,
                       berwald_connection, canonical_spray, classical_linear,
                       embed_trivial, evaluate_action, extend_functional,
@@ -208,3 +210,15 @@ def test_linear_gauge_ignores_the_vertical_block():
     plain = embed_trivial(gamma)
     assert evaluate_action(sym, dressed) == pytest.approx(
         evaluate_action(sym, plain), rel=1e-9)
+
+
+def test_a_density_of_the_wrong_shape_is_refused():
+    def wide(G, xs, ys):
+        return np.zeros((len(xs), 2))
+
+    action = ActionFunctional("spray", wide, EUC.domain, count=4, seed=0,
+                              name="wide")
+    with pytest.raises(ShapeError, match=re.escape(
+            "density of 'wide' returned shape (4, 2) on 4 samples, "
+            "needs (4,)")):
+        evaluate_action(action, canonical_spray(EUC.lagrangian))

@@ -558,7 +558,6 @@ def test_contains_and_the_stage_check_agree(x, y, admitted):
     answer; the upper half plane refuses y^2 <= 0."""
     upper = _upper()
     assert upper.contains(np.array(x), np.array(y)) is admitted
-    assert upper.admits(x, y) is admitted
     assert upper.admits(x, y, (np.array(x), np.array(y))) is admitted
     assert upper.first_refused(np.array([x]), np.array([y])) == admitted
 
@@ -594,7 +593,8 @@ def test_the_batched_rule_is_admits_row_after_row(rows, predicate):
     batch_seen = seen.copy()
     seen.clear()
     one = next((i for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist()))
-                if not domain.admits(x, y)), len(rows))
+                if not domain.admits(x, y, (np.array(x), np.array(y)))),
+               len(rows))
     assert batched == one
     assert batch_seen == seen
 

@@ -199,3 +199,12 @@ def test_decomposition_residue_error_message_names_rank():
     split = decompose(_custom_ell(), 2, ANALYTIC)
     with pytest.raises(LevelError, match="rank"):
         split.residue_of_rank(5)
+
+
+def test_reconstruct_checks_each_residue_weight():
+    split = decompose(_custom_ell(), 2, ANALYTIC)
+    heavy = TensorField(EUC.domain, 0, 1, 2.0, lambda xs, ys: ys)
+    tampered = LadderDecomposition(split.r, split.omega, split.base, (heavy,))
+    with pytest.raises(ShapeError, match="residue of rank 1 has weight 3, "
+                                         "expected 2"):
+        reconstruct(tampered)

@@ -1,5 +1,7 @@
 """Metric ladder: Lagrangians, Legendre fields, Wick rotations, signatures."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -113,7 +115,8 @@ def test_legendre_of_wraps_the_gradient():
 
 
 def test_fundamental_tensor_validates_point():
-    g = fundamental_tensor(EUC.lagrangian, validate_at=(X0, np.array([1.0, 2.0])))
+    g = fundamental_tensor(EUC.lagrangian)
+    g.check_at(X0, np.array([1.0, 2.0]))
     assert isinstance(g, AnisotropicMetric)
 
 
@@ -226,3 +229,19 @@ def test_signature_refuses_lopsided_matrix():
     asym = constant_field(EUC.domain, np.array([[0.0, 1.0], [0.0, 0.0]]), 0, 2)
     with pytest.raises(ShapeError):
         signature_at(asym, X0, np.array([1.0, 0.0]))
+
+
+def test_check_at_names_the_first_lopsided_sample():
+    def fn(xs, ys):
+        out = np.zeros((len(xs), 2, 2))
+        out[:, 0, 0] = out[:, 1, 1] = 1.0
+        out[:, 0, 1] = xs[:, 0] > 0.0
+        return out
+
+    lopsided = AnisotropicMetric(TensorField(EUC.domain, 0, 2, 0.0, fn),
+                                 name="lopsided")
+    xs = np.array([[-0.5, 0.0], [0.5, 0.0], [0.7, 0.0]])
+    with pytest.raises(ShapeError, match=re.escape(
+            "metric 'lopsided' is not symmetric at the sample "
+            "([0.5, 0.0], [1.0, 1.0])")):
+        lopsided.check_at(xs, np.ones((3, 2)))
